@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .enumeration import (
     BudgetExceeded,
@@ -45,12 +46,16 @@ from .sequences import CoprimalityError, parse_sequence_spec, recognize_u_genera
 SCHEMA = 1
 
 
-def _emit(args, payload):
-    """Render one result object in the chosen format, byte-deterministically."""
+def _emit(args, payload, csv=None):
+    """Render one result object in the chosen format, byte-deterministically.
+
+    csv, when given, returns the command's own table; without it the csv
+    format flattens the payload to key,value rows.
+    """
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
-        sys.stdout.write(_csv_rows(payload))
+        sys.stdout.write(_csv_rows(payload) if csv is None else csv())
     else:
         for key, value in payload.items():
             if key == "schema":
@@ -73,17 +78,14 @@ def _flat(value):
 
 
 def _csv_rows(payload):
-    # tables serialize as real CSV; anything else flattens to key,value rows
-    if "rows" in payload:
-        out = ["n,gcd,normalizer,u_n"]
-        out += [f"{r['n']},{r['gcd']},{r['normalizer']},{r['u']}" for r in payload["rows"]]
-        return "\n".join(out) + "\n"
-    if "coefficients" in payload:
-        out = ["degree,coefficient"]
-        out += [f"{m},{c}" for m, c in enumerate(payload["coefficients"])]
-        return "\n".join(out) + "\n"
     out = ["key,value"]
     out += [f"{k},{_flat(v)}" for k, v in payload.items() if k != "schema"]
+    return "\n".join(out) + "\n"
+
+
+def _coefficients_csv(coeffs):
+    out = ["degree,coefficient"]
+    out += [f"{m},{c}" for m, c in enumerate(coeffs)]
     return "\n".join(out) + "\n"
 
 
@@ -100,14 +102,14 @@ def _realized(args):
     return spec, terms
 
 
-def _gor_payload(result, extra):
-    payload = {"schema": SCHEMA, **extra, "gorenstein": result.gorenstein}
+def _gor_fields(result):
     if result.gorenstein:
-        payload["point"] = _strs(result.point)
-    else:
-        payload["fails_at"] = result.fails_at
-        payload["witness"] = str(result.witness)
-    return payload
+        return {"gorenstein": True, "point": _strs(result.point)}
+    return {"gorenstein": False, "fails_at": result.fails_at, "witness": str(result.witness)}
+
+
+def _profile_fields(prof):
+    return {name: str(value) for name, value in asdict(prof).items()}
 
 
 def cmd_gor(args):
@@ -117,14 +119,14 @@ def cmd_gor(args):
         with open(args.matrix, encoding="utf-8") as fh:
             rows = parse_matrix(fh.read())
         result = simple_cone_gorenstein(rows)
-        payload = _gor_payload(result, {"matrix": args.matrix})
+        source = {"matrix": args.matrix}
     else:
         if args.seq is None:
             raise ValueError("one of --seq or --matrix is required")
         _, terms = _realized(args)
         result = lecture_hall_gorenstein(terms)
-        payload = _gor_payload(result, {"seq": args.seq, "n": len(terms)})
-    _emit(args, payload)
+        source = {"seq": args.seq, "n": len(terms)}
+    _emit(args, {"schema": SCHEMA, **source, **_gor_fields(result)})
     return 0 if result.gorenstein else 1
 
 
@@ -140,6 +142,7 @@ def cmd_series(args):
             "m": args.m,
             "coefficients": _strs(f.coeffs),
         },
+        lambda: _coefficients_csv(f.coeffs),
     )
     return 0
 
@@ -157,6 +160,7 @@ def cmd_numerator(args):
             "coefficients": _strs(H.coeffs),
             "palindromic": is_palindromic(H),
         },
+        lambda: _coefficients_csv(H.coeffs),
     )
     return 0
 
@@ -177,7 +181,7 @@ def cmd_hstar(args):
     }
     if args.t is not None:
         payload["ehrhart_counts"] = _strs(ehrhart_counts(terms, args.t))
-    _emit(args, payload)
+    _emit(args, payload, lambda: _coefficients_csv(hs.coeffs.coeffs))
     return 0
 
 
@@ -209,23 +213,14 @@ def cmd_gcd_table(args):
             for (n, g, norm, u) in table.rows
         ],
     }
-    _emit(args, payload)
+    _emit(args, payload, table.to_csv)
     return 0
 
 
 def cmd_profile(args):
     prof = gcd_profile(args.l, args.b)
     f = f_sequence(args.l, args.b, args.n) if args.n else None
-    payload = {
-        "schema": SCHEMA,
-        "l": str(args.l),
-        "b": str(args.b),
-        "r": str(prof.r),
-        "t": str(prof.t),
-        "sigma": str(prof.sigma),
-        "gamma": str(prof.gamma),
-        "beta": str(prof.beta),
-    }
+    payload = {"schema": SCHEMA, "l": str(args.l), "b": str(args.b), **_profile_fields(prof)}
     if f is not None:
         payload["f_sequence"] = _strs(f)
     _emit(args, payload)
@@ -267,24 +262,20 @@ def cmd_classify(args):
         else:
             payload["u_generation"] = {"status": "recognized", "u": _strs(u)}
     result = lecture_hall_gorenstein(terms)
-    payload["gorenstein"] = result.gorenstein
-    if result.gorenstein:
-        payload["point"] = _strs(result.point)
-    else:
-        payload["fails_at"] = result.fails_at
-        payload["witness"] = str(result.witness)
+    payload.update(_gor_fields(result))
     if spec.kind == "recurrence":
         l, b = spec.params
-        prof = gcd_profile(l, b)
-        payload["profile"] = {
-            "r": str(prof.r),
-            "t": str(prof.t),
-            "sigma": str(prof.sigma),
-            "gamma": str(prof.gamma),
-            "beta": str(prof.beta),
-        }
+        payload["profile"] = _profile_fields(gcd_profile(l, b))
         horizon = args.horizon if args.horizon is not None else 64
-        payload["fail_index"] = gorenstein_fail_index(l, b, horizon)
+        if result.gorenstein or horizon < 1:
+            # a Gorenstein prefix leaves the fail index open; the call also
+            # rejects a horizon below 1
+            fail_index = gorenstein_fail_index(l, b, horizon)
+        else:
+            # the recursion never returns to the integers, so its first
+            # failure is the fail index of every horizon that reaches it
+            fail_index = result.fails_at if result.fails_at <= horizon else None
+        payload["fail_index"] = fail_index
         payload["fail_horizon"] = horizon
         if b != -1:
             verdict = failure_threshold_check(l, b)

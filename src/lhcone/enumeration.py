@@ -2,14 +2,29 @@
 
 Everything algebraic in this package can be cross-checked here against a
 direct enumeration of the lattice points 0 <= x_1/s_1 <= ... <= x_n/s_n.
-The walk goes coordinate by coordinate: after fixing x_i = v the next
-coordinate ranges over a ray x_{i+1} >= ceil(v*s_{i+1}/s_i), computed in
-exact integers.  Only the first n-1 coordinates are materialized; the
-innermost coordinate contributes a whole ray at once through a difference
-array, so the cost is O(1) per visited prefix.
+One walker does all of it.  It counts the points by a grading vector g,
+counts[k] = #{x in the cone : g.x = k} for k up to a limit: weight_series
+grades by total weight, g = (1, ..., 1), and ehrhart_counts by the last
+coordinate, g = (0, ..., 0, 1).
 
-Visited prefixes are counted against a node budget.  The environment
-variable LHCONE_BUDGET overrides the default cap; exceeding it raises
+A node is one value v of one coordinate x_i, given values for x_1..x_{i-1}.
+Its children are the values of x_{i+1}, the ray x_{i+1} >= c_{i+1} =
+ceil(v*s_{i+1}/s_i), computed in exact integers.  The least grade of any
+completion of the node is w + sum_{j>i} g_j*c_j along the chain of ceilings
+c_{j+1} = ceil(c_j*s_{j+1}/s_j), where w is the grade of x_1..x_i.  That
+bound grows with v, so the first value whose bound passes the limit ends
+the ray; the chain itself stops early at a zero ceiling (all later ones are
+zero) or once the bound has passed the limit.  Pending rays sit on an
+explicit stack with at most one entry per level: a node pushes the rest of
+its own ray and then its first child.  So the depth of the cone costs no
+Python recursion and the stack stays as small as a recursive walk.  Only
+x_1..x_{n-1} are walked: for each value of x_{n-1} the whole ray of x_n is
+added at once to a difference array, so the innermost level is one tight
+loop with O(1) work per value.
+
+Every value tried counts as a node against a budget, checked at every node,
+inside the innermost loop too.  The environment variable LHCONE_BUDGET, a
+positive integer, overrides the default cap; exceeding it raises
 BudgetExceeded rather than letting an oversized instance spin forever.
 """
 
@@ -18,7 +33,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb, prod
+from math import prod
 
 from .exact_arith import (
     DensePoly,
@@ -39,12 +54,73 @@ class BudgetExceeded(RuntimeError):
 
 def node_budget():
     raw = os.environ.get("LHCONE_BUDGET")
-    return DEFAULT_NODE_BUDGET if raw is None else int(raw)
+    if raw is None:
+        return DEFAULT_NODE_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"LHCONE_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 def _check_sequence(s):
     if len(s) < 1 or any(x < 1 for x in s):
         raise ValueError("need a nonempty positive sequence")
+
+
+def _graded_counts(s, g, limit, max_nodes):
+    """counts[k] = #{x in the cone of s : g.x = k} for k = 0..limit.
+
+    g holds nonnegative integers and ends in 1, so each ray of x_n covers
+    consecutive grades and enters the difference array as one mark.
+    """
+    budget = node_budget() if max_nodes is None else max_nodes
+    n = len(s)
+    delta = [0] * (limit + 1)
+    if n == 1:
+        # a single unconstrained coordinate: one point of every grade
+        delta[0] = 1
+        return list(accumulate(delta))
+    last = n - 2
+    nodes = 0
+    # (i, v, w): the ray x[i] >= v still to walk, w the grade of x[:i].  A
+    # node pushes the rest of its own ray and then its first child, so the
+    # stack holds at most one entry per level.
+    stack = [(0, 0, 0)]
+    while stack:
+        i, v, w = stack.pop()
+        si, snext, gi = s[i], s[i + 1], g[i]
+        if i == last:
+            first = v
+            end = v + budget - nodes
+            while v < end:
+                k = w + gi * v + (v * snext + si - 1) // si
+                if k > limit:
+                    break
+                delta[k] += 1
+                v += 1
+            else:
+                raise BudgetExceeded(f"enumeration passed {budget} nodes")
+            nodes += v - first + 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"enumeration passed {budget} nodes")
+        w2 = w + gi * v
+        c = lo = (v * snext + si - 1) // si
+        least = w2 + g[i + 1] * c
+        j = i + 2
+        while j < n and c and least <= limit:
+            sp = s[j - 1]
+            c = (c * s[j] + sp - 1) // sp
+            least += g[j] * c
+            j += 1
+        if least <= limit:
+            stack.append((i, v + 1, w))
+            stack.append((i + 1, lo, w2))
+    return list(accumulate(delta))
 
 
 def weight_series(s, M, max_nodes=None):
@@ -56,40 +132,7 @@ def weight_series(s, M, max_nodes=None):
     _check_sequence(s)
     if M < 0:
         raise ValueError(f"need M >= 0, got {M}")
-    budget = node_budget() if max_nodes is None else max_nodes
-    n = len(s)
-    delta = [0] * (M + 1)
-    if n == 1:
-        # a single unconstrained coordinate: one point of every weight
-        delta[0] = 1
-        return TruncatedSeries(accumulate(delta), M)
-    nodes = 0
-
-    def walk(i, lo, w):
-        # choose x_i = v >= lo with w the weight of x_1..x_{i-1}
-        nonlocal nodes
-        si = s[i - 1]
-        snext = s[i]
-        last = i == n - 1
-        v = lo
-        while True:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"enumeration passed {budget} nodes")
-            w2 = w + v
-            lo_next = (v * snext + si - 1) // si
-            # weight of any completion is at least w2 + lo_next, and that
-            # floor grows with v, so the first overshoot ends the ray
-            if w2 + lo_next > M:
-                break
-            if last:
-                delta[w2 + lo_next] += 1
-            else:
-                walk(i + 1, lo_next, w2)
-            v += 1
-
-    walk(1, 0, 0)
-    return TruncatedSeries(accumulate(delta), M)
+    return TruncatedSeries(_graded_counts(s, (1,) * len(s), M, max_nodes), M)
 
 
 def ehrhart_counts(s, T, max_nodes=None):
@@ -97,42 +140,8 @@ def ehrhart_counts(s, T, max_nodes=None):
     _check_sequence(s)
     if T < 0:
         raise ValueError(f"need T >= 0, got {T}")
-    budget = node_budget() if max_nodes is None else max_nodes
-    n = len(s)
-    dd = [0] * (T + 1)
-    if n == 1:
-        dd[0] = 1
-    else:
-        nodes = 0
-
-        def walk(i, lo):
-            nonlocal nodes
-            si = s[i - 1]
-            snext = s[i]
-            last = i == n - 1
-            v = lo
-            while True:
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded(f"enumeration passed {budget} nodes")
-                end = (v * snext + si - 1) // si
-                lo_next = end
-                # the smallest reachable x_n decides viability; the chain of
-                # ceilings is monotone in v, so overshoot ends the ray
-                for j in range(i + 2, n + 1):
-                    end = (end * s[j - 1] + s[j - 2] - 1) // s[j - 2]
-                if end > T:
-                    break
-                if last:
-                    dd[lo_next] += 1
-                else:
-                    walk(i + 1, lo_next)
-                v += 1
-
-        walk(1, 0)
-    # first pass: prefixes whose x_n ray starts at or below t;
-    # second pass: sum of ray lengths t - lo + 1
-    return list(accumulate(accumulate(dd)))
+    g = (0,) * (len(s) - 1) + (1,)
+    return list(accumulate(_graded_counts(s, g, T, max_nodes)))
 
 
 def denominator_exponents(s):
@@ -151,12 +160,10 @@ def numerator_H(s, max_nodes=None):
     input.
     """
     d = denominator_exponents(s)
-    D = sum(d)
-    f = weight_series(s, D, max_nodes)
-    cur = f
+    f = weight_series(s, sum(d), max_nodes)
     for e in d:
-        cur = series_mul_poly(cur, monomial_complement(e))
-    H = DensePoly(cur.coeffs)
+        f = series_mul_poly(f, monomial_complement(e))
+    H = DensePoly(f.coeffs)
     assert all(c >= 0 for c in H.coeffs)
     assert H(1) == prod(s)
     return H
@@ -174,20 +181,19 @@ def detect_product_form(f, n):
     M = f.truncation_degree
     if f.coeffs[0] != 1:
         raise ValueError(f"series must start with 1, got {f.coeffs[0]}")
-    residual = list(f.coeffs)
+    residual = f
     exponents = []
     for _ in range(n):
-        e = next((m for m in range(1, M + 1) if residual[m] != 0), None)
+        e = next((m for m in range(1, M + 1) if residual.coeffs[m] != 0), None)
         if e is None:
             return None
-        if residual[e] < 0:
+        if residual.coeffs[e] < 0:
             return None
-        for m in range(M, e - 1, -1):
-            residual[m] -= residual[m - e]
-        if any(c < 0 for c in residual):
+        residual = series_mul_poly(residual, monomial_complement(e))
+        if any(c < 0 for c in residual.coeffs):
             return None
         exponents.append(e)
-    if any(residual[m] != 0 for m in range(1, M + 1)):
+    if any(residual.coeffs[m] != 0 for m in range(1, M + 1)):
         return None
     return sorted(exponents)
 
@@ -219,12 +225,10 @@ def h_star(s, max_nodes=None):
     n = len(s)
     sn = s[-1]
     T = (n + 1) * sn
-    counts = ehrhart_counts(s, T, max_nodes)
-    series = TruncatedSeries(counts, T)
-    denom = [0] * (T + 1)
-    for k in range(n + 2):
-        denom[k * sn] = (-1) ** k * comb(n + 1, k)
-    Q = DensePoly(series_mul_poly(series, DensePoly(denom)).coeffs)
+    f = TruncatedSeries(ehrhart_counts(s, T, max_nodes))
+    for _ in range(n + 1):
+        f = series_mul_poly(f, monomial_complement(sn))
+    Q = DensePoly(f.coeffs)
     assert Q.degree < T
     assert all(c >= 1 for c in Q.coeffs)
     assert Q(1) == sn * prod(s)

@@ -177,15 +177,16 @@ class TruncatedSeries:
 
 
 def series_mul_poly(s, p):
-    """Multiply a series by a polynomial, truncated at the series' degree."""
+    """Multiply a series by a polynomial, truncated at the series' degree.
+
+    Each nonzero coefficient c_j of p adds c_j times the series shifted by j
+    in one strided pass, so a sparse factor such as 1 - q^e costs O(M).
+    """
     M = s.truncation_degree
     out = [0] * (M + 1)
-    for j, c in enumerate(p.coeffs):
-        if j > M:
-            break
+    for j, c in enumerate(p.coeffs[: M + 1]):
         if c:
-            for m in range(j, M + 1):
-                out[m] += c * s.coeffs[m - j]
+            out[j:] = [o + c * a for o, a in zip(out[j:], s.coeffs)]
     return TruncatedSeries(out, M)
 
 

@@ -64,15 +64,7 @@ def gorenstein_fail_index(l, b, horizon):
     """
     if horizon < 1:
         raise ValueError(f"need horizon >= 1, got {horizon}")
-    s = generate_recurrence(l, b, horizon)
-    c = 1
-    for j in range(2, horizon + 1):
-        num = c * s[j - 1] + gcd(s[j - 1], s[j - 2])
-        q, r = divmod(num, s[j - 2])
-        if r:
-            return j
-        c = q
-    return None
+    return lecture_hall_gorenstein(generate_recurrence(l, b, horizon)).fails_at
 
 
 def ell_sequence_point(l, n):

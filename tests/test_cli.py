@@ -5,6 +5,10 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from lhcone.cli import main
+from lhcone.gcd_structure import ratio_table
+from lhcone.gorenstein import gorenstein_fail_index
+
+LONG_ONES = "list:" + ",".join(["1"] * 1500)
 
 
 def run(argv):
@@ -103,6 +107,7 @@ def test_gcd_table_csv():
     assert len(lines) == 25
     u = [line.split(",")[3] for line in lines[1:]]
     assert u == [str(x) for x in [1, 1, 2, 3, 1, 2, 1, 3, 2, 1, 1, 6] * 2]
+    assert out == ratio_table(6, 36, 24).to_csv()
 
 
 def test_profile_fields():
@@ -132,6 +137,40 @@ def test_classify_recurrence():
     assert doc["fail_index"] == 4
     assert doc["threshold_check"]["applicable"] is True
     assert doc["threshold_check"]["threshold"] == 5
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_classify_gorenstein_fields_match_gor(n):
+    argv = ["--seq", "rec:3,9", "--n", str(n)]
+    _, gor, _ = run_json(["gor", *argv])
+    _, cls, _ = run_json(["classify", *argv])
+    for key in ("gorenstein", "point", "fails_at", "witness"):
+        assert cls.get(key) == gor.get(key)
+
+
+@pytest.mark.parametrize("n", [6, 7, 9])
+@pytest.mark.parametrize("horizon", [1, 6, 7, 8, 64])
+def test_classify_fail_index_matches_gorenstein_fail_index(n, horizon):
+    # rec:3,9 first fails at 7: prefixes on both sides, horizons on both sides
+    argv = ["classify", "--seq", "rec:3,9", "--n", str(n), "--horizon", str(horizon)]
+    code, doc, _ = run_json(argv)
+    assert code == 0
+    assert doc["fail_index"] == gorenstein_fail_index(3, 9, horizon)
+    assert doc["fail_horizon"] == horizon
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_classify_rejects_horizon_below_one(n):
+    code, out, err = run(["classify", "--seq", "rec:3,9", "--n", str(n), "--horizon", "0"])
+    assert code == 2
+    assert out == ""
+    assert "horizon" in err
+
+
+def test_classify_profile_matches_profile():
+    _, cls, _ = run_json(["classify", "--seq", "rec:90,-756", "--n", "4"])
+    _, prof, _ = run_json(["profile", "--l", "90", "--b", "-756"])
+    assert cls["profile"] == {k: prof[k] for k in ("r", "t", "sigma", "gamma", "beta")}
 
 
 def test_classify_u_recognition():
@@ -170,6 +209,27 @@ def test_budget_cap_exits_two(monkeypatch):
     code, _, err = run(["series", "--seq", "list:1,2,3", "--m", "30"])
     assert code == 2
     assert "nodes" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_invalid_budget_exits_two(monkeypatch, raw):
+    monkeypatch.setenv("LHCONE_BUDGET", raw)
+    code, out, err = run(["series", "--seq", "list:1,2", "--m", "3"])
+    assert code == 2 and out == ""
+    assert "LHCONE_BUDGET" in err
+
+
+def test_long_sequence_series():
+    code, doc, _ = run_json(["series", "--seq", LONG_ONES, "--m", "0"])
+    assert code == 0
+    assert doc["coefficients"] == ["1"]
+
+
+def test_long_sequence_hstar_hits_budget_cleanly(monkeypatch):
+    monkeypatch.setenv("LHCONE_BUDGET", "10000")
+    code, _, err = run(["hstar", "--seq", LONG_ONES])
+    assert code == 2
+    assert "nodes" in err and "Traceback" not in err
 
 
 def test_usage_error_from_argparse():

@@ -82,6 +82,20 @@ def test_weight_series_budget(monkeypatch):
     assert node_budget() == 50_000_000
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_node_budget_rejects_invalid_values(monkeypatch, raw):
+    monkeypatch.setenv("LHCONE_BUDGET", raw)
+    with pytest.raises(ValueError, match="LHCONE_BUDGET"):
+        node_budget()
+
+
+def test_long_sequence_needs_no_recursion():
+    # the walker keeps its own stack: depth 1500 is far past Python's limit
+    s = [1] * 1500
+    assert list(weight_series(s, 0).coeffs) == [1]
+    assert ehrhart_counts(s, 0) == [1]
+
+
 def test_ehrhart_small_values():
     assert ehrhart_counts((1,), 3) == [1, 2, 3, 4]
     assert ehrhart_counts((1, 3, 5), 0) == [1]
@@ -100,10 +114,10 @@ def test_ehrhart_brute_force_cross_check():
         assert got == [brute_dilate_count(s, t) for t in range(5)]
 
 
-@given(small_seqs, st.integers(0, 4))
+@given(small_seqs, st.integers(0, 8))
 @settings(max_examples=30, deadline=None)
-def test_ehrhart_matches_brute_force(s, t):
-    assert ehrhart_counts(s, t)[t] == brute_dilate_count(s, t)
+def test_ehrhart_matches_brute_force(s, T):
+    assert ehrhart_counts(s, T) == [brute_dilate_count(s, t) for t in range(T + 1)]
 
 
 def test_denominator_exponents():
@@ -217,6 +231,40 @@ def test_cross_check_agreement():
     assert r.agree
     r = cross_check_gorenstein((1, 3, 2, 1, 3, 2))
     assert r.recursion_gorenstein and r.agree
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        # the innermost ray of x_1 spans about 2e6 values below T = 2
+        lambda: ehrhart_counts((10**6, 1), 2, max_nodes=100),
+        # an outer ray of x_1 spans about 3e8 values below T = 3
+        lambda: ehrhart_counts((10**8, 1, 1), 3, max_nodes=100),
+    ],
+)
+def test_budget_stops_a_long_ray(walk):
+    with pytest.raises(BudgetExceeded):
+        walk()
+
+
+def test_budget_is_exact_on_both_loops():
+    # the least budget that admits a walk also admits every larger one,
+    # and the walk under it gives the unbudgeted answer
+    for walk in (
+        lambda b: weight_series((1, 3, 8), 12, max_nodes=b).coeffs,
+        lambda b: ehrhart_counts((2, 5, 3), 6, max_nodes=b),
+    ):
+        need = next(b for b in range(1, 10_000) if _admits(walk, b))
+        assert not any(_admits(walk, b) for b in range(1, need))
+        assert walk(need) == walk(need + 7) == walk(None)
+
+
+def _admits(walk, budget):
+    try:
+        walk(budget)
+    except BudgetExceeded:
+        return False
+    return True
 
 
 def test_cross_check_budget():
