@@ -3,7 +3,8 @@ machine-readable output (json, csv, or text).
 
 Exit codes: 0 success, 1 negative predicate verdict (a non-Gorenstein cone
 for `gor`, no product form for `product`, disagreeing criteria for
-`crosscheck`), 2 for every error (usage, parse, budget, horizon).
+`crosscheck`), 2 for every error (usage, parse, budget, horizon), 3 for a
+failed invariant: an answer that breaks a theorem, which is a bug.
 
 JSON objects carry "schema": 1; unbounded integers are emitted as decimal
 strings so they survive any JSON reader, while small structural indices
@@ -19,6 +20,7 @@ from dataclasses import asdict
 
 from .enumeration import (
     BudgetExceeded,
+    InvariantViolation,
     cross_check_gorenstein,
     denominator_exponents,
     detect_product_form,
@@ -395,6 +397,9 @@ def main(argv=None):
     except (ValueError, BudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,16 +1,43 @@
-"""Brute-force lattice-point oracle for lecture hall cones.
+"""Lattice points of lecture hall cones: the parallelepiped engine and the walker.
 
-Everything algebraic in this package can be cross-checked here against a
-direct enumeration of the lattice points 0 <= x_1/s_1 <= ... <= x_n/s_n.
-One walker does all of it.  It counts the points by a grading vector g,
-counts[k] = #{x in the cone : g.x = k} for k up to a limit: weight_series
-grades by total weight, g = (1, ..., 1), and ehrhart_counts by the last
-coordinate, g = (0, ..., 0, 1).
+The cone of s, 0 <= x_1/s_1 <= ... <= x_n/s_n, is simplicial.  Its rays are
+v_i = (0, ..., 0, s_i, ..., s_n), and x_j/s_j - x_{j-1}/s_{j-1} is the
+coefficient of v_j, so the fundamental parallelepiped is
 
-A node is one value v of one coordinate x_i, given values for x_1..x_{i-1}.
-Its children are the values of x_{i+1}, the ray x_{i+1} >= c_{i+1} =
-ceil(v*s_{i+1}/s_i), computed in exact integers.  The least grade of any
-completion of the node is w + sum_{j>i} g_j*c_j along the chain of ceilings
+    Pi = {x in Z^n : x_j/s_j - x_{j-1}/s_{j-1} in [0, 1)},  x_0/s_0 = 0,
+
+with prod(s) points.  Every cone point is one point of Pi plus a unique
+nonnegative integer combination of the rays, so a numerator over the rays'
+denominator is a sum over Pi.  `numerator_H` grades Pi by total weight,
+g = (1, ..., 1); `h_star` grades it by the last coordinate,
+g = (0, ..., 0, 1), and multiplies by 1 + t + ... + t^{s_n - 1}, which turns
+the (1 - t)(1 - t^{s_n})^n denominator of the homogenized cone (rays (0, 1)
+and (v_i, s_n)) into (1 - t^{s_n})^{n+1}.
+
+The engine, `_parallelepiped`, is a DP over coordinates whose state is the
+value of x_j.  Given x_{j-1} = a, x_j runs over exactly s_j consecutive
+values from ceil(a*s_j/s_{j-1}), and that start never decreases with a, so
+the values of x_j are 0..top and each layer is one sliding-window sum over
+the previous one: O(1) big-integer operations per state.  A state carries
+the polynomial sum of q^{g.x} over the prefixes x_1..x_j ending in it,
+packed into one int by Kronecker substitution, one slot of whole bytes,
+at least bitlen(prod(s)) + 1 bits, per coefficient (no coefficient exceeds
+prod(s), so no slot carries into the next).  Each state stores its
+polynomial from its own least degree, kept as a separate offset; the least
+degree never decreases along a layer, so the window sum only ever shifts
+left to add and right to drop its zeroed low slots.  The last coordinate
+gets no states: its window contributes q^{ceil(a*s_n/s_{n-1})} times
+1 + q + ... + q^{s_n - 1}, added in closed form.
+
+The walker, `_graded_counts`, counts every cone point up to a grade limit:
+counts[k] = #{x in the cone : g.x = k}.  `weight_series` grades by total
+weight and `ehrhart_counts` by the last coordinate.  It serves shallow
+series on long sequences, where paying for the prod(s) points of Pi cannot
+finish, and it is the oracle the tests hold the engine to.  A node is one
+value v of one coordinate x_i, given values for x_1..x_{i-1}.  Its children
+are the values of x_{i+1}, the ray x_{i+1} >= c_{i+1} = ceil(v*s_{i+1}/s_i),
+computed in exact integers.  The least grade of any completion of the node
+is w + sum_{j>i} g_j*c_j along the chain of ceilings
 c_{j+1} = ceil(c_j*s_{j+1}/s_j), where w is the grade of x_1..x_i.  That
 bound grows with v, so the first value whose bound passes the limit ends
 the ray; the chain itself stops early at a zero ceiling (all later ones are
@@ -22,18 +49,27 @@ x_1..x_{n-1} are walked: for each value of x_{n-1} the whole ray of x_n is
 added at once to a difference array, so the innermost level is one tight
 loop with O(1) work per value.
 
-Every value tried counts as a node against a budget, checked at every node,
-inside the innermost loop too.  The environment variable LHCONE_BUDGET, a
-positive integer, overrides the default cap; exceeding it raises
-BudgetExceeded rather than letting an oversized instance spin forever.
+Both count their work against one budget of nodes.  For the walker a node
+is one value tried, checked at every node, inside the innermost loop too.
+For the engine a node is one packed slot of a state or one coefficient of
+its output; the output length and one slot per state are known in closed
+form and charged before any work, the rest of each state's slots as the
+state is made.  The environment variable LHCONE_BUDGET, a positive integer,
+overrides the default cap; exceeding it raises BudgetExceeded rather than
+letting an oversized instance spin forever or exhaust memory.
+
+That a numerator has nonnegative coefficients summing to the volume is a
+theorem; `numerator_H` and `h_star` check it on every answer and raise
+InvariantViolation, which `python -O` does not remove, if it fails.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 from math import prod
+from operator import sub
 
 from .exact_arith import (
     DensePoly,
@@ -52,6 +88,10 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
+class InvariantViolation(RuntimeError):
+    """A theorem about the answer failed: a bug in the computation, not bad input."""
+
+
 def node_budget():
     raw = os.environ.get("LHCONE_BUDGET")
     if raw is None:
@@ -68,6 +108,91 @@ def node_budget():
 def _check_sequence(s):
     if len(s) < 1 or any(x < 1 for x in s):
         raise ValueError("need a nonempty positive sequence")
+
+
+def _window_sum(coeffs, w):
+    """The coefficients of coeffs * (1 + q + ... + q^{w-1})."""
+    pre = [0, *accumulate(coeffs)]
+    # entry k is pre[min(k + 1, L)] - pre[max(k + 1 - w, 0)], L = len(coeffs)
+    upper = chain(islice(pre, 1, None), repeat(pre[-1], w - 1))
+    lower = chain(repeat(0, w), islice(pre, 1, len(pre) - 1))
+    return list(map(sub, upper, lower))
+
+
+def _add_term(runs, o, p, W):
+    """Add q^o times the packed p to a sum kept as runs of 1, 2, 4, ... terms.
+
+    Terms come in order of o, so each run starts at its first term's degree;
+    equal runs merge, so a term takes part in O(log(terms)) additions.
+    """
+    k = 1
+    while runs and runs[-1][0] == k:
+        _, o0, p0 = runs.pop()
+        p = p0 + (p << W * (o - o0))
+        o, k = o0, 2 * k
+    runs.append((k, o, p))
+
+
+def _parallelepiped(s, g, max_nodes):
+    """The coefficients of sum_{x in Pi} q^{g.x}, g nonnegative and ending in 1."""
+    budget = node_budget() if max_nodes is None else max_nodes
+    n = len(s)
+    # the largest value of each coordinate and the largest grade, in closed
+    # form: the largest x_{j-1} has the window of x_j that ends highest
+    tops, top, sp = [], 0, 1
+    for sj in s:
+        top = (top * sj + sp - 1) // sp + sj - 1
+        tops.append(top)
+        sp = sj
+    length = sum(gj * t for gj, t in zip(g, tops)) + 1
+    used = length + sum(tops[:-1]) + n - 1
+    if used > budget:
+        raise BudgetExceeded(f"parallelepiped passed {budget} nodes")
+    B = (prod(s).bit_length() + 8) // 8
+    W = 8 * B
+    sn, gn = s[-1], g[-1]
+    # the states of x_{j-1}, packed polynomials and their least degrees,
+    # from the single value x_0 = 0; the states of x_{n-1} are not kept but
+    # summed at once, shifted by the least grade of their window of x_n
+    polys, offs, sp = [1], [0], 1
+    runs = [] if n > 1 else [(1, 0, 1)]
+    for j in range(n - 1):
+        sj, gj, m = s[j], g[j], len(polys)
+        last = j == n - 2
+        new_polys, new_offs = [], []
+        # predecessors rem..add-1 have x in their window; nxt is the start
+        # of the window of add, drop that of rem
+        acc, base, add, rem, nxt, drop = 0, offs[0], 0, 0, 0, 0
+        for x in range(tops[j] + 1):
+            while nxt <= x and add < m:
+                acc += polys[add] << W * (offs[add] - base)
+                add += 1
+                nxt = (add * sj + sp - 1) // sp
+            if drop + sj <= x:
+                while drop + sj <= x:
+                    acc -= polys[rem] << W * (offs[rem] - base)
+                    rem += 1
+                    drop = (rem * sj + sp - 1) // sp
+                acc >>= W * (offs[rem] - base)
+                base = offs[rem]
+            used += (acc.bit_length() - 1) // W
+            if used > budget:
+                raise BudgetExceeded(f"parallelepiped passed {budget} nodes")
+            if last:
+                _add_term(runs, base + gj * x + gn * ((x * sn + sj - 1) // sj), acc, W)
+            else:
+                new_polys.append(acc)
+                new_offs.append(base + gj * x)
+        polys, offs, sp = new_polys, new_offs, sj
+    _, o, p = runs.pop()
+    while runs:
+        _, o0, p0 = runs.pop()
+        p = p0 + (p << W * (o - o0))
+        o = o0
+    head = length - sn + 1
+    packed = memoryview(p.to_bytes(head * B, "little"))
+    coeffs = [int.from_bytes(packed[k : k + B], "little") for k in range(0, head * B, B)]
+    return _window_sum(coeffs, sn)
 
 
 def _graded_counts(s, g, limit, max_nodes):
@@ -153,19 +278,15 @@ def denominator_exponents(s):
 def numerator_H(s, max_nodes=None):
     """The numerator polynomial over prod_i (1 - q^{d_i}), d_i = s_i+...+s_n.
 
-    Computed by enumerating the weight series through degree sum(d_i) and
-    clearing the denominator.  That the result is a polynomial with
-    nonnegative coefficients summing to prod(s) is a theorem, so those
-    checks are assertions: tripping one means an enumeration bug, not bad
-    input.
+    It is sum_{x in Pi} q^{|x|}, the fundamental parallelepiped graded by
+    total weight.  That it has nonnegative coefficients summing to prod(s) is
+    a theorem, checked on every answer: an InvariantViolation means a bug,
+    not bad input.
     """
-    d = denominator_exponents(s)
-    f = weight_series(s, sum(d), max_nodes)
-    for e in d:
-        f = series_mul_poly(f, monomial_complement(e))
-    H = DensePoly(f.coeffs)
-    assert all(c >= 0 for c in H.coeffs)
-    assert H(1) == prod(s)
+    _check_sequence(s)
+    H = DensePoly(_parallelepiped(s, (1,) * len(s), max_nodes))
+    if sum(H.coeffs) != prod(s) or min(H.coeffs) < 0:
+        raise InvariantViolation("numerator is not nonnegative with value prod(s) at 1")
     return H
 
 
@@ -218,20 +339,21 @@ class HStarVector:
 def h_star(s, max_nodes=None):
     """The h*-vector of the rational polytope {x in the cone : x_n <= 1}.
 
-    Ehrhart counts through T = (n+1)*s_n pin the numerator exactly; its
-    positivity and the value at 1 are theorems and asserted as such.
+    It is sum_{x in Pi} t^{x_n} times 1 + t + ... + t^{s_n - 1}: the
+    homogenized cone has rays (0, 1) and (v_i, s_n), and the second factor
+    brings its denominator to (1 - t^{s_n})^{n+1}.  Its degree below
+    (n+1)*s_n, its positivity and its value s_n*prod(s) at 1 are theorems,
+    checked on every answer.
     """
     _check_sequence(s)
     n = len(s)
     sn = s[-1]
-    T = (n + 1) * sn
-    f = TruncatedSeries(ehrhart_counts(s, T, max_nodes))
-    for _ in range(n + 1):
-        f = series_mul_poly(f, monomial_complement(sn))
-    Q = DensePoly(f.coeffs)
-    assert Q.degree < T
-    assert all(c >= 1 for c in Q.coeffs)
-    assert Q(1) == sn * prod(s)
+    g = (0,) * (n - 1) + (1,)
+    Q = DensePoly(_window_sum(_parallelepiped(s, g, max_nodes), sn))
+    if sum(Q.coeffs) != sn * prod(s) or min(Q.coeffs) < 1 or Q.degree >= (n + 1) * sn:
+        raise InvariantViolation(
+            "h*-vector is not positive of degree < (n+1)*s_n with value s_n*prod(s) at 1"
+        )
     return HStarVector(Q, sn, n + 1)
 
 
@@ -252,8 +374,8 @@ class CrossCheckReport:
 def cross_check_gorenstein(s, budget=1000, max_nodes=None):
     """Run all three Gorenstein criteria on one instance and report them.
 
-    The two enumerations are only attempted when their sizes sum(d_i) and
-    (n+1)*s_n stay within the budget; anything larger raises
+    The numerator and the h*-vector are only computed when their degree
+    bounds sum(d_i) and (n+1)*s_n stay within the budget; anything larger raises
     BudgetExceeded.  The three verdicts agreeing is a theorem, so a
     disagreement in the report is a hard failure to be treated as a bug.
     """

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -8,6 +11,7 @@ from lhcone.cli import main
 from lhcone.gcd_structure import ratio_table
 from lhcone.gorenstein import gorenstein_fail_index
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 LONG_ONES = "list:" + ",".join(["1"] * 1500)
 
 
@@ -225,11 +229,53 @@ def test_long_sequence_series():
     assert doc["coefficients"] == ["1"]
 
 
-def test_long_sequence_hstar_hits_budget_cleanly(monkeypatch):
+def test_long_sequence_hstar():
+    code, doc, _ = run_json(["hstar", "--seq", LONG_ONES])
+    assert code == 0
+    assert doc["coefficients"] == ["1"]
+
+
+def test_wide_hstar_hits_budget_cleanly(monkeypatch):
+    # the h*-vector of (1, 1000, 1000000) alone has about 3 million
+    # coefficients, far past the cap
     monkeypatch.setenv("LHCONE_BUDGET", "10000")
-    code, _, err = run(["hstar", "--seq", LONG_ONES])
-    assert code == 2
+    code, out, err = run(["hstar", "--seq", "list:1,1000,1000000"])
+    assert code == 2 and out == ""
     assert "nodes" in err and "Traceback" not in err
+
+
+FAULTY_ENGINE = """
+import sys
+from lhcone import enumeration
+from lhcone.cli import main
+
+assert False, "asserts must be stripped in this run"
+exact = enumeration._parallelepiped
+# an engine that counts the origin twice
+enumeration._parallelepiped = lambda *args: [c + (k == 0) for k, c in enumerate(exact(*args))]
+for compute in (enumeration.numerator_H, enumeration.h_star):
+    try:
+        compute((1, 2))
+    except enumeration.InvariantViolation:
+        continue
+    sys.exit(f"{compute.__name__} accepted a faulty engine")
+sys.exit(main([sys.argv[1], "--seq", "list:1,3,5"]))
+"""
+
+
+@pytest.mark.parametrize("command", ["numerator", "hstar"])
+def test_invariant_survives_optimize(command):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FAULTY_ENGINE, command],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error:") and proc.stderr.count("\n") == 1
 
 
 def test_usage_error_from_argparse():

@@ -15,8 +15,10 @@ from lhcone.enumeration import (
     weight_series,
 )
 from lhcone.exact_arith import (
+    DensePoly,
     TruncatedSeries,
     is_palindromic,
+    monomial_complement,
     product_form_series,
     series_mul_poly,
 )
@@ -48,6 +50,60 @@ def brute_dilate_count(s, t):
         for lam in itertools.product(*ranges)
         if lam[-1] <= t and in_cone(lam, s)
     )
+
+
+def oracle_numerator(s):
+    """The numerator by the walker: the weight series through sum(d_i), each
+    (1 - q^{d_i}) cleared."""
+    d = denominator_exponents(s)
+    f = weight_series(s, sum(d))
+    for e in d:
+        f = series_mul_poly(f, monomial_complement(e))
+    return DensePoly(f.coeffs)
+
+
+def oracle_hstar(s):
+    """The h*-vector by the walker: Ehrhart counts through (n+1)*s_n, the
+    (1 - t^{s_n})^{n+1} cleared."""
+    n, sn = len(s), s[-1]
+    f = TruncatedSeries(ehrhart_counts(s, (n + 1) * sn))
+    for _ in range(n + 1):
+        f = series_mul_poly(f, monomial_complement(sn))
+    return DensePoly(f.coeffs)
+
+
+# the corpus of acceptance criterion 6
+CORPUS = [c for n in range(1, 5) for c in itertools.product(range(1, 6), repeat=n)] + [
+    (1, 3, 5, 7),
+    (1, 1, 2, 3, 5),
+    (1, 3, 2, 1, 3, 2),
+    (1, 9, 3, 4),
+    (1, 2, 3, 4),
+    (1, 3, 5),
+    (1, 3, 18),
+    (1, 3, 18, 81),
+]
+
+
+def test_parallelepiped_matches_oracle_on_corpus():
+    wrong = [s for s in CORPUS if numerator_H(s) != oracle_numerator(s)]
+    wrong += [s for s in CORPUS if h_star(s).coeffs != oracle_hstar(s)]
+    assert wrong == []
+
+
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_parallelepiped_matches_oracle(s):
+    assert numerator_H(s) == oracle_numerator(s)
+    assert h_star(s).coeffs == oracle_hstar(s)
+
+
+@pytest.mark.parametrize("s", [(1, 100, 10**4), (1, 10**4, 1), (1, 10**4, 100)])
+def test_parallelepiped_matches_oracle_on_wide_shapes(s):
+    # one state per value of each coordinate but the last: a wide middle
+    # coordinate makes many states, a wide last one long polynomials
+    assert numerator_H(s) == oracle_numerator(s)
+    assert h_star(s).coeffs == oracle_hstar(s)
 
 
 def test_weight_series_one_dimensional():
@@ -257,6 +313,21 @@ def test_budget_is_exact_on_both_loops():
         need = next(b for b in range(1, 10_000) if _admits(walk, b))
         assert not any(_admits(walk, b) for b in range(1, need))
         assert walk(need) == walk(need + 7) == walk(None)
+
+
+def test_parallelepiped_budget_is_exact():
+    # the engine charges its output and every packed slot: a small budget
+    # stops it, and the least admitting one admits every larger one and
+    # gives the unbudgeted answer
+    for run in (
+        lambda b: numerator_H((1, 3, 8), max_nodes=b),
+        lambda b: h_star((2, 5, 3), max_nodes=b),
+    ):
+        with pytest.raises(BudgetExceeded, match="nodes"):
+            run(1)
+        need = next(b for b in range(1, 10_000) if _admits(run, b))
+        assert not any(_admits(run, b) for b in range(1, need))
+        assert run(need) == run(need + 7) == run(None)
 
 
 def _admits(walk, budget):
