@@ -20,7 +20,6 @@ from dataclasses import asdict
 
 from .enumeration import (
     BudgetExceeded,
-    InvariantViolation,
     cross_check_gorenstein,
     denominator_exponents,
     detect_product_form,
@@ -43,7 +42,12 @@ from .gorenstein import (
     parse_matrix,
     simple_cone_gorenstein,
 )
-from .sequences import CoprimalityError, parse_sequence_spec, recognize_u_generated
+from .sequences import (
+    CoprimalityError,
+    InvariantViolation,
+    parse_sequence_spec,
+    recognize_u_generated,
+)
 
 SCHEMA = 1
 
@@ -390,9 +394,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # answers and list: terms may pass CPython's default limit on int <-> str
+    # conversion; lift it for this call only, since callers may run main
+    # in-process (Python 3.10 before 3.10.7 has no limit)
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is not None:
+        old_limit = sys.get_int_max_str_digits()
+        set_limit(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, BudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -400,6 +410,9 @@ def main(argv=None):
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if set_limit is not None:
+            set_limit(old_limit)
 
 
 if __name__ == "__main__":

@@ -80,16 +80,13 @@ from .exact_arith import (
     series_mul_poly,
 )
 from .gorenstein import lecture_hall_gorenstein
+from .sequences import InvariantViolation
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
 
 class BudgetExceeded(RuntimeError):
     pass
-
-
-class InvariantViolation(RuntimeError):
-    """A theorem about the answer failed: a bug in the computation, not bad input."""
 
 
 def node_budget():
@@ -371,21 +368,16 @@ class CrossCheckReport:
         return self.recursion_gorenstein == self.numerator_palindromic == self.hstar_palindromic
 
 
-def cross_check_gorenstein(s, budget=1000, max_nodes=None):
+def cross_check_gorenstein(s, max_nodes=None):
     """Run all three Gorenstein criteria on one instance and report them.
 
-    The numerator and the h*-vector are only computed when their degree
-    bounds sum(d_i) and (n+1)*s_n stay within the budget; anything larger raises
-    BudgetExceeded.  The three verdicts agreeing is a theorem, so a
-    disagreement in the report is a hard failure to be treated as a bug.
+    The numerator and the h*-vector each run under the node budget of
+    `numerator_H` and `h_star` (max_nodes, else LHCONE_BUDGET); an instance
+    past it raises BudgetExceeded.  The three verdicts agreeing is a
+    theorem, so a disagreement in the report is a hard failure to be
+    treated as a bug.
     """
     _check_sequence(s)
-    D = sum(denominator_exponents(s))
-    T = (len(s) + 1) * s[-1]
-    if D > budget or T > budget:
-        raise BudgetExceeded(
-            f"instance too large for cross-check: sum(d_i)={D}, (n+1)*s_n={T}, budget={budget}"
-        )
     recursion = lecture_hall_gorenstein(s).gorenstein
     numerator = is_palindromic(numerator_H(s, max_nodes))
     hstar = is_palindromic(h_star(s, max_nodes).coeffs)

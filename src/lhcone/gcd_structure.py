@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 from .gorenstein import gorenstein_fail_index
-from .sequences import generate_recurrence, validate_positivity
+from .sequences import InvariantViolation, generate_recurrence, validate_positivity
 
 
 class HorizonTooSmallError(ValueError):
@@ -28,18 +28,21 @@ class GcdProfile:
 
 def gcd_profile(l, b):
     """r = gcd(l,b), t = gcd(l^2/r, b/r), sigma = r/t, l = sigma*t*gamma,
-    b = sigma*t^2*beta.  The divisibility facts used here are theorems, so
-    they are asserted, not checked."""
+    b = sigma*t^2*beta.  The divisibility facts used here are theorems,
+    checked on every answer: an InvariantViolation means a bug."""
     if l == 0 or b == 0:
         raise ValueError(f"need l != 0 and b != 0, got l={l}, b={b}")
     r = gcd(l, b)
     t = gcd(l * l // r, b // r)
-    assert r % t == 0
+    if r % t:
+        raise InvariantViolation(f"t={t} does not divide r={r}")
     sigma = r // t
-    assert l % (sigma * t) == 0 and b % (sigma * t * t) == 0
+    if l % (sigma * t) or b % (sigma * t * t):
+        raise InvariantViolation("sigma*t does not divide l or sigma*t^2 does not divide b")
     gamma = l // (sigma * t)
     beta = b // (sigma * t * t)
-    assert gcd(gamma, beta) == gcd(gamma, t) == gcd(sigma, beta) == 1
+    if not gcd(gamma, beta) == gcd(gamma, t) == gcd(sigma, beta) == 1:
+        raise InvariantViolation("gamma, beta, sigma and t are not pairwise coprime as required")
     return GcdProfile(r, t, sigma, gamma, beta)
 
 
@@ -71,7 +74,8 @@ def ratio_table(l, b, N):
         g = gcd(s[n], s[n - 1])
         norm = prof.t ** (n - 1) * prof.sigma ** (n // 2)
         u, rem = divmod(g, norm)
-        assert rem == 0 and u >= 1 and prof.t % u == 0
+        if rem or u < 1 or prof.t % u:
+            raise InvariantViolation(f"u_{n} = gcd/normalizer is not a positive divisor of t")
         rows.append((n, g, norm, u))
     return RatioTable(tuple(rows))
 
@@ -90,9 +94,11 @@ def f_sequence(l, b, n):
         f.append(lt * f[-1] + btt * f[-2])
     s = generate_recurrence(l, b, n + 1)
     for j in range(1, n + 2):
-        assert s[j - 1] == prof.t ** (j - 1) * f[j - 1]
+        if s[j - 1] != prof.t ** (j - 1) * f[j - 1]:
+            raise InvariantViolation(f"s_{j} != t^{j - 1}*f_{j}")
     for j in range(1, n + 1):
-        assert gcd(f[j], f[j - 1]) == prof.sigma ** (j // 2)
+        if gcd(f[j], f[j - 1]) != prof.sigma ** (j // 2):
+            raise InvariantViolation(f"gcd(f_{j + 1}, f_{j}) != sigma^{j // 2}")
     return f[:n]
 
 

@@ -6,6 +6,11 @@ point c satisfies c_1 = 1 and c_j*s_{j-1} = c_{j-1}*s_j + gcd(s_j, s_{j-1})
 for 2 <= j <= n.  The decision runs that recursion and reports either the
 point or the first index where integrality breaks, with the rational value
 that was forced there.
+
+Each step takes the greedy interior value c_j = floor(c_{j-1}*s_j/s_{j-1}) + 1
+and certifies it without a gcd: g = c_j*s_{j-1} - c_{j-1}*s_j is a Bezout
+combination of s_j and s_{j-1}, so their gcd divides g, and g dividing both
+makes it the gcd.  Only a failing step computes the gcd, for its witness.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, lcm
 
-from .sequences import generate_from_u, generate_kl, generate_recurrence
+from .sequences import InvariantViolation, generate_from_u, generate_kl, generate_recurrence
 
 
 class SingularMatrixError(ValueError):
@@ -43,15 +48,23 @@ def lecture_hall_gorenstein(s):
     c_1 = 1 and c_j = (c_{j-1}*s_j + gcd(s_j, s_{j-1})) / s_{j-1}; the cone
     is Gorenstein iff every c_j is an integer, and then (c_1, ..., c_n) is
     the Gorenstein point.
+
+    A step divides c_{j-1}*s_j by s_{j-1} once, giving quotient q and
+    remainder r, and takes g = s_{j-1} - r, so 0 < g <= s_{j-1}.  Then
+    (q+1)*s_{j-1} - c_{j-1}*s_j = g is a Bezout identity: the gcd divides g.
+    If g divides s_j and s_{j-1}, g is the gcd and c_j = q + 1.  Otherwise
+    the step is not integral, since an integral c_j forces the gcd, which
+    lies in (0, s_{j-1}], to be congruent to -r mod s_{j-1}, i.e. equal to g.
     """
     _check_positive(s)
     c = [1]
     for j in range(2, len(s) + 1):
-        num = c[-1] * s[j - 1] + gcd(s[j - 1], s[j - 2])
-        q, r = divmod(num, s[j - 2])
-        if r:
-            return GorensteinResult(None, j, Fraction(num, s[j - 2]))
-        c.append(q)
+        prev, cur = s[j - 2], s[j - 1]
+        q, r = divmod(c[-1] * cur, prev)
+        g = prev - r
+        if prev % g or cur % g:
+            return GorensteinResult(None, j, Fraction(c[-1] * cur + gcd(cur, prev), prev))
+        c.append(q + 1)
     return GorensteinResult(tuple(c), None, None)
 
 
@@ -79,7 +92,8 @@ def u_generated_point(u, n, s1=1):
 
     The sequence itself must exist and stay positive through n (validated by
     generating it, first term s1); the resulting point is checked against
-    the index recursion identities.
+    the index recursion identities; a failed identity raises
+    InvariantViolation.
     """
     s = generate_from_u(u, s1, n)
     c = [1]
@@ -88,7 +102,8 @@ def u_generated_point(u, n, s1=1):
     for i in range(2, n):
         c.append(u[i - 1] * c[-1] - c[-2])
     for j in range(2, n + 1):
-        assert c[j - 1] * s[j - 2] == c[j - 2] * s[j - 1] + gcd(s[j - 1], s[j - 2])
+        if c[j - 1] * s[j - 2] != c[j - 2] * s[j - 1] + gcd(s[j - 1], s[j - 2]):
+            raise InvariantViolation(f"u-generated point breaks the index recursion at j={j}")
     return tuple(c)
 
 

@@ -19,6 +19,13 @@ from dataclasses import dataclass
 from math import gcd
 
 
+class InvariantViolation(RuntimeError):
+    """A theorem about the answer failed: a bug in the computation, not bad input.
+
+    Theorem checks raise it explicitly, so `python -O` does not remove them.
+    """
+
+
 class CoprimalityError(ValueError):
     """Consecutive terms share a factor; u-recognition does not apply."""
 

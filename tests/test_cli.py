@@ -278,6 +278,98 @@ def test_invariant_survives_optimize(command):
     assert proc.stderr.startswith("internal error:") and proc.stderr.count("\n") == 1
 
 
+FAULTY_SEQUENCES = """
+import math
+import sys
+from lhcone import gcd_structure, gorenstein
+from lhcone.cli import main
+from lhcone.sequences import InvariantViolation
+
+assert False, "asserts must be stripped in this run"
+
+
+def last_term_plus_one(generate):
+    def faulty(*args):
+        s = generate(*args)
+        return s[:-1] + [s[-1] + 1]
+
+    return faulty
+
+
+# generators whose last term is one too large, and on request a gcd that doubles
+gcd_structure.generate_recurrence = last_term_plus_one(gcd_structure.generate_recurrence)
+gorenstein.generate_from_u = last_term_plus_one(gorenstein.generate_from_u)
+try:
+    gorenstein.u_generated_point((3, 3), 3)
+except InvariantViolation:
+    pass
+else:
+    sys.exit("u_generated_point accepted a faulty sequence")
+if sys.argv[1] == "doubling-gcd":
+    gcd_structure.gcd = lambda *args: 2 * math.gcd(*args)
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "fault, argv, check",
+    [
+        ("doubling-gcd", ["profile", "--l", "3", "--b", "9"], "sigma*t does not divide"),
+        ("-", ["profile", "--l", "3", "--b", "9", "--n", "5"], "s_6 != t^5*f_6"),
+        ("-", ["gcd-table", "--l", "6", "--b", "36", "--n", "5"], "u_5 = gcd/normalizer"),
+    ],
+)
+def test_gcd_invariants_survive_optimize(fault, argv, check):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FAULTY_SEQUENCES, fault, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error:") and proc.stderr.count("\n") == 1
+    assert check in proc.stderr
+
+
+def test_invariant_violation_is_one_class():
+    import lhcone
+    from lhcone import enumeration, gcd_structure, gorenstein, sequences
+
+    assert lhcone.InvariantViolation is enumeration.InvariantViolation
+    assert gcd_structure.InvariantViolation is gorenstein.InvariantViolation is sequences.InvariantViolation
+    assert lhcone.InvariantViolation is sequences.InvariantViolation
+
+
+def test_answers_past_the_int_str_limit():
+    # CPython caps int <-> str conversion at 4300 digits by default; a
+    # 4401-digit term must parse and a 4401-digit point must print
+    code, doc, err = run_json(["gor", "--seq", "list:1,1" + "0" * 4400])
+    assert code == 0, err
+    assert doc["point"] == ["1", "1" + "0" * 4399 + "1"]
+    code, out, _ = run(["gor", "--seq", "list:1,1" + "0" * 4400, "--format", "text"])
+    assert code == 0 and out.endswith("point: 1 1" + "0" * 4399 + "1\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int <-> str limit")
+def test_int_str_limit_is_restored():
+    before = sys.get_int_max_str_digits()
+    run(["gor", "--seq", "list:1,2"])
+    assert sys.get_int_max_str_digits() == before
+    with pytest.raises(SystemExit):
+        run(["gor", "--n", "x"])
+    assert sys.get_int_max_str_digits() == before
+
+
+def test_crosscheck_has_no_degree_guard():
+    # sum(d_i) = 3893 and (n+1)*s_n = 3016, past the guard of 1000 it once had
+    code, doc, err = run_json(["crosscheck", "--seq", "kl:3,3", "--n", "7"])
+    assert code == 0, err
+    assert doc["agree"] is True and doc["recursion_gorenstein"] is True
+
+
 def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as ei:
         run(["not-a-command"])

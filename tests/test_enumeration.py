@@ -338,12 +338,16 @@ def _admits(walk, budget):
     return True
 
 
-def test_cross_check_budget():
+def test_cross_check_budget(monkeypatch):
+    # no degree guard: generating functions of degree in the thousands are
+    # cheap from the parallelepiped, and the node budget bounds the work
+    assert cross_check_gorenstein(generate_kl(3, 3, 7)).agree
+    assert cross_check_gorenstein((1, 3, 18, 81, 405, 1944)).agree
     with pytest.raises(BudgetExceeded):
-        cross_check_gorenstein((1, 3, 18, 81, 405, 1944))
-    # a raised budget admits the instance
-    r = cross_check_gorenstein((1, 3, 18), budget=1000)
-    assert r.agree
+        cross_check_gorenstein(generate_kl(3, 3, 7), max_nodes=1000)
+    monkeypatch.setenv("LHCONE_BUDGET", "1000")
+    with pytest.raises(BudgetExceeded):
+        cross_check_gorenstein(generate_kl(3, 3, 7))
 
 
 @given(small_seqs)

@@ -1,9 +1,12 @@
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lhcone.gorenstein import (
+    GorensteinResult,
     SingularMatrixError,
     TriangularCone,
     ell_sequence_point,
@@ -15,7 +18,81 @@ from lhcone.gorenstein import (
     simple_cone_gorenstein,
     u_generated_point,
 )
-from lhcone.sequences import generate_kl, generate_recurrence
+from lhcone.sequences import generate_kl, generate_recurrence, validate_positivity
+from test_enumeration import CORPUS
+
+
+def oracle_gorenstein(s):
+    """The index recursion with one gcd per step: the reference for the
+    gcd-free loop of lecture_hall_gorenstein."""
+    c = [1]
+    for j in range(2, len(s) + 1):
+        num = c[-1] * s[j - 1] + gcd(s[j - 1], s[j - 2])
+        q, r = divmod(num, s[j - 2])
+        if r:
+            return GorensteinResult(None, j, Fraction(num, s[j - 2]))
+        c.append(q)
+    return GorensteinResult(tuple(c), None, None)
+
+
+def test_recursion_matches_oracle_on_certificate_edges():
+    # (3, 4): g = 2 divides s_2 but not s_1; (2, 2, 1): at j = 3, g = 2
+    # divides s_2 but not s_3.  Each needs its own divisibility test.
+    assert lecture_hall_gorenstein((3, 4)) == oracle_gorenstein((3, 4))
+    assert lecture_hall_gorenstein((3, 4)).witness == Fraction(5, 3)
+    assert lecture_hall_gorenstein((2, 2, 1)) == oracle_gorenstein((2, 2, 1))
+    assert lecture_hall_gorenstein((2, 2, 1)).witness == Fraction(3, 2)
+
+
+def test_recursion_matches_oracle_on_corpus():
+    assert [s for s in CORPUS if lecture_hall_gorenstein(s) != oracle_gorenstein(s)] == []
+
+
+def test_recursion_matches_oracle_on_recurrences():
+    wrong = []
+    for l in range(1, 10):
+        for b in range(-9, 10):
+            if not validate_positivity(l, b):
+                continue
+            s = generate_recurrence(l, b, 12)
+            wrong += [(l, b, n) for n in range(1, 13) if lecture_hall_gorenstein(s[:n]) != oracle_gorenstein(s[:n])]
+    assert wrong == []
+
+
+def test_recursion_matches_oracle_on_short_sequences():
+    # every sequence of length <= 3 over 1..8; among them are integral steps
+    # with g > 1 and failing steps whose g divides one term but not the other
+    seqs = [s for n in (1, 2, 3) for s in itertools.product(range(1, 9), repeat=n)]
+    assert [s for s in seqs if lecture_hall_gorenstein(s) != oracle_gorenstein(s)] == []
+    steps = []  # (g, s_{j-1}, s_j) of every step reached
+    for s in seqs:
+        for j in range(2, len(s) + 1):
+            point = oracle_gorenstein(s[: j - 1]).point
+            if point is None:
+                break
+            prev, cur = s[j - 2], s[j - 1]
+            steps.append((prev - point[-1] * cur % prev, prev, cur))
+    assert any(g > 1 and prev % g == 0 and cur % g == 0 for g, prev, cur in steps)
+    assert any(cur % g == 0 and prev % g for g, prev, cur in steps)
+    assert any(prev % g == 0 and cur % g for g, prev, cur in steps)
+
+
+@st.composite
+def scaled_sequences(draw):
+    # a common factor over the whole sequence and a second one from some
+    # index on: integral steps with g > 1, and steps where g divides one
+    # term of the pair but not the other
+    base = draw(st.lists(st.one_of(st.integers(1, 9), st.integers(1, 10**12)), min_size=1, max_size=8))
+    common = draw(st.integers(1, 60))
+    extra = draw(st.integers(1, 60))
+    k = draw(st.integers(0, len(base)))
+    return [x * common * (extra if i >= k else 1) for i, x in enumerate(base)]
+
+
+@given(scaled_sequences())
+@settings(max_examples=300, deadline=None)
+def test_recursion_matches_oracle(s):
+    assert lecture_hall_gorenstein(s) == oracle_gorenstein(s)
 
 
 def test_gorenstein_smallest_cases():
