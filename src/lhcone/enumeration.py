@@ -1,4 +1,4 @@
-"""Lattice points of lecture hall cones: the parallelepiped engine and the walker.
+"""Lattice points of lecture hall cones, counted by one transfer DP.
 
 The cone of s, 0 <= x_1/s_1 <= ... <= x_n/s_n, is simplicial.  Its rays are
 v_i = (0, ..., 0, s_i, ..., s_n), and x_j/s_j - x_{j-1}/s_{j-1} is the
@@ -14,49 +14,42 @@ g = (0, ..., 0, 1), and multiplies by 1 + t + ... + t^{s_n - 1}, which turns
 the (1 - t)(1 - t^{s_n})^n denominator of the homogenized cone (rays (0, 1)
 and (v_i, s_n)) into (1 - t^{s_n})^{n+1}.
 
-The engine, `_parallelepiped`, is a DP over coordinates whose state is the
-value of x_j.  Given x_{j-1} = a, x_j runs over exactly s_j consecutive
-values from ceil(a*s_j/s_{j-1}), and that start never decreases with a, so
-the values of x_j are 0..top and each layer is one sliding-window sum over
-the previous one: O(1) big-integer operations per state.  A state carries
-the polynomial sum of q^{g.x} over the prefixes x_1..x_j ending in it,
-packed into one int by Kronecker substitution, one slot of whole bytes,
-at least bitlen(prod(s)) + 1 bits, per coefficient (no coefficient exceeds
-prod(s), so no slot carries into the next).  Each state stores its
+One engine, `_lattice`, does every lattice count.  It is a DP over
+coordinates whose state is the value of x_j (Stanley's transfer-matrix
+method, EC1 4.7).  In Pi, given x_{j-1} = a, x_j runs over exactly s_j
+consecutive values from ceil(a*s_j/s_{j-1}), and that start never decreases
+with a, so the values of x_j are 0..top and each layer is one sliding-window
+sum over the previous one: O(1) big-integer operations per state.  A state
+carries the polynomial sum of q^{g.x} over the prefixes x_1..x_j ending in
+it, packed into one int by Kronecker substitution, one slot of whole bytes
+per coefficient, at least one bit wider than a bound on every coefficient
+(prod(s) for Pi), so no slot carries into the next.  Each state stores its
 polynomial from its own least degree, kept as a separate offset; the least
 degree never decreases along a layer, so the window sum only ever shifts
 left to add and right to drop its zeroed low slots.  The last coordinate
 gets no states: its window contributes q^{ceil(a*s_n/s_{n-1})} times
 1 + q + ... + q^{s_n - 1}, added in closed form.
 
-The walker, `_graded_counts`, counts every cone point up to a grade limit:
-counts[k] = #{x in the cone : g.x = k}.  `weight_series` grades by total
-weight and `ehrhart_counts` by the last coordinate.  It serves shallow
-series on long sequences, where paying for the prod(s) points of Pi cannot
-finish, and it is the oracle the tests hold the engine to.  A node is one
-value v of one coordinate x_i, given values for x_1..x_{i-1}.  Its children
-are the values of x_{i+1}, the ray x_{i+1} >= c_{i+1} = ceil(v*s_{i+1}/s_i),
-computed in exact integers.  The least grade of any completion of the node
-is w + sum_{j>i} g_j*c_j along the chain of ceilings
-c_{j+1} = ceil(c_j*s_{j+1}/s_j), where w is the grade of x_1..x_i.  That
-bound grows with v, so the first value whose bound passes the limit ends
-the ray; the chain itself stops early at a zero ceiling (all later ones are
-zero) or once the bound has passed the limit.  Pending rays sit on an
-explicit stack with at most one entry per level: a node pushes the rest of
-its own ray and then its first child.  So the depth of the cone costs no
-Python recursion and the stack stays as small as a recursive walk.  Only
-x_1..x_{n-1} are walked: for each value of x_{n-1} the whole ray of x_n is
-added at once to a difference array, so the innermost level is one tight
-loop with O(1) work per value.
+The same layers count the whole cone up to a grade limit,
+counts[k] = #{x in the cone : g.x = k}: `weight_series` grades by total
+weight and `ehrhart_counts` by the last coordinate.  In the cone the
+predecessors of x_j = x are the prefix x_{j-1} <= floor(x*s_{j-1}/s_j), so
+the window never drops a state; each state is cut at the limit, and the ray
+of x_n is the factor 1/(1 - q), one prefix sum at the end.  Since x_j = x
+forces x_k >= x*s_k/s_j for k >= j, x_j is at most
+floor(limit*s_j / sum_{k>=j} g_k*s_k).  So a count costs O(1) big-integer
+operations per value of a coordinate, not one step per lattice point: under
+the weight grading a layer has at most limit states, under the Ehrhart
+grading at most limit*s_j/s_n + 1.  The prefixes x_1..x_{n-1} lie in the
+box of those ranges, whose size bounds every coefficient.
 
-Both count their work against one budget of nodes.  For the walker a node
-is one value tried, checked at every node, inside the innermost loop too.
-For the engine a node is one packed slot of a state or one coefficient of
-its output; the output length and one slot per state are known in closed
-form and charged before any work, the rest of each state's slots as the
-state is made.  The environment variable LHCONE_BUDGET, a positive integer,
-overrides the default cap; exceeding it raises BudgetExceeded rather than
-letting an oversized instance spin forever or exhaust memory.
+Every count is charged against one budget of nodes, where a node is one
+packed slot of a state or one coefficient of the output.  The output length
+and one slot per state are known in closed form and charged before any
+work, the rest of each state's slots as the state is made.  The environment
+variable LHCONE_BUDGET, a positive integer, overrides the default cap;
+exceeding it raises BudgetExceeded rather than letting an oversized
+instance spin forever or exhaust memory.
 
 That a numerator has nonnegative coefficients summing to the volume is a
 theorem; `numerator_H` and `h_star` check it on every answer and raise
@@ -130,32 +123,52 @@ def _add_term(runs, o, p, W):
     runs.append((k, o, p))
 
 
-def _parallelepiped(s, g, max_nodes):
-    """The coefficients of sum_{x in Pi} q^{g.x}, g nonnegative and ending in 1."""
+def _lattice(s, g, limit, max_nodes):
+    """Lattice points of the cone of s graded by g, nonnegative and ending in 1.
+
+    With limit None, the coefficients of sum_{x in Pi} q^{g.x}; otherwise
+    counts[k] = #{x in the cone : g.x = k} for k = 0..limit.
+    """
     budget = node_budget() if max_nodes is None else max_nodes
     n = len(s)
-    # the largest value of each coordinate and the largest grade, in closed
-    # form: the largest x_{j-1} has the window of x_j that ends highest
-    tops, top, sp = [], 0, 1
-    for sj in s:
-        top = (top * sj + sp - 1) // sp + sj - 1
-        tops.append(top)
-        sp = sj
-    length = sum(gj * t for gj, t in zip(g, tops)) + 1
+    # the largest value of each coordinate and the output length, in closed
+    # form, and a bound on every coefficient of a state
+    if limit is None:
+        # the largest x_{j-1} has the window of x_j that ends highest
+        tops, top, sp = [], 0, 1
+        for sj in s:
+            top = (top * sj + sp - 1) // sp + sj - 1
+            tops.append(top)
+            sp = sj
+        length = sum(gj * t for gj, t in zip(g, tops)) + 1
+    else:
+        # x_j = x forces x_k >= x*s_k/s_j for k >= j, so g.x >= x*tail/s_j
+        tops, tail = [], 0
+        for gj, sj in zip(reversed(g), reversed(s)):
+            tail += gj * sj
+            tops.append(limit * sj // tail)
+        tops.reverse()
+        length = limit + 1
     used = length + sum(tops[:-1]) + n - 1
     if used > budget:
-        raise BudgetExceeded(f"parallelepiped passed {budget} nodes")
-    B = (prod(s).bit_length() + 8) // 8
+        raise BudgetExceeded(f"enumeration passed {budget} nodes")
+    # Pi has prod(s) points; the cone's prefixes x_1..x_{n-1} lie in a box
+    bound = prod(s) if limit is None else prod(t + 1 for t in tops[:-1])
+    B = (bound.bit_length() + 8) // 8
     W = 8 * B
     sn, gn = s[-1], g[-1]
     # the states of x_{j-1}, packed polynomials and their least degrees,
     # from the single value x_0 = 0; the states of x_{n-1} are not kept but
-    # summed at once, shifted by the least grade of their window of x_n
+    # summed at once, shifted by the least grade of their values of x_n
     polys, offs, sp = [1], [0], 1
     runs = [] if n > 1 else [(1, 0, 1)]
     for j in range(n - 1):
         sj, gj, m = s[j], g[j], len(polys)
         last = j == n - 2
+        # in Pi, x_{j-1} = a has a window of s_j values of x_j from
+        # ceil(a*s_j/s_{j-1}); in the cone it has every value from there on,
+        # a window wider than the whole range of x_j
+        width = sj if limit is None else tops[j] + 1
         new_polys, new_offs = [], []
         # predecessors rem..add-1 have x in their window; nxt is the start
         # of the window of add, drop that of rem
@@ -165,84 +178,39 @@ def _parallelepiped(s, g, max_nodes):
                 acc += polys[add] << W * (offs[add] - base)
                 add += 1
                 nxt = (add * sj + sp - 1) // sp
-            if drop + sj <= x:
-                while drop + sj <= x:
+            if drop + width <= x:
+                while drop + width <= x:
                     acc -= polys[rem] << W * (offs[rem] - base)
                     rem += 1
                     drop = (rem * sj + sp - 1) // sp
                 acc >>= W * (offs[rem] - base)
                 base = offs[rem]
-            used += (acc.bit_length() - 1) // W
+            o, state = base + gj * x, acc
+            if limit is not None and state.bit_length() > W * (limit - o + 1):
+                # the cone never drops a predecessor, so base stays 0: cut
+                # the grades past the limit
+                state &= (1 << W * (limit - o + 1)) - 1
+            used += (state.bit_length() - 1) // W
             if used > budget:
-                raise BudgetExceeded(f"parallelepiped passed {budget} nodes")
+                raise BudgetExceeded(f"enumeration passed {budget} nodes")
             if last:
-                _add_term(runs, base + gj * x + gn * ((x * sn + sj - 1) // sj), acc, W)
+                _add_term(runs, o + gn * ((x * sn + sj - 1) // sj), state, W)
             else:
-                new_polys.append(acc)
-                new_offs.append(base + gj * x)
+                new_polys.append(state)
+                new_offs.append(o)
         polys, offs, sp = new_polys, new_offs, sj
     _, o, p = runs.pop()
     while runs:
         _, o0, p0 = runs.pop()
         p = p0 + (p << W * (o - o0))
         o = o0
-    head = length - sn + 1
+    # the last coordinate's factor: 1 + q + ... + q^{s_n - 1} on Pi,
+    # 1/(1 - q) on the cone, whose terms reach past the limit and are cut
+    head = length - sn + 1 if limit is None else length
+    p &= (1 << W * head) - 1
     packed = memoryview(p.to_bytes(head * B, "little"))
     coeffs = [int.from_bytes(packed[k : k + B], "little") for k in range(0, head * B, B)]
-    return _window_sum(coeffs, sn)
-
-
-def _graded_counts(s, g, limit, max_nodes):
-    """counts[k] = #{x in the cone of s : g.x = k} for k = 0..limit.
-
-    g holds nonnegative integers and ends in 1, so each ray of x_n covers
-    consecutive grades and enters the difference array as one mark.
-    """
-    budget = node_budget() if max_nodes is None else max_nodes
-    n = len(s)
-    delta = [0] * (limit + 1)
-    if n == 1:
-        # a single unconstrained coordinate: one point of every grade
-        delta[0] = 1
-        return list(accumulate(delta))
-    last = n - 2
-    nodes = 0
-    # (i, v, w): the ray x[i] >= v still to walk, w the grade of x[:i].  A
-    # node pushes the rest of its own ray and then its first child, so the
-    # stack holds at most one entry per level.
-    stack = [(0, 0, 0)]
-    while stack:
-        i, v, w = stack.pop()
-        si, snext, gi = s[i], s[i + 1], g[i]
-        if i == last:
-            first = v
-            end = v + budget - nodes
-            while v < end:
-                k = w + gi * v + (v * snext + si - 1) // si
-                if k > limit:
-                    break
-                delta[k] += 1
-                v += 1
-            else:
-                raise BudgetExceeded(f"enumeration passed {budget} nodes")
-            nodes += v - first + 1
-            continue
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"enumeration passed {budget} nodes")
-        w2 = w + gi * v
-        c = lo = (v * snext + si - 1) // si
-        least = w2 + g[i + 1] * c
-        j = i + 2
-        while j < n and c and least <= limit:
-            sp = s[j - 1]
-            c = (c * s[j] + sp - 1) // sp
-            least += g[j] * c
-            j += 1
-        if least <= limit:
-            stack.append((i, v + 1, w))
-            stack.append((i + 1, lo, w2))
-    return list(accumulate(delta))
+    return _window_sum(coeffs, sn) if limit is None else list(accumulate(coeffs))
 
 
 def weight_series(s, M, max_nodes=None):
@@ -254,7 +222,7 @@ def weight_series(s, M, max_nodes=None):
     _check_sequence(s)
     if M < 0:
         raise ValueError(f"need M >= 0, got {M}")
-    return TruncatedSeries(_graded_counts(s, (1,) * len(s), M, max_nodes), M)
+    return TruncatedSeries(_lattice(s, (1,) * len(s), M, max_nodes), M)
 
 
 def ehrhart_counts(s, T, max_nodes=None):
@@ -263,7 +231,7 @@ def ehrhart_counts(s, T, max_nodes=None):
     if T < 0:
         raise ValueError(f"need T >= 0, got {T}")
     g = (0,) * (len(s) - 1) + (1,)
-    return list(accumulate(_graded_counts(s, g, T, max_nodes)))
+    return list(accumulate(_lattice(s, g, T, max_nodes)))
 
 
 def denominator_exponents(s):
@@ -281,7 +249,7 @@ def numerator_H(s, max_nodes=None):
     not bad input.
     """
     _check_sequence(s)
-    H = DensePoly(_parallelepiped(s, (1,) * len(s), max_nodes))
+    H = DensePoly(_lattice(s, (1,) * len(s), None, max_nodes))
     if sum(H.coeffs) != prod(s) or min(H.coeffs) < 0:
         raise InvariantViolation("numerator is not nonnegative with value prod(s) at 1")
     return H
@@ -346,7 +314,7 @@ def h_star(s, max_nodes=None):
     n = len(s)
     sn = s[-1]
     g = (0,) * (n - 1) + (1,)
-    Q = DensePoly(_window_sum(_parallelepiped(s, g, max_nodes), sn))
+    Q = DensePoly(_window_sum(_lattice(s, g, None, max_nodes), sn))
     if sum(Q.coeffs) != sn * prod(s) or min(Q.coeffs) < 1 or Q.degree >= (n + 1) * sn:
         raise InvariantViolation(
             "h*-vector is not positive of degree < (n+1)*s_n with value s_n*prod(s) at 1"

@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lhcone.cli import main
 from lhcone.gcd_structure import ratio_table
@@ -244,15 +246,69 @@ def test_wide_hstar_hits_budget_cleanly(monkeypatch):
     assert "nodes" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--seq", "list:1,2", "--m", str(10**20)],
+        ["hstar", "--seq", "list:1,2", "--t", str(10**20)],
+        ["product", "--seq", "list:1,2", "--m", str(10**20)],
+    ],
+)
+def test_huge_degree_hits_budget_cleanly(argv):
+    # the answer alone has 1e20 + 1 entries; its length is charged before
+    # any work
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert "nodes" in err and "Traceback" not in err
+
+
+# the enumeration commands, each with its degree flag or none; list: specs
+# only, since term generation for other kinds has no budget
+FUZZED_COMMANDS = [
+    ("series", "--m"),
+    ("numerator", None),
+    ("hstar", None),
+    ("hstar", "--t"),
+    ("product", "--m"),
+    ("product", None),
+    ("crosscheck", None),
+]
+
+
+@given(
+    st.sampled_from(FUZZED_COMMANDS),
+    st.lists(st.one_of(st.integers(1, 12), st.integers(1, 10**6)), min_size=1, max_size=6),
+    st.one_of(
+        st.integers(-(10**20), -1),
+        st.integers(0, 40),
+        st.integers(10**20 - 10, 10**20 + 10),
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_enumeration_commands_never_crash(command, terms, degree):
+    name, flag = command
+    argv = [name, "--seq", "list:" + ",".join(map(str, terms))]
+    if flag is not None:
+        argv += [flag, str(degree)]
+    with mock.patch.dict(os.environ, {"LHCONE_BUDGET": "10000"}):
+        code, out, err = run(argv)
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert out == ""
+    else:
+        json.loads(out)
+    assert "Traceback" not in err
+
+
 FAULTY_ENGINE = """
 import sys
 from lhcone import enumeration
 from lhcone.cli import main
 
 assert False, "asserts must be stripped in this run"
-exact = enumeration._parallelepiped
+exact = enumeration._lattice
 # an engine that counts the origin twice
-enumeration._parallelepiped = lambda *args: [c + (k == 0) for k, c in enumerate(exact(*args))]
+enumeration._lattice = lambda *args: [c + (k == 0) for k, c in enumerate(exact(*args))]
 for compute in (enumeration.numerator_H, enumeration.h_star):
     try:
         compute((1, 2))

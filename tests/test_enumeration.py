@@ -1,7 +1,8 @@
 import itertools
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lhcone.enumeration import (
     BudgetExceeded,
@@ -26,6 +27,8 @@ from lhcone.gorenstein import lecture_hall_gorenstein
 from lhcone.sequences import generate_kl
 
 small_seqs = st.lists(st.integers(1, 5), min_size=1, max_size=4)
+# every count past its budget says so in the same words
+BUDGET_MESSAGE = r"^enumeration passed \d+ nodes$"
 
 
 def in_cone(lam, s):
@@ -52,11 +55,71 @@ def brute_dilate_count(s, t):
     )
 
 
+# A lattice walker, one node per lattice point: the independent route that
+# the engine's sums over Pi and over the cone are held to.  A node is one
+# value v of one coordinate x_i, given values for x_1..x_{i-1}.  Its
+# children are the values of x_{i+1}, the ray x_{i+1} >= c_{i+1} =
+# ceil(v*s_{i+1}/s_i).  The least grade of any completion of the node is
+# w + sum_{j>i} g_j*c_j along the chain of ceilings, where w is the grade of
+# x_1..x_i; the first value whose bound passes the limit ends the ray.
+def _graded_counts(s, g, limit, max_nodes):
+    """counts[k] = #{x in the cone of s : g.x = k} for k = 0..limit.
+
+    g holds nonnegative integers and ends in 1, so each ray of x_n covers
+    consecutive grades and enters the difference array as one mark.
+    """
+    budget = node_budget() if max_nodes is None else max_nodes
+    n = len(s)
+    delta = [0] * (limit + 1)
+    if n == 1:
+        # a single unconstrained coordinate: one point of every grade
+        delta[0] = 1
+        return list(accumulate(delta))
+    last = n - 2
+    nodes = 0
+    # (i, v, w): the ray x[i] >= v still to walk, w the grade of x[:i].  A
+    # node pushes the rest of its own ray and then its first child, so the
+    # stack holds at most one entry per level.
+    stack = [(0, 0, 0)]
+    while stack:
+        i, v, w = stack.pop()
+        si, snext, gi = s[i], s[i + 1], g[i]
+        if i == last:
+            first = v
+            end = v + budget - nodes
+            while v < end:
+                k = w + gi * v + (v * snext + si - 1) // si
+                if k > limit:
+                    break
+                delta[k] += 1
+                v += 1
+            else:
+                raise BudgetExceeded(f"enumeration passed {budget} nodes")
+            nodes += v - first + 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"enumeration passed {budget} nodes")
+        w2 = w + gi * v
+        c = lo = (v * snext + si - 1) // si
+        least = w2 + g[i + 1] * c
+        j = i + 2
+        while j < n and c and least <= limit:
+            sp = s[j - 1]
+            c = (c * s[j] + sp - 1) // sp
+            least += g[j] * c
+            j += 1
+        if least <= limit:
+            stack.append((i, v + 1, w))
+            stack.append((i + 1, lo, w2))
+    return list(accumulate(delta))
+
+
 def oracle_numerator(s):
     """The numerator by the walker: the weight series through sum(d_i), each
     (1 - q^{d_i}) cleared."""
     d = denominator_exponents(s)
-    f = weight_series(s, sum(d))
+    f = TruncatedSeries(_graded_counts(s, (1,) * len(s), sum(d), None), sum(d))
     for e in d:
         f = series_mul_poly(f, monomial_complement(e))
     return DensePoly(f.coeffs)
@@ -66,7 +129,8 @@ def oracle_hstar(s):
     """The h*-vector by the walker: Ehrhart counts through (n+1)*s_n, the
     (1 - t^{s_n})^{n+1} cleared."""
     n, sn = len(s), s[-1]
-    f = TruncatedSeries(ehrhart_counts(s, (n + 1) * sn))
+    g = (0,) * (n - 1) + (1,)
+    f = TruncatedSeries(list(accumulate(_graded_counts(s, g, (n + 1) * sn, None))))
     for _ in range(n + 1):
         f = series_mul_poly(f, monomial_complement(sn))
     return DensePoly(f.coeffs)
@@ -104,6 +168,35 @@ def test_parallelepiped_matches_oracle_on_wide_shapes(s):
     # coordinate makes many states, a wide last one long polynomials
     assert numerator_H(s) == oracle_numerator(s)
     assert h_star(s).coeffs == oracle_hstar(s)
+
+
+def walker_counts(s, g, limit):
+    """The walker's counts through the largest of limit, limit // 2, ...
+    that it reaches within 300,000 nodes."""
+    while True:
+        try:
+            return _graded_counts(s, g, limit, 300_000)
+        except BudgetExceeded:
+            limit //= 2
+
+
+@given(
+    st.lists(st.integers(1, 300), min_size=1, max_size=12),
+    st.integers(0, 60),
+    st.integers(0, 25),
+)
+# a first coordinate of 2.5e5 values below T = 25, a wide middle one, and a
+# long sequence, where the walker reaches only M = 30 and T = 3
+@example([10**4, 1], 60, 25)
+@example([1, 10**4, 1], 60, 25)
+@example([1] * 40, 60, 25)
+@settings(max_examples=60, deadline=None)
+def test_cone_counts_match_walker(s, M, T):
+    n = len(s)
+    want = walker_counts(s, (1,) * n, M)
+    assert list(weight_series(s, len(want) - 1).coeffs) == want
+    want = list(accumulate(walker_counts(s, (0,) * (n - 1) + (1,), T)))
+    assert ehrhart_counts(s, len(want) - 1) == want
 
 
 def test_weight_series_one_dimensional():
@@ -146,7 +239,8 @@ def test_node_budget_rejects_invalid_values(monkeypatch, raw):
 
 
 def test_long_sequence_needs_no_recursion():
-    # the walker keeps its own stack: depth 1500 is far past Python's limit
+    # the engine loops over the coordinates: 1500 of them are far past
+    # Python's recursion limit
     s = [1] * 1500
     assert list(weight_series(s, 0).coeffs) == [1]
     assert ehrhart_counts(s, 0) == [1]
@@ -290,29 +384,37 @@ def test_cross_check_agreement():
 
 
 @pytest.mark.parametrize(
-    "walk",
+    "count",
     [
-        # the innermost ray of x_1 spans about 2e6 values below T = 2
+        # x_1 takes about 2e6 values below T = 2
         lambda: ehrhart_counts((10**6, 1), 2, max_nodes=100),
-        # an outer ray of x_1 spans about 3e8 values below T = 3
+        # x_1 takes about 3e8 values below T = 3
         lambda: ehrhart_counts((10**8, 1, 1), 3, max_nodes=100),
+        # the answer alone has 1e20 + 1 entries
+        lambda: weight_series((1, 2), 10**20, max_nodes=100),
+        lambda: ehrhart_counts((1, 2), 10**20, max_nodes=100),
     ],
 )
-def test_budget_stops_a_long_ray(walk):
-    with pytest.raises(BudgetExceeded):
-        walk()
+def test_budget_stops_a_long_ray(count):
+    # the range of every coordinate and the answer's length are charged in
+    # closed form before any work
+    with pytest.raises(BudgetExceeded, match=BUDGET_MESSAGE):
+        count()
 
 
 def test_budget_is_exact_on_both_loops():
-    # the least budget that admits a walk also admits every larger one,
-    # and the walk under it gives the unbudgeted answer
-    for walk in (
+    # under both gradings of the cone a budget of 1 stops the count, and the
+    # least budget that admits a count also admits every larger one and
+    # gives the unbudgeted answer
+    for count in (
         lambda b: weight_series((1, 3, 8), 12, max_nodes=b).coeffs,
         lambda b: ehrhart_counts((2, 5, 3), 6, max_nodes=b),
     ):
-        need = next(b for b in range(1, 10_000) if _admits(walk, b))
-        assert not any(_admits(walk, b) for b in range(1, need))
-        assert walk(need) == walk(need + 7) == walk(None)
+        with pytest.raises(BudgetExceeded, match=BUDGET_MESSAGE):
+            count(1)
+        need = next(b for b in range(1, 10_000) if _admits(count, b))
+        assert not any(_admits(count, b) for b in range(1, need))
+        assert count(need) == count(need + 7) == count(None)
 
 
 def test_parallelepiped_budget_is_exact():
@@ -323,16 +425,16 @@ def test_parallelepiped_budget_is_exact():
         lambda b: numerator_H((1, 3, 8), max_nodes=b),
         lambda b: h_star((2, 5, 3), max_nodes=b),
     ):
-        with pytest.raises(BudgetExceeded, match="nodes"):
+        with pytest.raises(BudgetExceeded, match=BUDGET_MESSAGE):
             run(1)
         need = next(b for b in range(1, 10_000) if _admits(run, b))
         assert not any(_admits(run, b) for b in range(1, need))
         assert run(need) == run(need + 7) == run(None)
 
 
-def _admits(walk, budget):
+def _admits(count, budget):
     try:
-        walk(budget)
+        count(budget)
     except BudgetExceeded:
         return False
     return True
