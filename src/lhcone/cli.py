@@ -3,8 +3,9 @@ machine-readable output (json, csv, or text).
 
 Exit codes: 0 success, 1 negative predicate verdict (a non-Gorenstein cone
 for `gor`, no product form for `product`, disagreeing criteria for
-`crosscheck`), 2 for every error (usage, parse, budget, horizon), 3 for a
-failed invariant: an answer that breaks a theorem, which is a bug.
+`crosscheck`), 2 for every error (usage, parse, budget, horizon), 3 for an
+internal error: a failed invariant (an answer that breaks a theorem) or any
+other exception, each a bug, reported in one line on stderr.
 
 JSON objects carry "schema": 1; unbounded integers are emitted as decimal
 strings so they survive any JSON reader, while small structural indices
@@ -22,10 +23,10 @@ from .enumeration import (
     BudgetExceeded,
     cross_check_gorenstein,
     denominator_exponents,
-    detect_product_form,
     ehrhart_counts,
     h_star,
     numerator_H,
+    product_form,
     weight_series,
 )
 from .exact_arith import is_palindromic, is_unimodal
@@ -193,13 +194,13 @@ def cmd_hstar(args):
 
 def cmd_product(args):
     _, terms = _realized(args)
-    f = weight_series(terms, args.m)
-    exponents = detect_product_form(f, len(terms))
+    exponents = product_form(terms)
     payload = {
         "schema": SCHEMA,
         "seq": args.seq,
         "n": len(terms),
-        "m": args.m,
+        # the degree the verdict was decided through; --m is ignored
+        "m": sum(denominator_exponents(terms)),
         "product_form": exponents is not None,
         "exponents": None if exponents is None else _strs(exponents),
     }
@@ -354,7 +355,7 @@ def build_parser():
 
     p = sub.add_parser("product", help="test for a pure product-form series")
     _add_seq(p)
-    p.add_argument("--m", type=int, default=64, help="truncation degree (default 64)")
+    p.add_argument("--m", type=int, help="deprecated and ignored: the verdict is exact")
     _add_format(p)
     p.set_defaults(func=cmd_product)
 
@@ -409,6 +410,10 @@ def main(argv=None):
         return 2
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # any other failure is a bug too: one line, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     finally:
         if set_limit is not None:

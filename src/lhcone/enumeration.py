@@ -67,10 +67,9 @@ from operator import sub
 from .exact_arith import (
     DensePoly,
     TruncatedSeries,
+    _divide_by_factors,
     is_palindromic,
     is_unimodal,
-    monomial_complement,
-    series_mul_poly,
 )
 from .gorenstein import lecture_hall_gorenstein
 from .sequences import InvariantViolation
@@ -259,29 +258,66 @@ def detect_product_form(f, n):
     """Greedily factor a series as prod of n terms 1/(1 - q^{e_i}).
 
     Repeatedly takes the smallest positive degree with a nonzero
-    coefficient as the next exponent and multiplies that factor out.
-    Returns the sorted exponents, or None when the series is not such a
-    product through its truncation degree (a negative coefficient showing
-    up mid-extraction, leftovers after n factors, or fewer than n factors).
+    coefficient as the next exponent and multiplies that factor out, in
+    place over one list.  Returns the sorted exponents, or None when the
+    series is not such a product through its truncation degree (a negative
+    coefficient showing up mid-extraction, leftovers after n factors, or
+    fewer than n factors).  The verdict holds only through that degree: a
+    series cut too low can miss an exponent or hide a leftover, and
+    `product_form` decides a cone exactly.
     """
     M = f.truncation_degree
     if f.coeffs[0] != 1:
         raise ValueError(f"series must start with 1, got {f.coeffs[0]}")
-    residual = f
+    c = list(f.coeffs)
     exponents = []
+    # taking out 1/(1 - q^e) leaves the degrees below e alone, so the next
+    # exponent is never smaller than this one
+    e = 1
     for _ in range(n):
-        e = next((m for m in range(1, M + 1) if residual.coeffs[m] != 0), None)
-        if e is None:
+        e = next((m for m in range(e, M + 1) if c[m] != 0), None)
+        if e is None or c[e] < 0:
             return None
-        if residual.coeffs[e] < 0:
+        # times 1 - q^e, each entry from the old values; a product of the
+        # remaining factors has no negative coefficient, so stop early
+        tail = [a - b for a, b in zip(c[e:], c)]
+        if min(tail) < 0:
             return None
-        residual = series_mul_poly(residual, monomial_complement(e))
-        if any(c < 0 for c in residual.coeffs):
-            return None
+        c[e:] = tail
         exponents.append(e)
-    if any(residual.coeffs[m] != 0 for m in range(1, M + 1)):
+    if any(c[1:]):
         return None
     return sorted(exponents)
+
+
+def product_form(s, max_nodes=None):
+    """The exponents of the cone's weight series as prod_i 1/(1 - q^{e_i}).
+
+    Returns the sorted e_1..e_n, or None when the series has no such form.
+    The verdict is exact.  With H the numerator over prod_i (1 - q^{d_i})
+    and D = sum(d_i), the series through degree D goes to the greedy of
+    `detect_product_form`, and its exponents are accepted only when
+    deg H + sum(e_i) = D: then H * prod(1 - q^{e_i}) - prod(1 - q^{d_i}) has
+    degree at most D and vanishes through D, so it is zero.  Every e_i is at
+    most D, so the greedy misses none.  The division costs n*(D+1) nodes,
+    charged before any work under the budget of `numerator_H` (max_nodes,
+    else LHCONE_BUDGET).  A product form makes H palindromic and so the
+    cone Gorenstein, a theorem checked on every positive answer.
+    """
+    _check_sequence(s)
+    d = denominator_exponents(s)
+    D = sum(d)
+    budget = node_budget() if max_nodes is None else max_nodes
+    if len(s) * (D + 1) > budget:
+        raise BudgetExceeded(f"enumeration passed {budget} nodes")
+    H = numerator_H(s, max_nodes)
+    series = _divide_by_factors(list(H.coeffs) + [0] * (D - H.degree), d)
+    exponents = detect_product_form(TruncatedSeries(series, D), len(s))
+    if exponents is None or H.degree + sum(exponents) != D:
+        return None
+    if not lecture_hall_gorenstein(s).gorenstein:
+        raise InvariantViolation("a product form whose cone is not Gorenstein")
+    return exponents
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 A polynomial is a tuple of int coefficients indexed by degree with trailing
 zeros stripped; the zero polynomial stores nothing and reports degree -inf.
 A truncated series stores exactly M+1 coefficients for truncation degree M;
-arithmetic on two series truncates to the smaller M.  Everything here is
-immutable and pure, so values are safe to share across threads.
+two series compare equal when they agree through the smaller M.  Both types
+are immutable and the public functions pure, so values are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -47,31 +48,6 @@ class DensePoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return DensePoly(out)
-
-    def __neg__(self):
-        return DensePoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return DensePoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return DensePoly(out)
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -84,13 +60,6 @@ class DensePoly:
 
     def __repr__(self):
         return f"DensePoly({list(self.coeffs)!r})"
-
-
-def monomial_complement(e):
-    """The polynomial 1 - q^e, for e >= 1."""
-    if e < 1:
-        raise ValueError(f"exponent must be >= 1, got {e}")
-    return DensePoly([1] + [0] * (e - 1) + [-1])
 
 
 def is_palindromic(p):
@@ -113,9 +82,9 @@ def is_unimodal(p):
 class TruncatedSeries:
     """Power series known exactly through degree M (inclusive).
 
-    Stores exactly M+1 integer coefficients.  Equality and arithmetic between
-    two series only see degrees up to the smaller truncation degree: the
-    truncation is the contract, nothing beyond it is claimed.
+    Stores exactly M+1 integer coefficients.  Equality between two series
+    only sees degrees up to the smaller truncation degree: the truncation is
+    the contract, nothing beyond it is claimed.
     """
 
     __slots__ = ("coeffs", "truncation_degree")
@@ -137,11 +106,6 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
-    @classmethod
-    def from_poly(cls, p, truncation_degree):
-        # exact whenever deg p <= M; higher terms fall outside the contract
-        return cls(p.coeffs[: truncation_degree + 1], truncation_degree)
-
     def __getitem__(self, m):
         if not 0 <= m <= self.truncation_degree:
             raise IndexError(f"degree {m} beyond truncation {self.truncation_degree}")
@@ -155,53 +119,26 @@ class TruncatedSeries:
 
     __hash__ = None  # equality ignores coefficients beyond the smaller M
 
-    def __add__(self, other):
-        m = min(self.truncation_degree, other.truncation_degree)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(m + 1)], m
-        )
-
-    def __mul__(self, other):
-        m = min(self.truncation_degree, other.truncation_degree)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (m + 1)
-        for i in range(m + 1):
-            ai = a[i]
-            if ai:
-                for j in range(m + 1 - i):
-                    out[i + j] += ai * b[j]
-        return TruncatedSeries(out, m)
-
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)!r}, M={self.truncation_degree})"
 
 
-def series_mul_poly(s, p):
-    """Multiply a series by a polynomial, truncated at the series' degree.
+def _divide_by_factors(coeffs, exponents):
+    """Divide the series coeffs by each 1 - q^e in place, through its length.
 
-    Each nonzero coefficient c_j of p adds c_j times the series shifted by j
-    in one strided pass, so a sparse factor such as 1 - q^e costs O(M).
+    Each factor is one prefix-sum pass with stride e, so the whole division
+    costs O(len(exponents) * len(coeffs)).
     """
-    M = s.truncation_degree
-    out = [0] * (M + 1)
-    for j, c in enumerate(p.coeffs[: M + 1]):
-        if c:
-            out[j:] = [o + c * a for o, a in zip(out[j:], s.coeffs)]
-    return TruncatedSeries(out, M)
-
-
-def product_form_series(exponents, M):
-    """Coefficients of prod_i 1/(1 - q^{e_i}) through degree M.
-
-    Each factor is divided in by a single prefix-sum pass with stride e,
-    so the whole product costs O(len(exponents) * M).
-    """
-    if M < 0:
-        raise ValueError(f"truncation degree must be >= 0, got {M}")
-    coeffs = [1] + [0] * M
     for e in exponents:
         if e < 1:
             raise ValueError(f"exponent must be >= 1, got {e}")
-        for m in range(e, M + 1):
+        for m in range(e, len(coeffs)):
             coeffs[m] += coeffs[m - e]
-    return TruncatedSeries(coeffs, M)
+    return coeffs
+
+
+def product_form_series(exponents, M):
+    """Coefficients of prod_i 1/(1 - q^{e_i}) through degree M."""
+    if M < 0:
+        raise ValueError(f"truncation degree must be >= 0, got {M}")
+    return TruncatedSeries(_divide_by_factors([1] + [0] * M, exponents), M)

@@ -179,6 +179,8 @@ class SequenceSpec:
             if n is None:
                 raise ValueError(f"a length n is required for kind '{self.kind}'")
         if self.kind == "explicit":
+            if n < 1:
+                raise ValueError(f"need n >= 1, got {n}")
             if n > len(self.params):
                 raise ValueError(f"list has {len(self.params)} terms, asked for {n}")
             return list(self.params[:n])

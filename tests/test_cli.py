@@ -105,6 +105,30 @@ def test_product_not_found_exits_one():
     assert doc["product_form"] is False and doc["exponents"] is None
 
 
+@pytest.mark.parametrize("m", [None, "0", "16", "20", "64", "-5"])
+@pytest.mark.parametrize(
+    "argv, code, exponents, degree",
+    [
+        # a series cut at 20 looks like 1/((1-q)(1-q^2))
+        (["--seq", "list:11,10"], 1, None, 31),
+        # a series cut at 16 misses the exponent 17
+        (["--seq", "kl:2,3", "--n", "4"], 0, ["1", "4", "7", "17"], 70),
+        # a series cut at 0 shows no exponent at all
+        (["--seq", "list:1"], 0, ["1"], 1),
+        # exponent 265, far above the old default cut of 64
+        (["--seq", "kl:4,4", "--n", "5"], 0, ["1", "5", "19", "71", "265"], 1323),
+    ],
+)
+def test_product_verdict_ignores_m(m, argv, code, exponents, degree):
+    extra = [] if m is None else ["--m", m]
+    got, doc, err = run_json(["product", *argv, *extra])
+    assert got == code, err
+    assert doc["product_form"] is (exponents is not None)
+    assert doc["exponents"] == exponents
+    # m reports the degree the verdict was decided through, sum(d_i)
+    assert doc["m"] == degree
+
+
 def test_gcd_table_csv():
     code, out, _ = run(["gcd-table", "--l", "6", "--b", "36", "--n", "24", "--format", "csv"])
     lines = out.strip().splitlines()
@@ -210,6 +234,28 @@ def test_missing_length_exits_two():
     assert "--n is required" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gor", "--seq", "list:1,2,3", "--n", "-1"],
+        ["series", "--seq", "list:1,2,3", "--n", "-2", "--m", "3"],
+        ["product", "--seq", "list:1,2,3", "--n", "0"],
+    ],
+)
+def test_list_spec_rejects_n_below_one(argv):
+    # a negative n once sliced terms off the end of the list
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert "need n >= 1" in err
+
+
+def test_unexpected_exception_is_an_internal_error():
+    with mock.patch("lhcone.cli.numerator_H", side_effect=ZeroDivisionError("boom")):
+        code, out, err = run(["numerator", "--seq", "list:1,2"])
+    assert code == 3 and out == ""
+    assert err == "internal error: ZeroDivisionError: boom\n"
+
+
 def test_budget_cap_exits_two(monkeypatch):
     monkeypatch.setenv("LHCONE_BUDGET", "5")
     code, _, err = run(["series", "--seq", "list:1,2,3", "--m", "30"])
@@ -251,12 +297,12 @@ def test_wide_hstar_hits_budget_cleanly(monkeypatch):
     [
         ["series", "--seq", "list:1,2", "--m", str(10**20)],
         ["hstar", "--seq", "list:1,2", "--t", str(10**20)],
-        ["product", "--seq", "list:1,2", "--m", str(10**20)],
+        ["product", "--seq", "list:1,100000000000000000000"],
     ],
 )
 def test_huge_degree_hits_budget_cleanly(argv):
-    # the answer alone has 1e20 + 1 entries; its length is charged before
-    # any work
+    # the answer alone has 1e20 + 1 entries, or product's division runs
+    # through degree 2e20 + 1; each is charged before any work
     code, out, err = run(argv)
     assert code == 2 and out == ""
     assert "nodes" in err and "Traceback" not in err
@@ -332,6 +378,40 @@ def test_invariant_survives_optimize(command):
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("internal error:") and proc.stderr.count("\n") == 1
+
+
+FAULTY_RECURSION = """
+import sys
+from lhcone import enumeration
+from lhcone.cli import main
+from lhcone.gorenstein import GorensteinResult
+
+assert False, "asserts must be stripped in this run"
+# a recursion that calls every cone non-Gorenstein
+enumeration.lecture_hall_gorenstein = lambda s: GorensteinResult(None, 1, None)
+try:
+    enumeration.product_form((1, 2))
+except enumeration.InvariantViolation:
+    pass
+else:
+    sys.exit("product_form accepted a product form of a non-Gorenstein cone")
+sys.exit(main(["product", "--seq", "kl:2,3", "--n", "4"]))
+"""
+
+
+def test_product_gorenstein_check_survives_optimize():
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FAULTY_RECURSION],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error:") and proc.stderr.count("\n") == 1
+    assert "Gorenstein" in proc.stderr
 
 
 FAULTY_SEQUENCES = """

@@ -4,6 +4,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lhcone import enumeration
 from lhcone.enumeration import (
     BudgetExceeded,
     cross_check_gorenstein,
@@ -13,18 +14,17 @@ from lhcone.enumeration import (
     h_star,
     node_budget,
     numerator_H,
+    product_form,
     weight_series,
 )
 from lhcone.exact_arith import (
     DensePoly,
     TruncatedSeries,
     is_palindromic,
-    monomial_complement,
     product_form_series,
-    series_mul_poly,
 )
 from lhcone.gorenstein import lecture_hall_gorenstein
-from lhcone.sequences import generate_kl
+from lhcone.sequences import generate_kl, kl_product_exponents
 
 small_seqs = st.lists(st.integers(1, 5), min_size=1, max_size=4)
 # every count past its budget says so in the same words
@@ -115,14 +115,29 @@ def _graded_counts(s, g, limit, max_nodes):
     return list(accumulate(delta))
 
 
+def mul(a, b, limit):
+    """The coefficients of a*b through degree limit; a may be sparse."""
+    out = [0] * (limit + 1)
+    for i, x in enumerate(a[: limit + 1]):
+        if x:
+            for j, y in enumerate(b[: limit + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def one_minus(e):
+    """The coefficients of 1 - q^e."""
+    return [1] + [0] * (e - 1) + [-1]
+
+
 def oracle_numerator(s):
     """The numerator by the walker: the weight series through sum(d_i), each
     (1 - q^{d_i}) cleared."""
     d = denominator_exponents(s)
-    f = TruncatedSeries(_graded_counts(s, (1,) * len(s), sum(d), None), sum(d))
+    f = _graded_counts(s, (1,) * len(s), sum(d), None)
     for e in d:
-        f = series_mul_poly(f, monomial_complement(e))
-    return DensePoly(f.coeffs)
+        f = mul(one_minus(e), f, sum(d))
+    return DensePoly(f)
 
 
 def oracle_hstar(s):
@@ -130,10 +145,10 @@ def oracle_hstar(s):
     (1 - t^{s_n})^{n+1} cleared."""
     n, sn = len(s), s[-1]
     g = (0,) * (n - 1) + (1,)
-    f = TruncatedSeries(list(accumulate(_graded_counts(s, g, (n + 1) * sn, None))))
+    f = list(accumulate(_graded_counts(s, g, (n + 1) * sn, None)))
     for _ in range(n + 1):
-        f = series_mul_poly(f, monomial_complement(sn))
-    return DensePoly(f.coeffs)
+        f = mul(one_minus(sn), f, (n + 1) * sn)
+    return DensePoly(f)
 
 
 # the corpus of acceptance criterion 6
@@ -302,8 +317,8 @@ def test_numerator_reconstructs_weight_series(s):
     H = numerator_H(s)
     d = denominator_exponents(s)
     M = sum(d)
-    rebuilt = series_mul_poly(product_form_series(d, M), H)
-    assert rebuilt == weight_series(s, M)
+    rebuilt = mul(H.coeffs, product_form_series(d, M).coeffs, M)
+    assert rebuilt == list(weight_series(s, M).coeffs)
 
 
 def test_detect_product_form_staircase():
@@ -324,13 +339,56 @@ def test_detect_product_form_negative():
 
 
 def test_detect_product_form_square():
-    f = weight_series((1, 2), 6)
-    assert detect_product_form(f * f, 4) == [1, 1, 3, 3]
+    f = weight_series((1, 2), 6).coeffs
+    assert detect_product_form(TruncatedSeries(mul(f, f, 6)), 4) == [1, 1, 3, 3]
 
 
 def test_detect_product_form_requires_unit():
     with pytest.raises(ValueError):
         detect_product_form(TruncatedSeries([2, 1], 4), 1)
+
+
+def oracle_product_form(s):
+    """The product form by the walker: the greedy on its weight series
+    through sum(d_i), kept only when H * prod(1 - q^{e_i}) equals
+    prod(1 - q^{d_i}) as polynomials, H the walker's numerator."""
+    d = denominator_exponents(s)
+    f = TruncatedSeries(_graded_counts(s, (1,) * len(s), sum(d), None))
+    exponents = detect_product_form(f, len(s))
+    if exponents is None:
+        return None
+    lhs = list(oracle_numerator(s).coeffs)
+    for e in exponents:
+        lhs = mul(one_minus(e), lhs, len(lhs) + e - 1)
+    rhs = [1]
+    for e in d:
+        rhs = mul(one_minus(e), rhs, len(rhs) + e - 1)
+    return exponents if DensePoly(lhs) == DensePoly(rhs) else None
+
+
+def test_product_form_matches_oracle_on_corpus():
+    got = {s: product_form(s) for s in CORPUS}
+    assert got == {s: oracle_product_form(s) for s in CORPUS}
+    # both verdicts occur: the staircase has a product form, (1,3,5,7) not
+    assert got[(1, 2, 3, 4)] == [1, 3, 5, 7] and got[(1, 3, 5, 7)] is None
+
+
+def test_product_form_needs_the_degree_identity(monkeypatch):
+    # (1 - q^2 + q^3)/((1 - q)(1 - q^2)) agrees with 1/((1 - q)(1 - q^3))
+    # through D = 3 only: the greedy finds [1, 3] there, and
+    # deg H + sum(e_i) = 7 != D rejects it
+    monkeypatch.setattr(enumeration, "numerator_H", lambda s, max_nodes=None: DensePoly([1, 0, -1, 1]))
+    assert product_form((1, 1)) is None
+
+
+@pytest.mark.parametrize(
+    "k, l, n",
+    # kl:2,3 n=4 at --m 16 once gave no product form; the other four have
+    # an exponent above 64, where a series cut at 64 found none
+    [(2, 3, 4), (4, 4, 4), (4, 4, 5), (5, 5, 4), (3, 3, 5), (2, 3, 8)],
+)
+def test_product_form_of_kl_families(k, l, n):
+    assert product_form(generate_kl(k, l, n)) == kl_product_exponents(k, l, n)
 
 
 def test_hstar_known_vector():
@@ -424,12 +482,25 @@ def test_parallelepiped_budget_is_exact():
     for run in (
         lambda b: numerator_H((1, 3, 8), max_nodes=b),
         lambda b: h_star((2, 5, 3), max_nodes=b),
+        lambda b: product_form((1, 3, 8), max_nodes=b),
+        lambda b: product_form((2, 5, 3), max_nodes=b),
     ):
         with pytest.raises(BudgetExceeded, match=BUDGET_MESSAGE):
             run(1)
         need = next(b for b in range(1, 10_000) if _admits(run, b))
         assert not any(_admits(run, b) for b in range(1, need))
         assert run(need) == run(need + 7) == run(None)
+
+
+def test_product_form_charges_its_division(monkeypatch):
+    # the division's n*(D+1) nodes, D = 31 here, are charged before any
+    # work under the cap of numerator_H, which needs fewer
+    with pytest.raises(BudgetExceeded, match=BUDGET_MESSAGE):
+        product_form((1, 3, 8), max_nodes=95)
+    assert product_form((1, 3, 8), max_nodes=96) == [1, 4, 11]
+    monkeypatch.setenv("LHCONE_BUDGET", "95")
+    with pytest.raises(BudgetExceeded, match=BUDGET_MESSAGE):
+        product_form((1, 3, 8))
 
 
 def _admits(count, budget):

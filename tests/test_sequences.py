@@ -124,6 +124,13 @@ def test_parse_explicit():
         sp.realize(9)
 
 
+@pytest.mark.parametrize("n", [0, -1, -2])
+def test_explicit_realization_rejects_n_below_one(n):
+    # a negative n must not slice terms off the end
+    with pytest.raises(ValueError, match="need n >= 1"):
+        parse_sequence_spec("list:1,2,3").realize(n)
+
+
 def test_parse_families():
     assert parse_sequence_spec("rec:3,9").realize(4) == [1, 3, 18, 81]
     assert parse_sequence_spec("kl:2,3").realize(4) == [1, 3, 5, 12]
