@@ -273,17 +273,12 @@ def cmd_classify(args):
     if spec.kind == "recurrence":
         l, b = spec.params
         payload["profile"] = _profile_fields(gcd_profile(l, b))
-        horizon = args.horizon if args.horizon is not None else 64
-        if result.gorenstein or horizon < 1:
-            # a Gorenstein prefix leaves the fail index open; the call also
-            # rejects a horizon below 1
-            fail_index = gorenstein_fail_index(l, b, horizon)
-        else:
-            # the recursion never returns to the integers, so its first
-            # failure is the fail index of every horizon that reaches it
-            fail_index = result.fails_at if result.fails_at <= horizon else None
+        fail_index = gorenstein_fail_index(l, b)
+        # the prefix fails first where the family does, if that is within it
+        if result.fails_at != (fail_index if fail_index and fail_index <= len(terms) else None):
+            raise InvariantViolation(f"prefix fails at {result.fails_at}, family at {fail_index}")
         payload["fail_index"] = fail_index
-        payload["fail_horizon"] = horizon
+        payload["fail_horizon"] = None  # the index is exact; --horizon is ignored
         if b != -1:
             verdict = failure_threshold_check(l, b)
             payload["threshold_check"] = {
@@ -382,7 +377,7 @@ def build_parser():
 
     p = sub.add_parser("classify", help="full report: u-generation, Gorenstein, profile")
     _add_seq(p)
-    p.add_argument("--horizon", type=int, help="fail-index search horizon (default 64)")
+    p.add_argument("--horizon", type=int, help="deprecated and ignored: the fail index is exact")
     _add_format(p)
     p.set_defaults(func=cmd_classify)
 

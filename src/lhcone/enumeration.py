@@ -72,7 +72,7 @@ from .exact_arith import (
     is_unimodal,
 )
 from .gorenstein import lecture_hall_gorenstein
-from .sequences import InvariantViolation
+from .sequences import InvariantViolation, _check_positive
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
@@ -92,11 +92,6 @@ def node_budget():
     if budget < 1:
         raise ValueError(f"LHCONE_BUDGET must be a positive integer, got {raw!r}")
     return budget
-
-
-def _check_sequence(s):
-    if len(s) < 1 or any(x < 1 for x in s):
-        raise ValueError("need a nonempty positive sequence")
 
 
 def _window_sum(coeffs, w):
@@ -218,7 +213,7 @@ def weight_series(s, M, max_nodes=None):
     The counts match the coefficients of the cone's generating function, so
     this is the oracle every closed form is tested against.
     """
-    _check_sequence(s)
+    _check_positive(s)
     if M < 0:
         raise ValueError(f"need M >= 0, got {M}")
     return TruncatedSeries(_lattice(s, (1,) * len(s), M, max_nodes), M)
@@ -226,7 +221,7 @@ def weight_series(s, M, max_nodes=None):
 
 def ehrhart_counts(s, T, max_nodes=None):
     """Lattice point counts i(t) = #{x in the cone : x_n <= t} for t = 0..T."""
-    _check_sequence(s)
+    _check_positive(s)
     if T < 0:
         raise ValueError(f"need T >= 0, got {T}")
     g = (0,) * (len(s) - 1) + (1,)
@@ -235,7 +230,7 @@ def ehrhart_counts(s, T, max_nodes=None):
 
 def denominator_exponents(s):
     """The tail sums d_i = s_i + ... + s_n."""
-    _check_sequence(s)
+    _check_positive(s)
     return [sum(s[i:]) for i in range(len(s))]
 
 
@@ -247,7 +242,7 @@ def numerator_H(s, max_nodes=None):
     a theorem, checked on every answer: an InvariantViolation means a bug,
     not bad input.
     """
-    _check_sequence(s)
+    _check_positive(s)
     H = DensePoly(_lattice(s, (1,) * len(s), None, max_nodes))
     if sum(H.coeffs) != prod(s) or min(H.coeffs) < 0:
         raise InvariantViolation("numerator is not nonnegative with value prod(s) at 1")
@@ -304,7 +299,7 @@ def product_form(s, max_nodes=None):
     else LHCONE_BUDGET).  A product form makes H palindromic and so the
     cone Gorenstein, a theorem checked on every positive answer.
     """
-    _check_sequence(s)
+    _check_positive(s)
     d = denominator_exponents(s)
     D = sum(d)
     budget = node_budget() if max_nodes is None else max_nodes
@@ -346,7 +341,7 @@ def h_star(s, max_nodes=None):
     (n+1)*s_n, its positivity and its value s_n*prod(s) at 1 are theorems,
     checked on every answer.
     """
-    _check_sequence(s)
+    _check_positive(s)
     n = len(s)
     sn = s[-1]
     g = (0,) * (n - 1) + (1,)
@@ -381,7 +376,7 @@ def cross_check_gorenstein(s, max_nodes=None):
     theorem, so a disagreement in the report is a hard failure to be
     treated as a bug.
     """
-    _check_sequence(s)
+    _check_positive(s)
     recursion = lecture_hall_gorenstein(s).gorenstein
     numerator = is_palindromic(numerator_H(s, max_nodes))
     hstar = is_palindromic(h_star(s, max_nodes).coeffs)

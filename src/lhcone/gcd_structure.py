@@ -7,10 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, islice
 from math import gcd
 
 from .gorenstein import gorenstein_fail_index
-from .sequences import InvariantViolation, generate_recurrence, validate_positivity
+from .sequences import InvariantViolation, generate_recurrence, recurrence_terms, validate_positivity
 
 
 class HorizonTooSmallError(ValueError):
@@ -24,6 +25,11 @@ class GcdProfile:
     sigma: int
     gamma: int
     beta: int
+
+
+def _check_pair(l, b):
+    if b == 0 or not validate_positivity(l, b):
+        raise ValueError(f"need a positive recurrence with b != 0, got l={l}, b={b}")
 
 
 def gcd_profile(l, b):
@@ -63,8 +69,7 @@ class RatioTable:
 
 
 def ratio_table(l, b, N):
-    if b == 0 or not validate_positivity(l, b):
-        raise ValueError(f"need a positive recurrence with b != 0, got l={l}, b={b}")
+    _check_pair(l, b)
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     prof = gcd_profile(l, b)
@@ -82,16 +87,11 @@ def ratio_table(l, b, N):
 
 def f_sequence(l, b, n):
     """f_1..f_n with f_j = (l/t)f_{j-1} + (b/t^2)f_{j-2}, so s_j = t^{j-1}*f_j."""
-    if b == 0 or not validate_positivity(l, b):
-        raise ValueError(f"need a positive recurrence with b != 0, got l={l}, b={b}")
+    _check_pair(l, b)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     prof = gcd_profile(l, b)
-    lt = l // prof.t
-    btt = b // (prof.t * prof.t)
-    f = [1, lt]
-    for _ in range(n - 1):
-        f.append(lt * f[-1] + btt * f[-2])
+    f = list(islice(recurrence_terms(l // prof.t, b // (prof.t * prof.t)), n + 1))
     s = generate_recurrence(l, b, n + 1)
     for j in range(1, n + 2):
         if s[j - 1] != prof.t ** (j - 1) * f[j - 1]:
@@ -115,21 +115,21 @@ def find_n0(l, b, horizon=None):
     where the bound holds).  Raises HorizonTooSmallError when no window
     starting at n0 <= horizon is clean.
     """
-    if l <= 0 or b == 0 or l * l + 4 * b < 0:
-        raise ValueError(f"need a positive recurrence with b != 0, got l={l}, b={b}")
+    _check_pair(l, b)
     prof = gcd_profile(l, b)
     threshold = prof.t * (prof.r + abs(b))
+
+    def grows(limit):
+        # for n = 1..limit in turn: does s_n satisfy the bound?
+        terms = enumerate(islice(recurrence_terms(l, b), limit), start=1)
+        return (_growth_value(s_n, n, prof) > threshold for n, s_n in terms)
+
     if horizon is None:
-        s = generate_recurrence(l, b, 4096)
-        first_hit = next(
-            (n for n in range(1, 4097) if _growth_value(s[n - 1], n, prof) > threshold), None
-        )
+        first_hit = next(compress(count(1), grows(4096)), None)
         if first_hit is None:
             raise HorizonTooSmallError("growth bound not reached within 4096 terms")
         horizon = max(64, 4 * first_hit)
-    limit = 2 * horizon + 1
-    s = generate_recurrence(l, b, max(limit, 1))
-    good = [False] + [_growth_value(s[n - 1], n, prof) > threshold for n in range(1, limit + 1)]
+    good = [False, *grows(max(2 * horizon + 1, 0))]
     for n0 in range(1, horizon + 1):
         if all(good[n0 : n0 + horizon + 1]):
             return n0

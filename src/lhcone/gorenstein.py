@@ -5,7 +5,8 @@ x_j/s_j - x_{j-1}/s_{j-1} >= 0; it is Gorenstein exactly when one integer
 point c satisfies c_1 = 1 and c_j*s_{j-1} = c_{j-1}*s_j + gcd(s_j, s_{j-1})
 for 2 <= j <= n.  The decision runs that recursion and reports either the
 point or the first index where integrality breaks, with the rational value
-that was forced there.
+that was forced there.  It draws the terms one at a time and stops at the
+first failure, so it also runs on the unending terms of an (l, b) family.
 
 Each step takes the greedy interior value c_j = floor(c_{j-1}*s_j/s_{j-1}) + 1
 and certifies it without a gcd: g = c_j*s_{j-1} - c_{j-1}*s_j is a Bezout
@@ -15,11 +16,19 @@ makes it the gcd.  Only a failing step computes the gcd, for its witness.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import floor, gcd, lcm
 
-from .sequences import InvariantViolation, generate_from_u, generate_kl, generate_recurrence
+from .sequences import (
+    InvariantViolation,
+    _check_positive,
+    generate_from_u,
+    generate_kl,
+    recurrence_terms,
+)
 
 
 class SingularMatrixError(ValueError):
@@ -37,17 +46,19 @@ class GorensteinResult:
         return self.point is not None
 
 
-def _check_positive(s):
-    if len(s) < 1 or any(x < 1 for x in s):
-        raise ValueError("need a nonempty positive sequence")
-
-
 def lecture_hall_gorenstein(s):
     """Decide the Gorenstein property of the cone of s by the index recursion.
 
     c_1 = 1 and c_j = (c_{j-1}*s_j + gcd(s_j, s_{j-1})) / s_{j-1}; the cone
     is Gorenstein iff every c_j is an integer, and then (c_1, ..., c_n) is
     the Gorenstein point.
+    """
+    _check_positive(s)
+    return _index_recursion(s)
+
+
+def _index_recursion(terms):
+    """The recursion over positive terms, drawn only up to the first failure.
 
     A step divides c_{j-1}*s_j by s_{j-1} once, giving quotient q and
     remainder r, and takes g = s_{j-1} - r, so 0 < g <= s_{j-1}.  Then
@@ -56,28 +67,38 @@ def lecture_hall_gorenstein(s):
     the step is not integral, since an integral c_j forces the gcd, which
     lies in (0, s_{j-1}], to be congruent to -r mod s_{j-1}, i.e. equal to g.
     """
-    _check_positive(s)
+    terms = iter(terms)
+    prev = next(terms)
     c = [1]
-    for j in range(2, len(s) + 1):
-        prev, cur = s[j - 2], s[j - 1]
+    for j, cur in enumerate(terms, start=2):
         q, r = divmod(c[-1] * cur, prev)
         g = prev - r
         if prev % g or cur % g:
             return GorensteinResult(None, j, Fraction(c[-1] * cur + gcd(cur, prev), prev))
         c.append(q + 1)
+        prev = cur
     return GorensteinResult(tuple(c), None, None)
 
 
-def gorenstein_fail_index(l, b, horizon):
-    """Smallest n <= horizon where the (l, b) cone stops being Gorenstein.
+def gorenstein_fail_index(l, b, horizon=None):
+    """Smallest n (at most horizon, if given) where the (l, b) cone stops
+    being Gorenstein, or None.
 
-    Returns None if no failure shows up through the horizon.  A returned
-    index certifies failure for every larger dimension as well: once the
-    recursion leaves the integers it never comes back.
+    A returned index holds for every larger n too: once the recursion leaves
+    the integers it never comes back.  With no horizon the answer is exact:
+    the cone is Gorenstein for every n iff b = -1 (the source paper) or
+    b = 0 (c_j = l*c_{j-1} + 1), and any other pair fails at some n, which
+    the recursion runs to.
     """
-    if horizon < 1:
+    if horizon is not None and horizon < 1:
         raise ValueError(f"need horizon >= 1, got {horizon}")
-    return lecture_hall_gorenstein(generate_recurrence(l, b, horizon)).fails_at
+    terms = recurrence_terms(l, b)
+    if horizon is not None:
+        # islice takes no stop past sys.maxsize, more terms than a run can draw
+        terms = islice(terms, min(horizon, sys.maxsize))
+    elif b in (0, -1):
+        return None
+    return _index_recursion(terms).fails_at
 
 
 def ell_sequence_point(l, n):
@@ -92,19 +113,16 @@ def u_generated_point(u, n, s1=1):
 
     The sequence itself must exist and stay positive through n (validated by
     generating it, first term s1); the resulting point is checked against
-    the index recursion identities; a failed identity raises
-    InvariantViolation.
+    the point of the index recursion; a mismatch raises InvariantViolation.
     """
     s = generate_from_u(u, s1, n)
-    c = [1]
-    if n >= 2:
-        c.append(u[0])
-    for i in range(2, n):
-        c.append(u[i - 1] * c[-1] - c[-2])
-    for j in range(2, n + 1):
-        if c[j - 1] * s[j - 2] != c[j - 2] * s[j - 1] + gcd(s[j - 1], s[j - 2]):
-            raise InvariantViolation(f"u-generated point breaks the index recursion at j={j}")
-    return tuple(c)
+    c = [0, 1]  # c_0 = 0 makes c_2 = u_1 an instance of the rule
+    for ui in u[: n - 1]:
+        c.append(ui * c[-1] - c[-2])
+    point = tuple(c[1:])
+    if lecture_hall_gorenstein(s).point != point:
+        raise InvariantViolation("u-generated point is not the point of the index recursion")
+    return point
 
 
 @dataclass(frozen=True)

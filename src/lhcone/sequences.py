@@ -16,6 +16,7 @@ Parse errors carry the 0-based character position of the offending token.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 
 
@@ -36,25 +37,35 @@ class SpecParseError(ValueError):
         self.position = position
 
 
+def _check_positive(s):
+    if len(s) < 1 or any(x < 1 for x in s):
+        raise ValueError("need a nonempty positive sequence")
+
+
 def validate_positivity(l, b):
     """True iff every term of the (l, b) recurrence stays positive."""
-    if b == 0:
-        return l > 0
     return l > 0 and l * l + 4 * b >= 0
+
+
+def recurrence_terms(l, b):
+    """s_1, s_2, ... of s_j = l*s_{j-1} + b*s_{j-2} with s_0 = 0, s_1 = 1, without
+    end.  The pair is checked at once, before any term is drawn."""
+    if not validate_positivity(l, b):
+        raise ValueError(f"recurrence l={l}, b={b} does not stay positive")
+
+    def terms(prev, cur):
+        while True:
+            yield cur
+            prev, cur = cur, l * cur + b * prev
+
+    return terms(0, 1)
 
 
 def generate_recurrence(l, b, n):
     """Terms s_1..s_n of s_j = l*s_{j-1} + b*s_{j-2} with s_0 = 0, s_1 = 1."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not validate_positivity(l, b):
-        raise ValueError(f"recurrence l={l}, b={b} does not stay positive")
-    terms = [1]
-    prev, cur = 0, 1
-    for _ in range(n - 1):
-        prev, cur = cur, l * cur + b * prev
-        terms.append(cur)
-    return terms
+    return list(islice(recurrence_terms(l, b), n))
 
 
 def generate_kl(k, l, n):
@@ -106,16 +117,13 @@ def generate_from_u(u, s1, n):
     for i, ui in enumerate(u[: n - 1], start=1):
         if ui < 1:
             raise ValueError(f"multiplier u_{i} must be positive, got {ui}")
-    terms = [s1]
-    for i in range(2, n + 1):
-        if i == 2:
-            nxt = u[0] * s1 - 1
-        else:
-            nxt = u[i - 2] * terms[-1] - terms[-2]
+    terms = [1, s1]  # s_0 = 1 makes s_2 = u_1*s_1 - 1 an instance of the rule
+    for i, ui in enumerate(u[: n - 1], start=2):
+        nxt = ui * terms[-1] - terms[-2]
         if nxt < 1:
             raise ValueError(f"term {i} of the u-generated sequence is {nxt}, not positive")
         terms.append(nxt)
-    return terms
+    return terms[1:]
 
 
 def recognize_u_generated(s):
@@ -125,20 +133,16 @@ def recognize_u_generated(s):
     raises CoprimalityError, which is a different outcome than returning
     None (the recognition criterion is only an iff under that hypothesis).
     """
-    if len(s) < 1 or any(x < 1 for x in s):
-        raise ValueError("need a nonempty positive sequence")
+    _check_positive(s)
     for i in range(len(s) - 1):
         if gcd(s[i], s[i + 1]) != 1:
             raise CoprimalityError(
                 f"terms {i + 1} and {i + 2} share a factor: gcd({s[i]}, {s[i + 1]}) != 1"
             )
     u = []
-    for i in range(1, len(s)):
-        if i == 1:
-            num = s[1] + 1
-        else:
-            num = s[i] + s[i - 2]
-        q, r = divmod(num, s[i - 1])
+    t = [1, *s]  # t[i] = s_i, and s_0 = 1 makes s_2 = u_1*s_1 - 1 an instance of the rule
+    for i in range(2, len(t)):
+        q, r = divmod(t[i] + t[i - 2], t[i - 1])
         if r != 0 or q < 1:
             return None
         u.append(q)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -179,22 +180,46 @@ def test_classify_gorenstein_fields_match_gor(n):
 
 
 @pytest.mark.parametrize("n", [6, 7, 9])
-@pytest.mark.parametrize("horizon", [1, 6, 7, 8, 64])
+@pytest.mark.parametrize("horizon", [0, 1, 6, 7, 8, 64, 10**20])
 def test_classify_fail_index_matches_gorenstein_fail_index(n, horizon):
-    # rec:3,9 first fails at 7: prefixes on both sides, horizons on both sides
+    # rec:3,9 first fails at 7, on both sides of the prefix; the deprecated
+    # --horizon is accepted and ignored, whatever its value
     argv = ["classify", "--seq", "rec:3,9", "--n", str(n), "--horizon", str(horizon)]
     code, doc, _ = run_json(argv)
     assert code == 0
-    assert doc["fail_index"] == gorenstein_fail_index(3, 9, horizon)
-    assert doc["fail_horizon"] == horizon
+    assert doc["fail_index"] == gorenstein_fail_index(3, 9) == 7
+    assert doc["fail_horizon"] is None
 
 
-@pytest.mark.parametrize("n", [6, 7])
-def test_classify_rejects_horizon_below_one(n):
-    code, out, err = run(["classify", "--seq", "rec:3,9", "--n", str(n), "--horizon", "0"])
-    assert code == 2
-    assert out == ""
-    assert "horizon" in err
+def test_classify_fail_index_is_exact():
+    # the family fails at 84, past the 64 terms classify once searched
+    m = lcm(*range(1, 81))
+    code, doc, err = run_json(["classify", "--seq", f"rec:{2 * m},{-m * m}", "--n", "5"])
+    assert code == 0, err
+    assert doc["gorenstein"] is True
+    assert doc["fail_index"] == 84
+    # an ell-pair is Gorenstein for every n
+    code, doc, err = run_json(["classify", "--seq", "rec:3,-1", "--n", "5"])
+    assert code == 0, err
+    assert doc["fail_index"] is None and doc["fail_horizon"] is None
+
+
+RUN_MAIN = "import sys; from lhcone.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_classify_huge_horizon_returns():
+    # the horizon once sized a list of terms built before the search
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = ["classify", "--seq", "rec:3,9", "--n", "3", "--horizon", str(10**20)]
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_MAIN, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["fail_index"] == 7
 
 
 def test_classify_profile_matches_profile():
@@ -346,6 +371,28 @@ def test_enumeration_commands_never_crash(command, terms, degree):
     assert "Traceback" not in err
 
 
+@given(
+    st.sampled_from(["gor", "classify"]),
+    st.integers(-50, 50),
+    st.integers(-50, 50),
+    st.integers(-3, 40),
+    st.one_of(st.none(), st.integers(-(10**20), 10**20)),
+)
+@settings(max_examples=200, deadline=None)
+def test_recurrence_commands_never_crash(command, l, b, n, horizon):
+    # b = 0 is refused by classify's gcd profile, invalid pairs by the parser
+    argv = [command, "--seq", f"rec:{l},{b}", "--n", str(n)]
+    if command == "classify" and horizon is not None:
+        argv += ["--horizon", str(horizon)]
+    code, out, err = run(argv)
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert out == ""
+    else:
+        json.loads(out)
+    assert "Traceback" not in err
+
+
 FAULTY_ENGINE = """
 import sys
 from lhcone import enumeration
@@ -412,6 +459,33 @@ def test_product_gorenstein_check_survives_optimize():
     assert proc.stdout == ""
     assert proc.stderr.startswith("internal error:") and proc.stderr.count("\n") == 1
     assert "Gorenstein" in proc.stderr
+
+
+FAULTY_FAIL_INDEX = """
+import sys
+from lhcone import cli
+from lhcone.cli import main
+
+assert False, "asserts must be stripped in this run"
+# a family index that never fails, against a 7-term prefix that does
+cli.gorenstein_fail_index = lambda l, b: None
+sys.exit(main(["classify", "--seq", "rec:3,9", "--n", "7"]))
+"""
+
+
+def test_classify_fail_index_check_survives_optimize():
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FAULTY_FAIL_INDEX],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error:") and proc.stderr.count("\n") == 1
+    assert "fails at 7" in proc.stderr
 
 
 FAULTY_SEQUENCES = """

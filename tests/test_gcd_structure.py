@@ -125,6 +125,13 @@ def test_find_n0_window_is_clean_and_minimal():
             assert not all(grows(n) for n in range(n0 - 1, n0 + horizon))
 
 
+def test_find_n0_stops_at_the_search_cap():
+    # (240, -14400): s_j = j*120^(j-1) does not reach the growth bound within
+    # the 4096 terms searched for its first hit
+    with pytest.raises(HorizonTooSmallError, match="within 4096 terms"):
+        find_n0(240, -14400)
+
+
 def test_find_n0_rejects_degenerate():
     with pytest.raises(ValueError):
         find_n0(0, 1)

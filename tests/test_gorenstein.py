@@ -1,10 +1,11 @@
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lhcone import gorenstein
 from lhcone.gorenstein import (
     GorensteinResult,
     SingularMatrixError,
@@ -18,7 +19,7 @@ from lhcone.gorenstein import (
     simple_cone_gorenstein,
     u_generated_point,
 )
-from lhcone.sequences import generate_kl, generate_recurrence, validate_positivity
+from lhcone.sequences import generate_kl, generate_recurrence, recurrence_terms, validate_positivity
 from test_enumeration import CORPUS
 
 
@@ -146,6 +147,9 @@ def test_rejects_nonpositive_terms():
         lecture_hall_gorenstein((1, 0, 2))
     with pytest.raises(ValueError):
         lecture_hall_gorenstein(())
+    with pytest.raises(ValueError):
+        # the recursion fails at 3, before the 0; a list is checked up front
+        lecture_hall_gorenstein([2, 4, 3, 0])
 
 
 def test_fail_index_search():
@@ -153,6 +157,55 @@ def test_fail_index_search():
     assert gorenstein_fail_index(2, 1, 64) == 4
     assert gorenstein_fail_index(5, -5, 64) == 6
     assert gorenstein_fail_index(2, -1, 50) is None  # 1,2,3,... stays Gorenstein
+
+
+def test_exact_fail_index_matches_oracle_on_grid():
+    # the benchmark's grid: every fail index there is at most 7, so horizon 64
+    # sees each one, and the ell-pairs b = -1 never fail
+    wrong = []
+    for l in range(1, 10):
+        for b in range(-9, 10):
+            if b and validate_positivity(l, b):
+                oracle = oracle_gorenstein(generate_recurrence(l, b, 64)).fails_at
+                if not gorenstein_fail_index(l, b) == gorenstein_fail_index(l, b, 64) == oracle:
+                    wrong.append((l, b))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("k, index", [(20, 24), (40, 42), (80, 84)])
+def test_exact_fail_index_past_any_old_horizon(k, index):
+    # the double-root pairs (2m, -m^2), s_j = j*m^(j-1), with m = lcm(1..k)
+    m = lcm(*range(1, k + 1))
+    assert gorenstein_fail_index(2 * m, -m * m) == index
+    assert lecture_hall_gorenstein(generate_recurrence(2 * m, -m * m, index)).fails_at == index
+
+
+def test_geometric_family_never_fails():
+    # b = 0: s_j = l^(j-1) and c_j = l*c_{j-1} + 1, integral for every n
+    for l in range(1, 6):
+        assert gorenstein_fail_index(l, 0) is None
+        assert gorenstein_fail_index(l, 0, 200) is None
+        assert lecture_hall_gorenstein(generate_recurrence(l, 0, 200)).gorenstein
+    with pytest.raises(ValueError):
+        gorenstein_fail_index(0, 0)
+    with pytest.raises(ValueError):
+        gorenstein_fail_index(1, -1)  # not an ell-pair: 1 - 4 < 0
+
+
+def test_fail_index_draws_only_the_terms_it_needs(monkeypatch):
+    drawn = []
+
+    def counted(l, b):
+        for x in recurrence_terms(l, b):
+            drawn.append(x)
+            yield x
+
+    monkeypatch.setattr(gorenstein, "recurrence_terms", counted)
+    assert gorenstein_fail_index(3, 9, 10**20) == 7
+    assert len(drawn) <= 7
+    drawn.clear()
+    assert gorenstein_fail_index(3, 9) == 7
+    assert len(drawn) <= 7
 
 
 def test_ell_sequence_point():

@@ -11,8 +11,10 @@ from lhcone.sequences import (
     one_mod_k,
     parse_sequence_spec,
     recognize_u_generated,
+    recurrence_terms,
     validate_positivity,
 )
+from itertools import islice
 from math import gcd
 
 
@@ -36,6 +38,14 @@ def test_recurrence_rejects_nonpositive():
         generate_recurrence(2, -2, 5)
     with pytest.raises(ValueError):
         generate_recurrence(3, 9, 0)
+    with pytest.raises(ValueError):
+        recurrence_terms(2, -2)  # checked before any term is drawn
+
+
+def test_recurrence_stream_has_no_end():
+    terms = recurrence_terms(3, 9)
+    assert list(islice(terms, 5)) == generate_recurrence(3, 9, 5)
+    assert next(islice(terms, 994, None)) == generate_recurrence(3, 9, 1000)[-1]
 
 
 @given(st.integers(1, 9), st.integers(-6, 9), st.integers(1, 12))
