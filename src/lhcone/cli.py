@@ -15,6 +15,7 @@ strings so they survive any JSON reader, while small structural indices
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -25,6 +26,7 @@ from .enumeration import (
     denominator_exponents,
     ehrhart_counts,
     h_star,
+    node_budget,
     numerator_H,
     product_form,
     weight_series,
@@ -100,11 +102,20 @@ def _strs(values):
     return [str(v) for v in values]
 
 
+def _charge_terms(n):
+    """Refuse to generate n terms past the node budget, before drawing any."""
+    budget = node_budget()
+    if n > budget:
+        raise BudgetExceeded(f"asked for {n} terms, past the budget of {budget} nodes")
+
+
 def _realized(args):
     spec = parse_sequence_spec(args.seq)
     n = args.n
     if n is None and spec.needs_length():
         raise ValueError(f"--n is required for '{args.seq}'")
+    if n is not None:
+        _charge_terms(n)
     terms = spec.realize(n)
     return spec, terms
 
@@ -209,6 +220,7 @@ def cmd_product(args):
 
 
 def cmd_gcd_table(args):
+    _charge_terms(args.n + 1)
     table = ratio_table(args.l, args.b, args.n)
     payload = {
         "schema": SCHEMA,
@@ -226,16 +238,18 @@ def cmd_gcd_table(args):
 
 def cmd_profile(args):
     prof = gcd_profile(args.l, args.b)
-    f = f_sequence(args.l, args.b, args.n) if args.n else None
     payload = {"schema": SCHEMA, "l": str(args.l), "b": str(args.b), **_profile_fields(prof)}
-    if f is not None:
-        payload["f_sequence"] = _strs(f)
+    if args.n:
+        _charge_terms(args.n + 1)
+        payload["f_sequence"] = _strs(f_sequence(args.l, args.b, args.n))
     _emit(args, payload)
     return 0
 
 
 def cmd_n0(args):
     prof = gcd_profile(args.l, args.b)
+    if args.horizon is not None:
+        _charge_terms(2 * args.horizon)
     n0 = find_n0(args.l, args.b, args.horizon)
     payload = {
         "schema": SCHEMA,
@@ -317,7 +331,10 @@ def _add_format(p):
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every later call
+    in the process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="lhcone",
         description="Gorenstein decisions, generating functions, and gcd invariants "
@@ -329,62 +346,52 @@ def build_parser():
     _add_seq(p, required=False)
     p.add_argument("--matrix", help="file with one inequality row per line (p/q entries)")
     _add_format(p)
-    p.set_defaults(func=cmd_gor)
 
     p = sub.add_parser("series", help="weight series coefficients through degree M")
     _add_seq(p)
     p.add_argument("--m", type=int, required=True, help="truncation degree")
     _add_format(p)
-    p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("numerator", help="generating function numerator")
     _add_seq(p)
     _add_format(p)
-    p.set_defaults(func=cmd_numerator)
 
     p = sub.add_parser("hstar", help="h*-vector of the associated polytope")
     _add_seq(p)
     p.add_argument("--t", type=int, help="also report lattice counts for dilates 0..T")
     _add_format(p)
-    p.set_defaults(func=cmd_hstar)
 
     p = sub.add_parser("product", help="test for a pure product-form series")
     _add_seq(p)
     p.add_argument("--m", type=int, help="deprecated and ignored: the verdict is exact")
     _add_format(p)
-    p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("gcd-table", help="normalized consecutive-gcd table")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="number of rows")
     _add_format(p)
-    p.set_defaults(func=cmd_gcd_table)
 
     p = sub.add_parser("profile", help="gcd profile r, t, sigma, gamma, beta")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--n", type=int, help="also report the reduced f-sequence to n")
     _add_format(p)
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("n0", help="stable growth index for the failure bound")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--horizon", type=int, help="verification window (default adaptive)")
     _add_format(p)
-    p.set_defaults(func=cmd_n0)
 
     p = sub.add_parser("classify", help="full report: u-generation, Gorenstein, profile")
     _add_seq(p)
     p.add_argument("--horizon", type=int, help="deprecated and ignored: the fail index is exact")
     _add_format(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("crosscheck", help="three-way Gorenstein criteria agreement")
     _add_seq(p)
     _add_format(p)
-    p.set_defaults(func=cmd_crosscheck)
 
     return parser
 
@@ -399,7 +406,9 @@ def main(argv=None):
         set_limit(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # looked up on every call rather than bound into the shared parser,
+        # so a command rebound on this module (a patch, a tracer) is the one run
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, BudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,8 +6,7 @@ f-sequence, and the stable-growth index used by the failure threshold test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import compress, count, islice
+from itertools import islice
 from math import gcd
 
 from .gorenstein import gorenstein_fail_index
@@ -102,9 +101,18 @@ def f_sequence(l, b, n):
     return f[:n]
 
 
-def _growth_value(s_n, n, prof):
-    # s_n / (t^{n-2} * sigma^{floor((n-1)/2)}); n = 1 makes the exponent -1
-    return Fraction(s_n) / (Fraction(prof.t) ** (n - 2) * prof.sigma ** ((n - 1) // 2))
+def _growth_hits(l, b, prof):
+    """For n = 1, 2, ... in turn: does s_n satisfy the growth bound?
+
+    s_n/(t^{n-2}*sigma^{floor((n-1)/2)}) > t*(r+|b|) is tested in integers as
+    s_n*t > t*(r+|b|)*t^{n-1}*sigma^{floor((n-1)/2)}, with the power carried
+    from one n to the next.
+    """
+    threshold = prof.t * (prof.r + abs(b))
+    power = 1  # t^{n-1} * sigma^{floor((n-1)/2)}
+    for n, s_n in enumerate(recurrence_terms(l, b), start=1):
+        yield s_n * prof.t > threshold * power
+        power *= prof.t if n % 2 else prof.t * prof.sigma
 
 
 def find_n0(l, b, horizon=None):
@@ -116,23 +124,18 @@ def find_n0(l, b, horizon=None):
     starting at n0 <= horizon is clean.
     """
     _check_pair(l, b)
-    prof = gcd_profile(l, b)
-    threshold = prof.t * (prof.r + abs(b))
-
-    def grows(limit):
-        # for n = 1..limit in turn: does s_n satisfy the bound?
-        terms = enumerate(islice(recurrence_terms(l, b), limit), start=1)
-        return (_growth_value(s_n, n, prof) > threshold for n, s_n in terms)
-
+    hits = enumerate(_growth_hits(l, b, gcd_profile(l, b)), start=1)
+    drawn = run = 0  # terms drawn so far; hits in a row up to the last one
     if horizon is None:
-        first_hit = next(compress(count(1), grows(4096)), None)
-        if first_hit is None:
+        drawn = next((n for n, hit in islice(hits, 4096) if hit), None)
+        if drawn is None:
             raise HorizonTooSmallError("growth bound not reached within 4096 terms")
-        horizon = max(64, 4 * first_hit)
-    good = [False, *grows(max(2 * horizon + 1, 0))]
-    for n0 in range(1, horizon + 1):
-        if all(good[n0 : n0 + horizon + 1]):
-            return n0
+        horizon, run = max(64, 4 * drawn), 1
+    # a clean window [n0, n0+horizon] with n0 <= horizon ends by 2*horizon
+    for n, hit in islice(hits, max(2 * horizon - drawn, 0)):
+        run = run + 1 if hit else 0
+        if run > horizon:
+            return n - horizon
     raise HorizonTooSmallError(
         f"no window of length {horizon + 1} starting at n0 <= {horizon} satisfies the bound"
     )

@@ -12,6 +12,8 @@ Each step takes the greedy interior value c_j = floor(c_{j-1}*s_j/s_{j-1}) + 1
 and certifies it without a gcd: g = c_j*s_{j-1} - c_{j-1}*s_j is a Bezout
 combination of s_j and s_{j-1}, so their gcd divides g, and g dividing both
 makes it the gcd.  Only a failing step computes the gcd, for its witness.
+A step with s_j = u*s_{j-1} - s_{j-2}, as on ell-sequences, is always
+integral and takes c_j = u*c_{j-1} - c_{j-2}, in O(digits).
 """
 
 from __future__ import annotations
@@ -66,18 +68,32 @@ def _index_recursion(terms):
     If g divides s_j and s_{j-1}, g is the gcd and c_j = q + 1.  Otherwise
     the step is not integral, since an integral c_j forces the gcd, which
     lies in (0, s_{j-1}], to be congruent to -r mod s_{j-1}, i.e. equal to g.
+
+    That division costs O(digits^2).  A u-step, s_j = u*s_{j-1} - s_{j-2}
+    as on every step of an ell-sequence, needs none and cannot fail, which
+    is the source paper's reason why ell-sequences are Gorenstein: s_j is
+    -s_{j-2} mod s_{j-1}, so gcd(s_j, s_{j-1}) = gcd(s_{j-1}, s_{j-2}) = g,
+    and the identity of the step before, c_{j-1}*s_{j-2} - c_{j-2}*s_{j-1}
+    = g, turns (c_{j-1}*s_j + g)/s_{j-1} into u*c_{j-1} - c_{j-2}.  Finding
+    u is one division with a small quotient, O(digits).  The virtual
+    s_0 = 1, c_0 = 0 satisfy the identity with g = 1, so the first step is
+    no exception.
     """
     terms = iter(terms)
-    prev = next(terms)
-    c = [1]
+    pprev, prev = 1, next(terms)
+    c = [0, 1]
     for j, cur in enumerate(terms, start=2):
-        q, r = divmod(c[-1] * cur, prev)
-        g = prev - r
-        if prev % g or cur % g:
-            return GorensteinResult(None, j, Fraction(c[-1] * cur + gcd(cur, prev), prev))
-        c.append(q + 1)
-        prev = cur
-    return GorensteinResult(tuple(c), None, None)
+        u, t = divmod(cur + pprev, prev)
+        if t:
+            q, r = divmod(c[-1] * cur, prev)
+            g = prev - r
+            if prev % g or cur % g:
+                return GorensteinResult(None, j, Fraction(c[-1] * cur + gcd(cur, prev), prev))
+            c.append(q + 1)
+        else:
+            c.append(u * c[-1] - c[-2])
+        pprev, prev = prev, cur
+    return GorensteinResult(tuple(c[1:]), None, None)
 
 
 def gorenstein_fail_index(l, b, horizon=None):
@@ -204,7 +220,9 @@ def simple_cone_gorenstein(rows):
 
 
 def _solve_exact(A, rhs):
-    # Gaussian elimination over Fraction, first-nonzero pivoting
+    # Gaussian elimination over Fraction, first-nonzero pivoting; a pivot
+    # row acts through its nonzero entries only, which on a triangular
+    # matrix are few
     n = len(A)
     M = [row[:] + [rhs[i]] for i, row in enumerate(A)]
     for col in range(n):
@@ -212,15 +230,19 @@ def _solve_exact(A, rhs):
         if pivot is None:
             raise SingularMatrixError("matrix is singular")
         M[col], M[pivot] = M[pivot], M[col]
+        prow = M[col]
+        support = [j for j in range(col, n + 1) if prow[j]]
         for r in range(col + 1, n):
-            if M[r][col]:
-                factor = M[r][col] / M[col][col]
-                for j in range(col, n + 1):
-                    M[r][j] -= factor * M[col][j]
+            row = M[r]
+            if row[col]:
+                factor = row[col] / prow[col]
+                for j in support:
+                    row[j] -= factor * prow[j]
     x = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
-        acc = M[i][n] - sum((M[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        x[i] = acc / M[i][i]
+        row = M[i]
+        acc = row[n] - sum((row[j] * x[j] for j in range(i + 1, n) if row[j]), Fraction(0))
+        x[i] = acc / row[i]
     return x
 
 

@@ -393,6 +393,101 @@ def test_recurrence_commands_never_crash(command, l, b, n, horizon):
     assert "Traceback" not in err
 
 
+@given(
+    st.sampled_from(["gor", "classify", "crosscheck", "numerator", "hstar", "product", "series"]),
+    st.one_of(
+        st.sampled_from(["rec:3,9", "rec:1,1", "rec:4,-1", "rec:6,-9"]),
+        st.builds("kl:{},{}".format, st.integers(2, 9), st.integers(2, 9)),
+        st.builds("ell:{}".format, st.integers(2, 9)),
+        st.builds("onemodk:{}".format, st.integers(1, 9)),
+    ),
+    st.one_of(
+        st.integers(-3, 12),
+        st.integers(10**4 + 1, 10**4 + 3),
+        st.integers(10**20 - 10, 10**20 + 10),
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_family_specs_never_crash(command, spec, n):
+    # family terms are generated only after --n is charged against the budget
+    argv = [command, "--seq", spec, "--n", str(n)] + (["--m", "6"] if command == "series" else [])
+    with mock.patch.dict(os.environ, {"LHCONE_BUDGET": "10000"}):
+        code, out, err = run(argv)
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert out == ""
+    else:
+        json.loads(out)
+    assert "Traceback" not in err
+    if n > 10**4:
+        assert code == 2 and err == f"error: asked for {n} terms, past the budget of 10000 nodes\n"
+
+
+@pytest.mark.parametrize(
+    "argv, terms",
+    [
+        (["gor", "--seq", "rec:3,9", "--n", str(10**20)], 10**20),
+        (["series", "--seq", "rec:3,9", "--n", str(10**20), "--m", "3"], 10**20),
+        (["gcd-table", "--l", "3", "--b", "9", "--n", str(10**20)], 10**20 + 1),
+        (["profile", "--l", "3", "--b", "9", "--n", str(10**20)], 10**20 + 1),
+        (["n0", "--l", "3", "--b", "9", "--horizon", str(10**20)], 2 * 10**20),
+    ],
+)
+def test_huge_term_counts_hit_budget_before_any_term(argv, terms):
+    # each would draw about 1e20 terms; the default budget stops it at once
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err == f"error: asked for {terms} terms, past the budget of 50000000 nodes\n"
+
+
+def test_term_charge_admits_the_budget_itself(monkeypatch):
+    monkeypatch.setenv("LHCONE_BUDGET", "10000")
+    code, doc, _ = run_json(["gor", "--seq", "onemodk:1", "--n", "10000"])
+    assert code == 0 and doc["n"] == 10000
+    code, out, err = run(["gor", "--seq", "onemodk:1", "--n", "10001"])
+    assert code == 2 and out == "" and "10001 terms" in err
+
+
+def test_shared_parser_answers_like_a_fresh_one(monkeypatch):
+    # one parser serves every call in the process: a usage error, a budget
+    # error and answers in any order leave nothing behind for the next call
+    from lhcone.cli import build_parser
+
+    monkeypatch.setenv("LHCONE_BUDGET", "10000")
+    calls = [
+        ["gor", "--seq", "ell:3", "--n", "6"],
+        ["gor", "--sequence", "ell:3"],
+        ["classify", "--seq", "rec:3,9", "--n", "7", "--format", "text"],
+        ["hstar", "--seq", "list:1,1000,1000000"],
+        ["gor", "--seq", "rec:3,9", "--n", "7", "--format", "csv"],
+        ["classify", "--seq", "list:1,3,5"],
+        ["not-a-command"],
+        ["gor", "--seq", "ell:3", "--n", "6"],
+    ]
+
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = f"exit {exc.code}"
+        return code, out.getvalue(), err.getvalue()
+
+    shared = [outcome(argv) for argv in calls + calls[::-1]]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in calls + calls[::-1]:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared[: len(calls)]] == [0, "exit 2", 0, 2, 1, 0, "exit 2", 0]
+    assert "usage: lhcone" in shared[1][2] and "nodes" in shared[3][2]
+    # the parser holds no command function: one rebound on the module runs
+    with mock.patch("lhcone.cli.cmd_gor", return_value=7):
+        assert main(["gor", "--seq", "ell:3", "--n", "2"]) == 7
+
+
 FAULTY_ENGINE = """
 import sys
 from lhcone import enumeration

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -13,7 +14,7 @@ from lhcone.gcd_structure import (
     ratio_table,
 )
 from lhcone.gorenstein import gorenstein_fail_index
-from lhcone.sequences import generate_recurrence, validate_positivity
+from lhcone.sequences import generate_recurrence, recurrence_terms, validate_positivity
 
 # reference 24-row tables, frozen after independent recomputation
 U_6_36 = [1, 1, 2, 3, 1, 2, 1, 3, 2, 1, 1, 6] * 2
@@ -123,6 +124,46 @@ def test_find_n0_window_is_clean_and_minimal():
         assert all(grows(n) for n in range(n0, n0 + horizon + 1))
         if n0 > 1:
             assert not all(grows(n) for n in range(n0 - 1, n0 + horizon))
+
+
+def oracle_find_n0(l, b, horizon=None):
+    """find_n0 by its definition: each growth value a Fraction, the first
+    hit found by a scan of its own and every window checked in full."""
+    p = gcd_profile(l, b)
+    bound = p.t * (p.r + abs(b))
+
+    def grows(n, s_n):
+        return Fraction(s_n) / (Fraction(p.t) ** (n - 2) * p.sigma ** ((n - 1) // 2)) > bound
+
+    if horizon is None:
+        terms = enumerate(islice(recurrence_terms(l, b), 4096), 1)
+        first_hit = next((n for n, s_n in terms if grows(n, s_n)), None)
+        if first_hit is None:
+            return "no first hit"
+        horizon = max(64, 4 * first_hit)
+    s = generate_recurrence(l, b, 2 * horizon + 1) if horizon >= 0 else []
+    good = [False] + [grows(n, s_n) for n, s_n in enumerate(s, 1)]
+    return next((n0 for n0 in range(1, horizon + 1) if all(good[n0 : n0 + horizon + 1])), "no window")
+
+
+def test_find_n0_matches_oracle_on_grid():
+    wrong = []
+    for l in range(1, 13):
+        for b in range(-40, 41):
+            if b == 0 or not validate_positivity(l, b):
+                continue
+            for horizon in (None, -1, 0, 1, 2, 5, 40):
+                try:
+                    got = find_n0(l, b, horizon)
+                except HorizonTooSmallError as exc:
+                    got = "no first hit" if "within 4096 terms" in str(exc) else "no window"
+                if got != oracle_find_n0(l, b, horizon):
+                    wrong.append((l, b, horizon))
+    # double roots b = -l^2/4 reach the bound late: 12 at (12, -36)
+    for m in (6, 10, 15):
+        if find_n0(2 * m, -m * m) != oracle_find_n0(2 * m, -m * m):
+            wrong.append((2 * m, -m * m, None))
+    assert wrong == []
 
 
 def test_find_n0_stops_at_the_search_cap():

@@ -96,6 +96,77 @@ def test_recursion_matches_oracle(s):
     assert lecture_hall_gorenstein(s) == oracle_gorenstein(s)
 
 
+@st.composite
+def u_generated(draw):
+    # s_{i+1} = u_i*s_i - s_{i-1} with s_0 = 1, cut before the first term
+    # below 1; u_i = 1 makes the terms fall
+    s = [1, draw(st.one_of(st.integers(1, 9), st.integers(1, 10**12)))]
+    for u in draw(st.lists(st.integers(1, 6), max_size=30)):
+        s.append(u * s[-1] - s[-2])
+    return list(itertools.takewhile(lambda x: x >= 1, s[1:]))
+
+
+@given(u_generated())
+@settings(max_examples=300, deadline=None)
+def test_u_steps_match_oracle(s):
+    assert lecture_hall_gorenstein(s) == oracle_gorenstein(s)
+
+
+@st.composite
+def mixed_steps(draw):
+    # each step either a u-step s_j = u*s_{j-1} - s_{j-2} or a free term,
+    # the whole sequence scaled by a common factor
+    s = [1, draw(st.integers(1, 10**6))]
+    for u in draw(st.lists(st.one_of(st.integers(1, 6), st.none()), max_size=20)):
+        nxt = None if u is None else u * s[-1] - s[-2]
+        s.append(draw(st.integers(1, 10**6)) if nxt is None or nxt < 1 else nxt)
+    common = draw(st.integers(1, 12))
+    return [x * common for x in s[1:]]
+
+
+@given(mixed_steps())
+@settings(max_examples=300, deadline=None)
+def test_mixed_u_and_free_steps_match_oracle(s):
+    assert lecture_hall_gorenstein(s) == oracle_gorenstein(s)
+
+
+@given(
+    st.one_of(
+        st.builds(lambda k, l: generate_kl(k, l, 80), st.integers(2, 12), st.integers(2, 12)),
+        st.builds(lambda k: [(i - 1) * k + 1 for i in range(1, 81)], st.integers(1, 50)),
+        st.builds(lambda l: generate_recurrence(l, -1, 80), st.integers(2, 50)),
+    ),
+    st.integers(1, 80),
+)
+@settings(max_examples=200, deadline=None)
+def test_family_prefixes_match_oracle(s, n):
+    assert lecture_hall_gorenstein(s[:n]) == oracle_gorenstein(s[:n])
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        (6, 3, 3),  # j = 3 is a u-step with g_2 = 3 = s_2: remainder 0
+        (2, 2, 2, 2),
+        (4, 6, 8, 4, 8, 4),  # free and u-steps alternate; g_4 = 4 = s_4
+        (1, 3, 9, 6, 3),  # falling u-steps after a gcd of 3
+        (1, 4, 10, 6, 2),
+        (2, 5, 3, 1, 3, 2, 1),  # u = 3, 1, 2, 6, 1, 2 from s_0 = 1
+        (1, 2, 2, 2, 1, 5),  # u, free, u, free, u
+        (5, 3, 1, 2),  # fail at 2, before any u-step
+        (7, 4, 1, 3, 2),
+        (3, 8, 5, 6, 7, 8, 9, 10, 11),  # fails at the free step 4
+    ],
+)
+def test_falling_and_alternating_steps_match_oracle(s):
+    assert lecture_hall_gorenstein(s) == oracle_gorenstein(s)
+
+
+def test_ell_sequence_point_at_two_thousand_terms():
+    s = generate_kl(3, 3, 2000)
+    assert lecture_hall_gorenstein(s).point == ell_sequence_point(3, 2000)
+
+
 def test_gorenstein_smallest_cases():
     r = lecture_hall_gorenstein((1,))
     assert r.gorenstein and r.point == (1,)
@@ -292,6 +363,55 @@ def test_simple_cone_singular():
         simple_cone_gorenstein(parse_matrix("1 1\n1 1\n"))
     with pytest.raises(SingularMatrixError):
         simple_cone_gorenstein(parse_matrix("0 0\n0 1\n"))
+
+
+def oracle_solve(A, rhs):
+    """Dense Gaussian elimination over Fraction with first-nonzero pivoting:
+    the reference for _solve_exact, which skips the zero entries."""
+    n = len(A)
+    M = [list(row) + [rhs[i]] for i, row in enumerate(A)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrixError("matrix is singular")
+        M[col], M[pivot] = M[pivot], M[col]
+        for r in range(col + 1, n):
+            if M[r][col]:
+                factor = M[r][col] / M[col][col]
+                for j in range(col, n + 1):
+                    M[r][j] -= factor * M[col][j]
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = M[i][n] - sum((M[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
+        x[i] = acc / M[i][i]
+    return x
+
+
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def sparse_systems(draw):
+    # square systems with a share of zero entries, singular ones included
+    n = draw(st.integers(1, 7))
+    density = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    entry = st.one_of(fractions, st.just(Fraction(0))) if density < 1 else fractions
+    A = [[draw(entry) if draw(st.floats(0, 1)) < density else Fraction(0) for _ in range(n)] for _ in range(n)]
+    return A, draw(st.lists(fractions, min_size=n, max_size=n))
+
+
+def solve_or_singular(solve, A, rhs):
+    try:
+        return solve([list(row) for row in A], rhs)
+    except SingularMatrixError:
+        return "singular"
+
+
+@given(sparse_systems())
+@settings(max_examples=300, deadline=None)
+def test_solve_exact_matches_dense_elimination(system):
+    A, rhs = system
+    assert solve_or_singular(gorenstein._solve_exact, A, rhs) == solve_or_singular(oracle_solve, A, rhs)
 
 
 def test_parse_matrix_fractions_and_blanks():
