@@ -9,16 +9,18 @@ other exception, each a bug, reported in one line on stderr.
 
 JSON objects carry "schema": 1; unbounded integers are emitted as decimal
 strings so they survive any JSON reader, while small structural indices
-(n, fails_at, thresholds) stay plain numbers.
+(n, fails_at, thresholds) stay plain numbers.  The JSON text is written by
+a small writer of this module whose output is byte-for-byte
+json.dumps(payload, indent=2).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 from .enumeration import (
     BudgetExceeded,
@@ -62,7 +64,8 @@ def _emit(args, payload, csv=None):
     format flattens the payload to key,value rows.
     """
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_json(payload))
+        sys.stdout.write("\n")
     elif args.format == "csv":
         sys.stdout.write(_csv_rows(payload) if csv is None else csv())
     else:
@@ -70,6 +73,55 @@ def _emit(args, payload, csv=None):
             if key == "schema":
                 continue
             sys.stdout.write(f"{key}: {_flat(value)}\n")
+
+
+class _Decimals(list):
+    """A list of str(int) values: JSON strings that need no escaping."""
+
+
+def _json(value):
+    """json.dumps(value, indent=2), byte for byte, for the types payloads
+    hold: dicts with str keys, lists, str, int, bool and None.
+
+    json.dumps cannot use its C encoder when indenting, and escape-scans
+    every string; a _Decimals list is joined in one call instead.  The
+    pieces are joined once at the end, since each copy of a long answer
+    costs as much as the join.
+    """
+    parts = []
+    _json_parts(value, parts, "\n")
+    return "".join(parts)
+
+
+def _json_parts(value, parts, indent):
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+        return
+    inner = indent + "  "
+    if isinstance(value, _Decimals) and value:
+        parts += ("[", inner, '"', ('",' + inner + '"').join(value), '"', indent, "]")
+    elif isinstance(value, list) and value:
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _json_parts(item, parts, inner)
+            sep = "," + inner
+        parts += (indent, "]")
+    elif isinstance(value, dict) and value:
+        sep = "{" + inner
+        for key, item in value.items():
+            parts += (sep, encode_basestring_ascii(key), ": ")
+            _json_parts(item, parts, inner)
+            sep = "," + inner
+        parts += (indent, "}")
+    elif isinstance(value, (list, dict)):
+        parts.append("[]" if isinstance(value, list) else "{}")
+    elif value is None or isinstance(value, bool):
+        parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _flat(value):
@@ -99,7 +151,7 @@ def _coefficients_csv(coeffs):
 
 
 def _strs(values):
-    return [str(v) for v in values]
+    return _Decimals(map(str, values))
 
 
 def _charge_terms(n):
@@ -193,7 +245,7 @@ def cmd_hstar(args):
         "coefficients": _strs(hs.coeffs.coeffs),
         "denominator_exponent": str(hs.denominator_exponent),
         "power": hs.power,
-        "q1": str(hs.coeffs(1)),
+        "q1": str(sum(hs.coeffs.coeffs)),
         "symmetric": hs.symmetric,
         "unimodal": hs.unimodal,
     }

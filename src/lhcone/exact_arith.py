@@ -10,6 +10,9 @@ across threads.
 
 from __future__ import annotations
 
+from itertools import compress, count, islice
+from operator import ge, gt
+
 NEG_INF = float("-inf")
 
 
@@ -71,12 +74,9 @@ def is_palindromic(p):
 def is_unimodal(p):
     """True iff the coefficients weakly rise and then weakly fall."""
     cs = p.coeffs
-    i = 0
-    while i + 1 < len(cs) and cs[i] <= cs[i + 1]:
-        i += 1
-    while i + 1 < len(cs) and cs[i] >= cs[i + 1]:
-        i += 1
-    return i + 1 >= len(cs)
+    # the first descent, then no rise after it; both scans run in C
+    i = next(compress(count(), map(gt, cs, islice(cs, 1, None))), None)
+    return i is None or all(map(ge, islice(cs, i, None), islice(cs, i + 1, None)))
 
 
 class TruncatedSeries:

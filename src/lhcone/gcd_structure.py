@@ -121,9 +121,11 @@ def find_n0(l, b, horizon=None):
 
     With no horizon given, the window defaults to max(64, 4 * first index
     where the bound holds).  Raises HorizonTooSmallError when no window
-    starting at n0 <= horizon is clean.
+    starting at n0 <= horizon is clean, which is every horizon below 1.
     """
     _check_pair(l, b)
+    if horizon is not None and horizon < 1:
+        raise HorizonTooSmallError(f"need horizon >= 1, got {horizon}")
     hits = enumerate(_growth_hits(l, b, gcd_profile(l, b)), start=1)
     drawn = run = 0  # terms drawn so far; hits in a row up to the last one
     if horizon is None:

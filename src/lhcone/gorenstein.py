@@ -192,6 +192,9 @@ def greedy_interior_point(cone):
     return tuple(c)
 
 
+_ZERO = Fraction(0)  # every "0" entry parse_matrix reads: most entries of a sparse matrix
+
+
 def simple_cone_gorenstein(rows):
     """Gorenstein decision for any full-dimensional simple cone.
 
@@ -199,51 +202,85 @@ def simple_cone_gorenstein(rows):
     integer vectors; its positive generator is q_j = gcd(L*row entries)/L
     over a common denominator L.  The cone is Gorenstein iff the solution
     of A*c = (q_1, ..., q_n) is an integer vector, and then c is the
-    Gorenstein point.
+    Gorenstein point.  Row j scaled by its L is an integer row with the
+    same solution for right-hand side gcd(L*row entries), so that integer
+    system is what is solved; only the nonzero entries are kept.
     """
-    A = [list(map(Fraction, row)) for row in rows]
+    A = []
+    for row in rows:
+        row = list(row)
+        # entries are read as Fraction(x) reads them and zeros dropped;
+        # parse_matrix's shared zero is dropped by identity, because testing
+        # a Fraction for zero is a call into Python code
+        entries = [
+            (j, x if isinstance(x, (int, Fraction)) else Fraction(x))
+            for j, x in enumerate(row)
+            if x is not _ZERO
+        ]
+        A.append((len(row), [(j, x) for j, x in entries if x]))
     n = len(A)
-    if n == 0 or any(len(row) != n for row in A):
+    if n == 0 or any(width != n for width, _ in A):
         raise ValueError("need a nonempty square matrix")
-    q = []
-    for i, row in enumerate(A):
-        L = lcm(*(x.denominator for x in row))
-        g = gcd(*(int(x * L) for x in row))
+    B, rhs = [], []
+    for i, (_, entries) in enumerate(A):
+        L = lcm(*(x.denominator for _, x in entries))
+        row = {j: x.numerator * (L // x.denominator) for j, x in entries}
+        g = gcd(*row.values())
         if g == 0:
             raise SingularMatrixError(f"row {i + 1} is zero")
-        q.append(Fraction(g, L))
-    c = _solve_exact(A, q)
+        B.append(row)
+        rhs.append(g)
+    c = _solve_exact(B, rhs)
     for i, x in enumerate(c):
         if x.denominator != 1:
             return GorensteinResult(None, i + 1, x)
     return GorensteinResult(tuple(int(x) for x in c), None, None)
 
 
-def _solve_exact(A, rhs):
-    # Gaussian elimination over Fraction, first-nonzero pivoting; a pivot
-    # row acts through its nonzero entries only, which on a triangular
-    # matrix are few
-    n = len(A)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(A)]
+def _solve_exact(rows, rhs):
+    """Solve A*x = rhs over the rationals; row i of A is given by its nonzero
+    entries, a dict column -> int or Fraction.  Returns x as Fractions.
+
+    Gaussian elimination with first-nonzero pivoting, then back-substitution,
+    each touching nonzero entries only; on a lower-triangular matrix this is
+    forward substitution.
+    """
+    n = len(rows)
+    M = [dict(row) for row in rows]
+    for i, row in enumerate(M):  # the right-hand side rides in column n
+        if rhs[i]:
+            row[n] = rhs[i]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if col in M[r]), None)
         if pivot is None:
             raise SingularMatrixError("matrix is singular")
         M[col], M[pivot] = M[pivot], M[col]
         prow = M[col]
-        support = [j for j in range(col, n + 1) if prow[j]]
+        p = prow[col]
         for r in range(col + 1, n):
             row = M[r]
-            if row[col]:
-                factor = row[col] / prow[col]
-                for j in support:
-                    row[j] -= factor * prow[j]
-    x = [Fraction(0)] * n
+            if col in row:
+                factor = Fraction(row.pop(col), p)
+                for j, v in prow.items():
+                    if j != col:
+                        v = row.get(j, 0) - factor * v
+                        if v:
+                            row[j] = v
+                        else:
+                            row.pop(j, None)
+    x = [None] * n
     for i in range(n - 1, -1, -1):
         row = M[i]
-        acc = row[n] - sum((row[j] * x[j] for j in range(i + 1, n) if row[j]), Fraction(0))
-        x[i] = acc / row[i]
+        acc = row.get(n, 0) - sum(v * x[j] for j, v in row.items() if i < j < n)
+        x[i] = Fraction(acc, row[i])
     return x
+
+
+def _entry(token, lineno):
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"line {lineno}: bad entry '{token}'") from None
 
 
 def parse_matrix(text):
@@ -253,13 +290,7 @@ def parse_matrix(text):
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        row = []
-        for token in line.split():
-            try:
-                row.append(Fraction(token))
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"line {lineno}: bad entry '{token}'") from None
-        rows.append(tuple(row))
+        rows.append(tuple([_ZERO if token == "0" else _entry(token, lineno) for token in line.split()]))
     if not rows:
         raise ValueError("matrix text holds no rows")
     width = len(rows[0])

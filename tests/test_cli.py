@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lhcone.cli import main
+from lhcone.cli import _json, _strs, main
 from lhcone.gcd_structure import ratio_table
 from lhcone.gorenstein import gorenstein_fail_index
 
@@ -698,3 +698,89 @@ def test_series_csv_format():
     lines = out.strip().splitlines()
     assert lines[0] == "degree,coefficient"
     assert lines[1:] == ["0,1", "1,1", "2,1"]
+
+
+# quotes, backslashes, control, non-ASCII and astral characters, among others
+json_text = st.text(
+    st.one_of(st.sampled_from('"\\/\n\t\r\x00\x1f\x7fé€\U0001f600'), st.characters()), max_size=8
+)
+decimal_lists = st.lists(
+    st.one_of(
+        st.integers(-(10**6), 10**6),
+        st.integers(10**999, 10**1000 - 1),  # 1000 digits
+        st.integers(-(10**1000) + 1, -(10**999)),
+    ),
+    max_size=4,
+).map(_strs)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), json_text, decimal_lists),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.dictionaries(json_text, kids, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+@settings(max_examples=300, deadline=None)
+def test_writer_is_json_dumps_with_indent(value):
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+EVERY_SUBCOMMAND = [
+    ["gor", "--seq", "rec:3,9", "--n", "7"],
+    ["gor", "--seq", "ell:3", "--n", "300"],
+    ["series", "--seq", "kl:2,3", "--n", "4", "--m", "12"],
+    ["numerator", "--seq", "list:1,3,5"],
+    ["hstar", "--seq", "list:1,2,3", "--t", "4"],
+    ["product", "--seq", "kl:2,3", "--n", "4"],
+    ["product", "--seq", "list:11,10"],
+    ["gcd-table", "--l", "6", "--b", "-9", "--n", "12"],
+    ["profile", "--l", "6", "--b", "-9", "--n", "8"],
+    ["n0", "--l", "3", "--b", "9"],
+    ["n0", "--l", "3", "--b", "9", "--horizon", "20"],
+    ["classify", "--seq", "rec:3,9", "--n", "7"],
+    ["classify", "--seq", "list:2,4"],
+    ["classify", "--seq", "ell:3", "--n", "5"],
+    ["crosscheck", "--seq", "list:1,3,5"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=" ".join)
+def test_json_output_is_json_dumps_of_itself(argv):
+    code, out, err = run(argv)
+    assert code in (0, 1), err
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def test_matrix_json_output_is_json_dumps_of_itself(tmp_path):
+    m = tmp_path / "cone \"quoted\" é.txt"
+    m.write_text("1 0 0\n-1 1/2 0\n0 -1/2 1/5\n", encoding="utf-8")
+    code, out, err = run(["gor", "--matrix", str(m)])
+    assert code in (0, 1), err
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+@given(
+    st.sampled_from(["gcd-table", "profile", "n0"]),
+    st.integers(-60, 60),
+    st.integers(-900, 900),
+    st.one_of(st.none(), st.integers(-3, 50), st.integers(10**20 - 10, 10**20 + 10)),
+)
+@settings(max_examples=300, deadline=None)
+def test_gcd_commands_never_crash(command, l, b, n):
+    argv = [command, "--l", str(l), "--b", str(b)]
+    if n is not None or command == "gcd-table":
+        argv += ["--horizon" if command == "n0" else "--n", str(3 if n is None else n)]
+    with mock.patch.dict(os.environ, {"LHCONE_BUDGET": "10000"}):
+        code, out, err = run(argv)
+    assert code in (0, 2), err
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        json.loads(out)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("horizon", [-3, -1, 0])
+def test_n0_rejects_horizon_below_one(horizon):
+    code, out, err = run(["n0", "--l", "3", "--b", "9", "--horizon", str(horizon)])
+    assert (code, out, err) == (2, "", f"error: need horizon >= 1, got {horizon}\n")

@@ -49,6 +49,39 @@ def test_unimodal():
     assert not is_unimodal(DensePoly([1, 3, 2, 3]))
 
 
+def oracle_unimodal(cs):
+    """The index loop is_unimodal used before its scans moved into C."""
+    i = 0
+    while i + 1 < len(cs) and cs[i] <= cs[i + 1]:
+        i += 1
+    while i + 1 < len(cs) and cs[i] >= cs[i + 1]:
+        i += 1
+    return i + 1 >= len(cs)
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 3), max_size=12),  # plateaus, empty and one-element lists
+        st.lists(st.integers(-(10**30), 10**30), max_size=6),
+        st.builds(  # unimodal by construction
+            lambda up, down: sorted(up) + sorted(down, reverse=True),
+            st.lists(st.integers(0, 4)),
+            st.lists(st.integers(0, 4)),
+        ),
+    )
+)
+def test_unimodal_matches_index_loop(c):
+    p = DensePoly(c)
+    assert is_unimodal(p) == oracle_unimodal(p.coeffs)
+
+
+def test_unimodal_edges():
+    assert is_unimodal(DensePoly([])) and is_unimodal(DensePoly([5]))
+    assert is_unimodal(DensePoly([2, 2, 3, 3, 1, 1]))
+    assert not is_unimodal(DensePoly([2, 2, 1, 1, 3]))
+    assert not is_unimodal(DensePoly([3, 1, 1, 2]))
+
+
 @given(coeff_lists)
 def test_palindromic_iff_equal_to_reverse(c):
     p = DensePoly(c)

@@ -400,23 +400,124 @@ def sparse_systems(draw):
     return A, draw(st.lists(fractions, min_size=n, max_size=n))
 
 
-def solve_or_singular(solve, A, rhs):
+def solve_or_singular(A, rhs):
     try:
-        return solve([list(row) for row in A], rhs)
+        return oracle_solve(A, rhs)
     except SingularMatrixError:
         return "singular"
+
+
+def sparse_rows(A):
+    # the nonzero entries, integral ones as int, as simple_cone_gorenstein passes them
+    return [{j: int(x) if x.denominator == 1 else x for j, x in enumerate(row) if x} for row in A]
 
 
 @given(sparse_systems())
 @settings(max_examples=300, deadline=None)
 def test_solve_exact_matches_dense_elimination(system):
     A, rhs = system
-    assert solve_or_singular(gorenstein._solve_exact, A, rhs) == solve_or_singular(oracle_solve, A, rhs)
+    rows = sparse_rows(A)
+    try:
+        got = gorenstein._solve_exact(rows, rhs)
+    except SingularMatrixError:
+        got = "singular"
+    else:
+        assert all(type(x) is Fraction for x in got)
+    assert got == solve_or_singular(A, rhs)
+    assert rows == sparse_rows(A)  # the input rows are left as they were
+
+
+def oracle_simple_cone(rows):
+    """simple_cone_gorenstein over dense Fraction rows: each row scaled to
+    its lattice generator q_i, then oracle_solve on A*c = q."""
+    A = [[Fraction(x) for x in row] for row in rows]
+    n = len(A)
+    if n == 0 or any(len(row) != n for row in A):
+        raise ValueError("need a nonempty square matrix")
+    q = []
+    for i, row in enumerate(A):
+        L = lcm(*(x.denominator for x in row))
+        g = gcd(*(int(x * L) for x in row))
+        if g == 0:
+            raise SingularMatrixError(f"row {i + 1} is zero")
+        q.append(Fraction(g, L))
+    c = oracle_solve(A, q)
+    for i, x in enumerate(c):
+        if x.denominator != 1:
+            return GorensteinResult(None, i + 1, x)
+    return GorensteinResult(tuple(int(x) for x in c), None, None)
+
+
+@st.composite
+def cone_matrices(draw):
+    # dense, lower-triangular and singular square matrices, entries given
+    # as int, Fraction or str, which simple_cone_gorenstein all accepts
+    n = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(["dense", "triangular", "singular"]))
+    A = [[draw(fractions) for _ in range(n)] for _ in range(n)]
+    if shape == "triangular":
+        for i in range(n):
+            A[i][i] = draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)))
+            A[i][i + 1 :] = [Fraction(0)] * (n - i - 1)
+    elif shape == "singular":
+        # one row a combination of the others, a zero row when n = 1
+        i = draw(st.integers(0, n - 1))
+        others = [(draw(fractions), row) for k, row in enumerate(A) if k != i]
+        A[i] = [sum((a * row[j] for a, row in others), Fraction(0)) for j in range(n)]
+    kinds = st.sampled_from(["int", "Fraction", "str"])
+
+    def given_as(x, kind):
+        if kind == "str":
+            return str(x)
+        return int(x) if kind == "int" and x.denominator == 1 else x
+
+    return [[given_as(x, draw(kinds)) for x in row] for row in A]
+
+
+def outcome(decide, rows):
+    try:
+        r = decide(rows)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return r.point, r.fails_at, r.witness, type(r.witness)
+
+
+@given(cone_matrices())
+@settings(max_examples=400, deadline=None)
+def test_simple_cone_matches_dense_fraction_oracle(rows):
+    assert outcome(simple_cone_gorenstein, rows) == outcome(oracle_simple_cone, rows)
+
+
+def test_simple_cone_keeps_its_errors():
+    with pytest.raises(ValueError, match="^need a nonempty square matrix$"):
+        simple_cone_gorenstein([])
+    with pytest.raises(ValueError, match="^need a nonempty square matrix$"):
+        simple_cone_gorenstein([[0, 0], [1]])
+    with pytest.raises(SingularMatrixError, match="^row 2 is zero$"):
+        simple_cone_gorenstein([[1, 0], ["0", Fraction(0)]])
+    with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+        simple_cone_gorenstein([["1/2", 1], [1, 2]])
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        simple_cone_gorenstein([["x"], [1, 2]])
 
 
 def test_parse_matrix_fractions_and_blanks():
     rows = parse_matrix("1 0\n\n-1 1/2\n")
     assert rows == ((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(1, 2)))
+
+
+def test_parse_matrix_zero_entries():
+    rows = parse_matrix("0 -0 0/5\n1 0 0/1\n0 2/4 00\n")
+    zeros = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 0), (2, 2)]
+    for i, j in zeros:
+        assert type(rows[i][j]) is Fraction and rows[i][j] == 0
+    assert rows[1][0] == 1 and rows[2][1] == Fraction(1, 2)
+    with pytest.raises(ValueError, match="^line 1: bad entry '0/0'$"):
+        parse_matrix("0 0/0\n")
+    with pytest.raises(ValueError, match="^line 2: bad entry '0x'$"):
+        parse_matrix("0 0\n0x 0\n")
+    with pytest.raises(ValueError, match="^row 2 has 1 entries, expected 2$"):
+        parse_matrix("0 0\n0\n")
 
 
 def test_parse_matrix_errors_name_the_line():
