@@ -7,7 +7,7 @@ for `gor`, no product form for `product`, disagreeing criteria for
 internal error: a failed invariant (an answer that breaks a theorem) or any
 other exception, each a bug, reported in one line on stderr.
 
-JSON objects carry "schema": 1; unbounded integers are emitted as decimal
+JSON objects carry "schema": 2; unbounded integers are emitted as decimal
 strings so they survive any JSON reader, while small structural indices
 (n, fails_at, thresholds) stay plain numbers.  The JSON text is written by
 a small writer of this module whose output is byte-for-byte
@@ -54,7 +54,7 @@ from .sequences import (
     recognize_u_generated,
 )
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 def _emit(args, payload, csv=None):
@@ -262,8 +262,6 @@ def cmd_product(args):
         "schema": SCHEMA,
         "seq": args.seq,
         "n": len(terms),
-        # the degree the verdict was decided through; --m is ignored
-        "m": sum(denominator_exponents(terms)),
         "product_form": exponents is not None,
         "exponents": None if exponents is None else _strs(exponents),
     }
@@ -291,7 +289,7 @@ def cmd_gcd_table(args):
 def cmd_profile(args):
     prof = gcd_profile(args.l, args.b)
     payload = {"schema": SCHEMA, "l": str(args.l), "b": str(args.b), **_profile_fields(prof)}
-    if args.n:
+    if args.n is not None:
         _charge_terms(args.n + 1)
         payload["f_sequence"] = _strs(f_sequence(args.l, args.b, args.n))
     _emit(args, payload)
@@ -344,7 +342,6 @@ def cmd_classify(args):
         if result.fails_at != (fail_index if fail_index and fail_index <= len(terms) else None):
             raise InvariantViolation(f"prefix fails at {result.fails_at}, family at {fail_index}")
         payload["fail_index"] = fail_index
-        payload["fail_horizon"] = None  # the index is exact; --horizon is ignored
         if b != -1:
             verdict = failure_threshold_check(l, b)
             payload["threshold_check"] = {
@@ -415,7 +412,6 @@ def build_parser():
 
     p = sub.add_parser("product", help="test for a pure product-form series")
     _add_seq(p)
-    p.add_argument("--m", type=int, help="deprecated and ignored: the verdict is exact")
     _add_format(p)
 
     p = sub.add_parser("gcd-table", help="normalized consecutive-gcd table")

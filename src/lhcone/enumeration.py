@@ -289,17 +289,27 @@ def product_form(s, max_nodes=None):
     """The exponents of the cone's weight series as prod_i 1/(1 - q^{e_i}).
 
     Returns the sorted e_1..e_n, or None when the series has no such form.
-    The verdict is exact.  With H the numerator over prod_i (1 - q^{d_i})
-    and D = sum(d_i), the series through degree D goes to the greedy of
-    `detect_product_form`, and its exponents are accepted only when
-    deg H + sum(e_i) = D: then H * prod(1 - q^{e_i}) - prod(1 - q^{d_i}) has
-    degree at most D and vanishes through D, so it is zero.  Every e_i is at
-    most D, so the greedy misses none.  The division costs n*(D+1) nodes,
-    charged before any work under the budget of `numerator_H` (max_nodes,
-    else LHCONE_BUDGET).  A product form makes H palindromic and so the
-    cone Gorenstein, a theorem checked on every positive answer.
+    The verdict is exact.  A product form makes the cone Gorenstein
+    (Stanley), so the index recursion answers first and a cone it rejects
+    is None at once, with no enumeration.  Otherwise, with H the numerator
+    over prod_i (1 - q^{d_i}) and D = sum(d_i), the series through degree D
+    goes to the greedy of `detect_product_form`, and its exponents are
+    accepted only when deg H + sum(e_i) = D: then
+    H * prod(1 - q^{e_i}) - prod(1 - q^{d_i}) has degree at most D and
+    vanishes through D, so it is zero.  Every e_i is at most D, so the
+    greedy misses none.  The division costs n*(D+1) nodes, charged before
+    any work under the budget of `numerator_H` (max_nodes, else
+    LHCONE_BUDGET).
+
+    A positive answer must have sum(e_i) = |c|, c the Gorenstein point, a
+    theorem checked on every one: F(1/q) = (-1)^n q^{|c|} F(q) on a
+    Gorenstein cone, and F = prod 1/(1 - q^{e_i}) gives
+    F(1/q) = (-1)^n q^{sum(e_i)} F(q).
     """
     _check_positive(s)
+    point = lecture_hall_gorenstein(s).point
+    if point is None:
+        return None
     d = denominator_exponents(s)
     D = sum(d)
     budget = node_budget() if max_nodes is None else max_nodes
@@ -310,8 +320,10 @@ def product_form(s, max_nodes=None):
     exponents = detect_product_form(TruncatedSeries(series, D), len(s))
     if exponents is None or H.degree + sum(exponents) != D:
         return None
-    if not lecture_hall_gorenstein(s).gorenstein:
-        raise InvariantViolation("a product form whose cone is not Gorenstein")
+    if sum(exponents) != sum(point):
+        raise InvariantViolation(
+            f"product form exponents sum to {sum(exponents)}, the Gorenstein point to {sum(point)}"
+        )
     return exponents
 
 

@@ -57,10 +57,6 @@ class DensePoly:
             acc = acc * x + c
         return acc
 
-    def reverse(self):
-        """The reciprocal polynomial: coefficients read back to front."""
-        return DensePoly(tuple(reversed(self.coeffs)))
-
     def __repr__(self):
         return f"DensePoly({list(self.coeffs)!r})"
 

@@ -1,4 +1,4 @@
-"""Gorenstein decisions for lecture hall cones and simple triangular cones.
+"""Gorenstein decisions for lecture hall cones and general simple cones.
 
 The cone of a positive sequence s is cut out by x_1/s_1 >= 0 and
 x_j/s_j - x_{j-1}/s_{j-1} >= 0; it is Gorenstein exactly when one integer
@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import floor, gcd, lcm
+from math import gcd, lcm
 
 from .sequences import (
     InvariantViolation,
@@ -139,57 +139,6 @@ def u_generated_point(u, n, s1=1):
     if lecture_hall_gorenstein(s).point != point:
         raise InvariantViolation("u-generated point is not the point of the index recursion")
     return point
-
-
-@dataclass(frozen=True)
-class TriangularCone:
-    """A simple cone cut out by a lower-triangular matrix of rational rows
-    with positive diagonal entries."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        n = len(self.rows)
-        norm = []
-        for i, row in enumerate(self.rows):
-            row = tuple(Fraction(x) for x in row)
-            if len(row) != n:
-                raise ValueError(f"row {i + 1} has {len(row)} entries, expected {n}")
-            if row[i] <= 0:
-                raise ValueError(f"diagonal entry {i + 1} must be positive, got {row[i]}")
-            if any(row[j] != 0 for j in range(i + 1, n)):
-                raise ValueError(f"row {i + 1} has nonzero entries above the diagonal")
-            norm.append(row)
-        object.__setattr__(self, "rows", tuple(norm))
-
-
-def lecture_hall_cone(s):
-    """The triangular inequality matrix of the cone of s."""
-    _check_positive(s)
-    n = len(s)
-    rows = []
-    for j in range(1, n + 1):
-        row = [Fraction(0)] * n
-        row[j - 1] = Fraction(1, s[j - 1])
-        if j > 1:
-            row[j - 2] = Fraction(-1, s[j - 2])
-        rows.append(tuple(row))
-    return TriangularCone(tuple(rows))
-
-
-def greedy_interior_point(cone):
-    """Coordinatewise-minimal integer point with every row value positive.
-
-    Rows are triangular, so row i constrains only c_1..c_i and the minimal
-    admissible c_i is floor(R_i) + 1 with R_i the value that would make the
-    row vanish.  On a Gorenstein cone this greedy point is the Gorenstein
-    point.
-    """
-    c = []
-    for i, row in enumerate(cone.rows):
-        partial = sum((row[j] * c[j] for j in range(i)), Fraction(0))
-        c.append(floor(-partial / row[i]) + 1)
-    return tuple(c)
 
 
 _ZERO = Fraction(0)  # every "0" entry parse_matrix reads: most entries of a sparse matrix

@@ -1,6 +1,7 @@
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +10,8 @@ from lhcone import gorenstein
 from lhcone.gorenstein import (
     GorensteinResult,
     SingularMatrixError,
-    TriangularCone,
     ell_sequence_point,
     gorenstein_fail_index,
-    greedy_interior_point,
-    lecture_hall_cone,
     lecture_hall_gorenstein,
     parse_matrix,
     simple_cone_gorenstein,
@@ -34,6 +32,58 @@ def oracle_gorenstein(s):
             return GorensteinResult(None, j, Fraction(num, s[j - 2]))
         c.append(q)
     return GorensteinResult(tuple(c), None, None)
+
+
+@dataclass(frozen=True)
+class TriangularCone:
+    """A simple cone cut out by a lower-triangular matrix of rational rows
+    with positive diagonal entries: the rational-matrix route to a
+    Gorenstein point, the oracle for lecture_hall_gorenstein and
+    simple_cone_gorenstein."""
+
+    rows: tuple
+
+    def __post_init__(self):
+        n = len(self.rows)
+        norm = []
+        for i, row in enumerate(self.rows):
+            row = tuple(Fraction(x) for x in row)
+            if len(row) != n:
+                raise ValueError(f"row {i + 1} has {len(row)} entries, expected {n}")
+            if row[i] <= 0:
+                raise ValueError(f"diagonal entry {i + 1} must be positive, got {row[i]}")
+            if any(row[j] != 0 for j in range(i + 1, n)):
+                raise ValueError(f"row {i + 1} has nonzero entries above the diagonal")
+            norm.append(row)
+        object.__setattr__(self, "rows", tuple(norm))
+
+
+def lecture_hall_cone(s):
+    """The triangular inequality matrix of the cone of s."""
+    n = len(s)
+    rows = []
+    for j in range(1, n + 1):
+        row = [Fraction(0)] * n
+        row[j - 1] = Fraction(1, s[j - 1])
+        if j > 1:
+            row[j - 2] = Fraction(-1, s[j - 2])
+        rows.append(tuple(row))
+    return TriangularCone(tuple(rows))
+
+
+def greedy_interior_point(cone):
+    """Coordinatewise-minimal integer point with every row value positive.
+
+    Rows are triangular, so row i constrains only c_1..c_i and the minimal
+    admissible c_i is floor(R_i) + 1 with R_i the value that would make the
+    row vanish.  On a Gorenstein cone this greedy point is the Gorenstein
+    point.
+    """
+    c = []
+    for i, row in enumerate(cone.rows):
+        partial = sum((row[j] * c[j] for j in range(i)), Fraction(0))
+        c.append(floor(-partial / row[i]) + 1)
+    return tuple(c)
 
 
 def test_recursion_matches_oracle_on_certificate_edges():
@@ -318,6 +368,7 @@ def test_greedy_interior_point_is_recursion_point():
     for s in [(1,), (1, 2), (1, 3, 5), (1, 2, 3, 4), (1, 3, 5, 7)]:
         cone = lecture_hall_cone(s)
         assert greedy_interior_point(cone) == lecture_hall_gorenstein(s).point
+        assert greedy_interior_point(cone) == simple_cone_gorenstein(cone.rows).point
 
 
 def test_greedy_interior_point_strictly_inside():
