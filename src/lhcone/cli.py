@@ -17,6 +17,7 @@ json.dumps(payload, indent=2).
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import sys
 from dataclasses import asdict
@@ -64,8 +65,7 @@ def _emit(args, payload, csv=None):
     format flattens the payload to key,value rows.
     """
     if args.format == "json":
-        sys.stdout.write(_json(payload))
-        sys.stdout.write("\n")
+        _write_json(payload)
     elif args.format == "csv":
         sys.stdout.write(_csv_rows(payload) if csv is None else csv())
     else:
@@ -76,7 +76,8 @@ def _emit(args, payload, csv=None):
 
 
 class _Decimals(list):
-    """A list of str(int) values: JSON strings that need no escaping."""
+    """A list of integers in decimal, str() of an int or of an integral
+    Decimal: JSON strings that need no escaping."""
 
 
 def _json(value):
@@ -84,34 +85,66 @@ def _json(value):
     hold: dicts with str keys, lists, str, int, bool and None.
 
     json.dumps cannot use its C encoder when indenting, and escape-scans
-    every string; a _Decimals list is joined in one call instead.  The
-    pieces are joined once at the end, since each copy of a long answer
-    costs as much as the join.
+    every string; a _Decimals list is joined in bodies of _BODY_ITEMS
+    entries instead, one call each.
     """
     parts = []
-    _json_parts(value, parts, "\n")
+    _json_parts(value, parts, "\n", [])
     return "".join(parts)
 
 
-def _json_parts(value, parts, indent):
+def _write_json(value):
+    """Write _json(value) and a newline to stdout without joining the text.
+
+    The bodies of the _Decimals lists, which hold nearly all of a long
+    answer, are written one by one, so no copy of the whole answer is made,
+    neither as one string nor as its encoded bytes; the short parts between
+    bodies are joined, one write per run, since on answers of many small
+    parts a write each costs more than the join.
+    """
+    parts, bodies = [], []
+    _json_parts(value, parts, "\n", bodies)
+    parts.append("\n")
+    start = 0
+    for i in bodies:
+        sys.stdout.write("".join(parts[start:i]))
+        sys.stdout.write(parts[i])
+        start = i + 1
+    sys.stdout.write("".join(parts[start:]))
+
+
+# entries of a _Decimals list joined into one body: about a megabyte of text
+_BODY_ITEMS = 1 << 16
+
+
+def _json_parts(value, parts, indent, bodies):
+    """Append the pieces of value's text to parts, and to bodies the index
+    in parts of each body: up to _BODY_ITEMS entries of a _Decimals list,
+    joined in one call."""
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
         return
     inner = indent + "  "
     if isinstance(value, _Decimals) and value:
-        parts += ("[", inner, '"', ('",' + inner + '"').join(value), '"', indent, "]")
+        sep = '",' + inner + '"'
+        parts += ("[", inner)
+        for i in range(0, len(value), _BODY_ITEMS):
+            parts.append('"' if i == 0 else sep)
+            bodies.append(len(parts))
+            parts.append(sep.join(value[i : i + _BODY_ITEMS]))
+        parts += ('"', indent, "]")
     elif isinstance(value, list) and value:
         sep = "[" + inner
         for item in value:
             parts.append(sep)
-            _json_parts(item, parts, inner)
+            _json_parts(item, parts, inner, bodies)
             sep = "," + inner
         parts += (indent, "]")
     elif isinstance(value, dict) and value:
         sep = "{" + inner
         for key, item in value.items():
             parts += (sep, encode_basestring_ascii(key), ": ")
-            _json_parts(item, parts, inner)
+            _json_parts(item, parts, inner, bodies)
             sep = "," + inner
         parts += (indent, "}")
     elif isinstance(value, (list, dict)):
@@ -172,6 +205,34 @@ def _realized(args):
     return spec, terms
 
 
+# integers computed exactly: every digit kept, and any rounding an error
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+)
+# from about 300 digits on, str(int)'s quadratic cost outweighs what a
+# Decimal step costs more than an int step (measured on ell and kl points)
+_DECIMAL_BITS = 1000
+
+
+def _gorenstein(terms):
+    """lecture_hall_gorenstein(terms), with a point built to be printed.
+
+    Entries of a long point are built in Decimal under _EXACT and printed
+    in linear time (see `_index_recursion`); the caller's decimal context
+    is left as it was.  Every entry c_j is below j*s_j, since
+    c_j/s_j <= c_{j-1}/s_{j-1} + 1/s_j, and the families grow, so the last
+    term stands for the length of the entries; a list that ends in a short
+    term takes the int route, which prints the same digits.
+    """
+    if terms[-1].bit_length() <= _DECIMAL_BITS:
+        return lecture_hall_gorenstein(terms)
+    with decimal.localcontext(_EXACT):
+        return lecture_hall_gorenstein(terms, decimal.Decimal)
+
+
 def _gor_fields(result):
     if result.gorenstein:
         return {"gorenstein": True, "point": _strs(result.point)}
@@ -194,7 +255,7 @@ def cmd_gor(args):
         if args.seq is None:
             raise ValueError("one of --seq or --matrix is required")
         _, terms = _realized(args)
-        result = lecture_hall_gorenstein(terms)
+        result = _gorenstein(terms)
         source = {"seq": args.seq, "n": len(terms)}
     _emit(args, {"schema": SCHEMA, **source, **_gor_fields(result)})
     return 0 if result.gorenstein else 1
@@ -332,7 +393,7 @@ def cmd_classify(args):
             payload["u_generation"] = {"status": "not-u-generated"}
         else:
             payload["u_generation"] = {"status": "recognized", "u": _strs(u)}
-    result = lecture_hall_gorenstein(terms)
+    result = _gorenstein(terms)
     payload.update(_gor_fields(result))
     if spec.kind == "recurrence":
         l, b = spec.params

@@ -46,7 +46,8 @@ box of those ranges, whose size bounds every coefficient.
 Every count is charged against one budget of nodes, where a node is one
 packed slot of a state or one coefficient of the output.  The output length
 and one slot per state are known in closed form and charged before any
-work, the rest of each state's slots as the state is made.  The environment
+work, as is the length of the h*-vector that `h_star` builds from the
+output, the rest of each state's slots as the state is made.  The environment
 variable LHCONE_BUDGET, a positive integer, overrides the default cap;
 exceeding it raises BudgetExceeded rather than letting an oversized
 instance spin forever or exhaust memory.
@@ -117,11 +118,13 @@ def _add_term(runs, o, p, W):
     runs.append((k, o, p))
 
 
-def _lattice(s, g, limit, max_nodes):
+def _lattice(s, g, limit, max_nodes, charged=0):
     """Lattice points of the cone of s graded by g, nonnegative and ending in 1.
 
     With limit None, the coefficients of sum_{x in Pi} q^{g.x}; otherwise
-    counts[k] = #{x in the cone : g.x = k} for k = 0..limit.
+    counts[k] = #{x in the cone : g.x = k} for k = 0..limit.  charged nodes,
+    the slots a caller builds from the answer, count against the budget
+    with the rest.
     """
     budget = node_budget() if max_nodes is None else max_nodes
     n = len(s)
@@ -143,7 +146,7 @@ def _lattice(s, g, limit, max_nodes):
             tops.append(limit * sj // tail)
         tops.reverse()
         length = limit + 1
-    used = length + sum(tops[:-1]) + n - 1
+    used = charged + length + sum(tops[:-1]) + n - 1
     if used > budget:
         raise BudgetExceeded(f"enumeration passed {budget} nodes")
     # Pi has prod(s) points; the cone's prefixes x_1..x_{n-1} lie in a box
@@ -357,7 +360,9 @@ def h_star(s, max_nodes=None):
     n = len(s)
     sn = s[-1]
     g = (0,) * (n - 1) + (1,)
-    Q = DensePoly(_window_sum(_lattice(s, g, None, max_nodes), sn))
+    # the window sum builds an answer of degree below (n+1)*s_n, charged
+    # with the lattice before it runs
+    Q = DensePoly(_window_sum(_lattice(s, g, None, max_nodes, (n + 1) * sn), sn))
     if sum(Q.coeffs) != sn * prod(s) or min(Q.coeffs) < 1 or Q.degree >= (n + 1) * sn:
         raise InvariantViolation(
             "h*-vector is not positive of degree < (n+1)*s_n with value s_n*prod(s) at 1"

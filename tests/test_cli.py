@@ -1,9 +1,12 @@
+import decimal
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import lcm
 from unittest import mock
@@ -11,10 +14,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lhcone.cli import _json, _strs, main
+from lhcone import cli
+from lhcone.cli import _json, _strs, _write_json, main
 from lhcone.gcd_structure import ratio_table
-from lhcone.gorenstein import gorenstein_fail_index
-from lhcone.sequences import generate_recurrence
+from lhcone.gorenstein import ell_sequence_point, gorenstein_fail_index, lecture_hall_gorenstein
+from lhcone.sequences import generate_recurrence, parse_sequence_spec
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 LONG_ONES = "list:" + ",".join(["1"] * 1500)
@@ -692,6 +696,133 @@ def test_answers_past_the_int_str_limit():
     assert code == 0 and out.endswith("point: 1 1" + "0" * 4399 + "1\n")
 
 
+def library_answer(s):
+    """The library's int answer, as text the way the CLI prints it."""
+    result = lecture_hall_gorenstein(s)
+    if result.gorenstein:
+        return {"gorenstein": True, "point": [str(c) for c in result.point]}
+    return {"gorenstein": False, "fails_at": result.fails_at, "witness": str(result.witness)}
+
+
+def cli_answer(argv):
+    code, doc, err = run_json(argv)
+    assert code in (0, 1), err
+    return {key: doc[key] for key in ("gorenstein", "point", "fails_at", "witness") if key in doc}
+
+
+def mixed_list(rng, start, steps):
+    # u-steps s_j = u*s_{j-1} - s_{j-2} and division steps s_j = k*s_{j-1}
+    # (integral: c_j = k*c_{j-1} + 1) in the order given, then a free term
+    s = [1, start]
+    for kind in steps:
+        s.append(rng.randint(2, 6) * s[-1] - s[-2] if kind == "u" else rng.randint(1, 9) * s[-1])
+    s.append(s[-1] + rng.randint(1, 10**6))
+    return s[1:]
+
+
+def mixed_lists():
+    rng = random.Random(12)
+    runs = ["u" * 40 + "d" * 5 + "u" * 40, "d" * 30 + "u" * 30 + "d" * 30, "ud" * 40, "uudd" * 20]
+    return [mixed_list(rng, 10 ** rng.randint(300, 400) + 1, run) for run in runs]
+
+
+def test_printed_point_is_the_int_point_on_the_corpus():
+    from test_enumeration import CORPUS
+
+    for s in CORPUS:
+        spec = "list:" + ",".join(map(str, s))
+        assert cli_answer(["gor", "--seq", spec]) == library_answer(s)
+        assert cli_answer(["classify", "--seq", spec]) == library_answer(s)
+
+
+@pytest.mark.parametrize("spec", ["ell:2", "ell:3", "ell:4", "ell:5", "ell:6", "kl:2,5", "kl:7,3", "onemodk:7"])
+def test_printed_point_is_the_int_point_on_families(spec):
+    # the short points are built in int, the long ones in Decimal
+    for n in (1, 2, 400, 1100, 2000):
+        s = parse_sequence_spec(spec).realize(n)
+        assert cli_answer(["gor", "--seq", spec, "--n", str(n)]) == library_answer(s)
+    for n in (3, 1100):
+        s = parse_sequence_spec(spec).realize(n)
+        assert cli_answer(["classify", "--seq", spec, "--n", str(n)]) == library_answer(s)
+
+
+def test_printed_point_is_the_int_point_on_division_steps_and_mixed_lists():
+    # rec:l,0 takes division steps only; the lists switch between u-steps
+    # and division steps both ways, then fail on a free term
+    for spec, n in (("rec:2,0", 2000), ("rec:10,0", 1000)):
+        s = parse_sequence_spec(spec).realize(n)
+        assert cli_answer(["gor", "--seq", spec, "--n", str(n)]) == library_answer(s)
+        listed = "list:" + ",".join(map(str, s[: n // 2]))
+        assert cli_answer(["classify", "--seq", listed]) == library_answer(s[: n // 2])
+    for s in mixed_lists():
+        for m in (len(s), len(s) - 1):
+            spec = "list:" + ",".join(map(str, s[:m]))
+            assert cli_answer(["gor", "--seq", spec]) == library_answer(s[:m])
+            assert cli_answer(["classify", "--seq", spec]) == library_answer(s[:m])
+
+
+def test_long_points_are_built_in_decimal():
+    # the route the tests above compare: Decimal entries past the size
+    # where str(int) gets slow, ints below it
+    long = cli._gorenstein(parse_sequence_spec("ell:3").realize(2000)).point
+    short = cli._gorenstein(parse_sequence_spec("ell:3").realize(300)).point
+    assert isinstance(long[-1], decimal.Decimal)
+    assert all(type(c) is int for c in short)
+
+
+def test_decimal_context_is_left_as_it_was():
+    with decimal.localcontext() as ctx:
+        decimal.getcontext().prec = 5
+        for n in (300, 2000):
+            code, doc, err = run_json(["gor", "--seq", "ell:3", "--n", str(n)])
+            assert code == 0, err
+            assert doc["point"] == [str(c) for c in ell_sequence_point(3, n)]
+            assert decimal.getcontext() is ctx
+            assert ctx.prec == 5 and not ctx.traps[decimal.Inexact]
+
+
+SAME_UNDER_OPTIMIZE = """
+import sys
+from lhcone.cli import main
+
+assert False, "asserts must be stripped in this run"
+for line in sys.stdin:
+    main(line.split())
+"""
+
+
+def test_printed_points_are_the_same_under_optimize():
+    argvs = [
+        ["gor", "--seq", "ell:3", "--n", "2000"],
+        ["classify", "--seq", "kl:2,5", "--n", "1100"],
+        ["gor", "--seq", "rec:10,0", "--n", "1000"],
+        ["classify", "--seq", "rec:3,9", "--n", "7"],
+    ]
+    argvs += [["gor", "--seq", "list:" + ",".join(map(str, s))] for s in mixed_lists()]
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SAME_UNDER_OPTIMIZE],
+        input="".join(" ".join(argv) + "\n" for argv in argvs),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout == "".join(run(argv)[1] for argv in argvs)
+
+
+def test_hstar_charges_its_answer_before_the_lattice(monkeypatch):
+    # rec:5,6 n=9: the lattice charges 13,081,820 nodes up front and the
+    # h*-vector, of degree below (n+1)*s_n, 14,396,710 more; a budget
+    # between the two sums stops it at once, not after the lattice
+    monkeypatch.setenv("LHCONE_BUDGET", "20000000")
+    start = time.perf_counter()
+    code, out, err = run(["hstar", "--seq", "rec:5,6", "--n", "9"])
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: enumeration passed 20000000 nodes\n")
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int <-> str limit")
 def test_int_str_limit_is_restored():
     before = sys.get_int_max_str_digits()
@@ -757,6 +888,16 @@ json_values = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_writer_is_json_dumps_with_indent(value):
     assert _json(value) == json.dumps(value, indent=2)
+
+
+@given(json_values)
+@settings(max_examples=100, deadline=None)
+def test_streamed_writer_writes_json_dumps_with_indent(value):
+    # bodies of two entries, so the lists drawn here span several
+    out = io.StringIO()
+    with mock.patch("lhcone.cli._BODY_ITEMS", 2), redirect_stdout(out):
+        _write_json(value)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
 
 
 EVERY_SUBCOMMAND = [
