@@ -61,18 +61,16 @@ SCHEMA = 2
 def _emit(args, payload, csv=None):
     """Render one result object in the chosen format, byte-deterministically.
 
-    csv, when given, returns the command's own table; without it the csv
-    format flattens the payload to key,value rows.
+    JSON puts "schema" first.  csv, when given, returns the command's own
+    table; without it the csv format flattens the payload to key,value rows.
     """
     if args.format == "json":
-        _write_json(payload)
+        _write_json({"schema": SCHEMA, **payload})
     elif args.format == "csv":
-        sys.stdout.write(_csv_rows(payload) if csv is None else csv())
+        sys.stdout.write(csv() if csv else _csv("key,value", _flat_items(payload)))
     else:
-        for key, value in payload.items():
-            if key == "schema":
-                continue
-            sys.stdout.write(f"{key}: {_flat(value)}\n")
+        for key, value in _flat_items(payload):
+            sys.stdout.write(f"{key}: {value}\n")
 
 
 class _Decimals(list):
@@ -80,27 +78,18 @@ class _Decimals(list):
     Decimal: JSON strings that need no escaping."""
 
 
-def _json(value):
-    """json.dumps(value, indent=2), byte for byte, for the types payloads
-    hold: dicts with str keys, lists, str, int, bool and None.
+def _write_json(value):
+    """Write json.dumps(value, indent=2) and a newline to stdout, byte for
+    byte, for the types payloads hold: dicts with str keys, lists, str, int,
+    bool and None.
 
     json.dumps cannot use its C encoder when indenting, and escape-scans
     every string; a _Decimals list is joined in bodies of _BODY_ITEMS
-    entries instead, one call each.
-    """
-    parts = []
-    _json_parts(value, parts, "\n", [])
-    return "".join(parts)
-
-
-def _write_json(value):
-    """Write _json(value) and a newline to stdout without joining the text.
-
-    The bodies of the _Decimals lists, which hold nearly all of a long
-    answer, are written one by one, so no copy of the whole answer is made,
-    neither as one string nor as its encoded bytes; the short parts between
-    bodies are joined, one write per run, since on answers of many small
-    parts a write each costs more than the join.
+    entries instead, one call each.  The bodies, which hold nearly all of a
+    long answer, are written one by one, so no copy of the whole answer is
+    made, neither as one string nor as its encoded bytes; the short parts
+    between bodies are joined, one write per run, since on answers of many
+    small parts a write each costs more than the join.
     """
     parts, bodies = [], []
     _json_parts(value, parts, "\n", bodies)
@@ -171,16 +160,12 @@ def _flat(value):
     return str(value)
 
 
-def _csv_rows(payload):
-    out = ["key,value"]
-    out += [f"{k},{_flat(v)}" for k, v in payload.items() if k != "schema"]
-    return "\n".join(out) + "\n"
+def _flat_items(payload):
+    return ((key, _flat(value)) for key, value in payload.items())
 
 
-def _coefficients_csv(coeffs):
-    out = ["degree,coefficient"]
-    out += [f"{m},{c}" for m, c in enumerate(coeffs)]
-    return "\n".join(out) + "\n"
+def _csv(header, rows):
+    return "\n".join([header, *(f"{a},{b}" for a, b in rows)]) + "\n"
 
 
 def _strs(values):
@@ -257,7 +242,7 @@ def cmd_gor(args):
         _, terms = _realized(args)
         result = _gorenstein(terms)
         source = {"seq": args.seq, "n": len(terms)}
-    _emit(args, {"schema": SCHEMA, **source, **_gor_fields(result)})
+    _emit(args, {**source, **_gor_fields(result)})
     return 0 if result.gorenstein else 1
 
 
@@ -267,13 +252,12 @@ def cmd_series(args):
     _emit(
         args,
         {
-            "schema": SCHEMA,
             "seq": args.seq,
             "n": len(terms),
             "m": args.m,
             "coefficients": _strs(f.coeffs),
         },
-        lambda: _coefficients_csv(f.coeffs),
+        lambda: _csv("degree,coefficient", enumerate(f.coeffs)),
     )
     return 0
 
@@ -284,14 +268,13 @@ def cmd_numerator(args):
     _emit(
         args,
         {
-            "schema": SCHEMA,
             "seq": args.seq,
             "n": len(terms),
             "denominator_exponents": _strs(denominator_exponents(terms)),
             "coefficients": _strs(H.coeffs),
             "palindromic": is_palindromic(H),
         },
-        lambda: _coefficients_csv(H.coeffs),
+        lambda: _csv("degree,coefficient", enumerate(H.coeffs)),
     )
     return 0
 
@@ -300,7 +283,6 @@ def cmd_hstar(args):
     _, terms = _realized(args)
     hs = h_star(terms)
     payload = {
-        "schema": SCHEMA,
         "seq": args.seq,
         "n": len(terms),
         "coefficients": _strs(hs.coeffs.coeffs),
@@ -312,7 +294,7 @@ def cmd_hstar(args):
     }
     if args.t is not None:
         payload["ehrhart_counts"] = _strs(ehrhart_counts(terms, args.t))
-    _emit(args, payload, lambda: _coefficients_csv(hs.coeffs.coeffs))
+    _emit(args, payload, lambda: _csv("degree,coefficient", enumerate(hs.coeffs.coeffs)))
     return 0
 
 
@@ -320,7 +302,6 @@ def cmd_product(args):
     _, terms = _realized(args)
     exponents = product_form(terms)
     payload = {
-        "schema": SCHEMA,
         "seq": args.seq,
         "n": len(terms),
         "product_form": exponents is not None,
@@ -334,7 +315,6 @@ def cmd_gcd_table(args):
     _charge_terms(args.n + 1)
     table = ratio_table(args.l, args.b, args.n)
     payload = {
-        "schema": SCHEMA,
         "l": str(args.l),
         "b": str(args.b),
         "n": args.n,
@@ -349,7 +329,7 @@ def cmd_gcd_table(args):
 
 def cmd_profile(args):
     prof = gcd_profile(args.l, args.b)
-    payload = {"schema": SCHEMA, "l": str(args.l), "b": str(args.b), **_profile_fields(prof)}
+    payload = {"l": str(args.l), "b": str(args.b), **_profile_fields(prof)}
     if args.n is not None:
         _charge_terms(args.n + 1)
         payload["f_sequence"] = _strs(f_sequence(args.l, args.b, args.n))
@@ -363,7 +343,6 @@ def cmd_n0(args):
         _charge_terms(2 * args.horizon)
     n0 = find_n0(args.l, args.b, args.horizon)
     payload = {
-        "schema": SCHEMA,
         "l": str(args.l),
         "b": str(args.b),
         "n0": n0,
@@ -378,7 +357,6 @@ def cmd_n0(args):
 def cmd_classify(args):
     spec, terms = _realized(args)
     payload = {
-        "schema": SCHEMA,
         "seq": args.seq,
         "kind": spec.kind,
         "n": len(terms),
@@ -397,13 +375,14 @@ def cmd_classify(args):
     payload.update(_gor_fields(result))
     if spec.kind == "recurrence":
         l, b = spec.params
-        payload["profile"] = _profile_fields(gcd_profile(l, b))
+        if b != 0:
+            payload["profile"] = _profile_fields(gcd_profile(l, b))
         fail_index = gorenstein_fail_index(l, b)
         # the prefix fails first where the family does, if that is within it
         if result.fails_at != (fail_index if fail_index and fail_index <= len(terms) else None):
             raise InvariantViolation(f"prefix fails at {result.fails_at}, family at {fail_index}")
         payload["fail_index"] = fail_index
-        if b != -1:
+        if b not in (0, -1):
             verdict = failure_threshold_check(l, b)
             payload["threshold_check"] = {
                 "applicable": verdict.applicable,
@@ -420,7 +399,6 @@ def cmd_crosscheck(args):
     _emit(
         args,
         {
-            "schema": SCHEMA,
             "seq": args.seq,
             "n": len(terms),
             "recursion_gorenstein": report.recursion_gorenstein,
@@ -437,10 +415,6 @@ def _add_seq(p, required=True):
     p.add_argument("--n", type=int, help="number of terms to realize")
 
 
-def _add_format(p):
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-
-
 @functools.cache
 def build_parser():
     """The argument parser, built on first use and shared by every later call
@@ -455,53 +429,45 @@ def build_parser():
     p = sub.add_parser("gor", help="decide the Gorenstein property")
     _add_seq(p, required=False)
     p.add_argument("--matrix", help="file with one inequality row per line (p/q entries)")
-    _add_format(p)
 
     p = sub.add_parser("series", help="weight series coefficients through degree M")
     _add_seq(p)
     p.add_argument("--m", type=int, required=True, help="truncation degree")
-    _add_format(p)
 
     p = sub.add_parser("numerator", help="generating function numerator")
     _add_seq(p)
-    _add_format(p)
 
     p = sub.add_parser("hstar", help="h*-vector of the associated polytope")
     _add_seq(p)
     p.add_argument("--t", type=int, help="also report lattice counts for dilates 0..T")
-    _add_format(p)
 
     p = sub.add_parser("product", help="test for a pure product-form series")
     _add_seq(p)
-    _add_format(p)
 
     p = sub.add_parser("gcd-table", help="normalized consecutive-gcd table")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="number of rows")
-    _add_format(p)
 
     p = sub.add_parser("profile", help="gcd profile r, t, sigma, gamma, beta")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--n", type=int, help="also report the reduced f-sequence to n")
-    _add_format(p)
 
     p = sub.add_parser("n0", help="stable growth index for the failure bound")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--horizon", type=int, help="verification window (default adaptive)")
-    _add_format(p)
 
     p = sub.add_parser("classify", help="full report: u-generation, Gorenstein, profile")
     _add_seq(p)
     p.add_argument("--horizon", type=int, help="deprecated and ignored: the fail index is exact")
-    _add_format(p)
 
     p = sub.add_parser("crosscheck", help="three-way Gorenstein criteria agreement")
     _add_seq(p)
-    _add_format(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     return parser
 
 

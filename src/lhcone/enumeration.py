@@ -232,9 +232,9 @@ def ehrhart_counts(s, T, max_nodes=None):
 
 
 def denominator_exponents(s):
-    """The tail sums d_i = s_i + ... + s_n."""
+    """The tail sums d_i = s_i + ... + s_n, in one pass."""
     _check_positive(s)
-    return [sum(s[i:]) for i in range(len(s))]
+    return list(accumulate(reversed(s)))[::-1]
 
 
 def numerator_H(s, max_nodes=None):

@@ -132,18 +132,23 @@ def recognize_u_generated(s):
     Requires gcd(s_i, s_{i+1}) = 1 for every consecutive pair; a violation
     raises CoprimalityError, which is a different outcome than returning
     None (the recognition criterion is only an iff under that hypothesis).
+
+    Only the pairs from the first non-integral step on need a gcd: an
+    integral step s_i = u*s_{i-1} - s_{i-2} gives gcd(s_i, s_{i-1}) =
+    gcd(s_{i-1}, s_{i-2}), which is gcd(s_1, s_0 = 1) = 1 at the start, so
+    every pair before the first non-integral step is coprime.
     """
     _check_positive(s)
-    for i in range(len(s) - 1):
-        if gcd(s[i], s[i + 1]) != 1:
-            raise CoprimalityError(
-                f"terms {i + 1} and {i + 2} share a factor: gcd({s[i]}, {s[i + 1]}) != 1"
-            )
     u = []
     t = [1, *s]  # t[i] = s_i, and s_0 = 1 makes s_2 = u_1*s_1 - 1 an instance of the rule
     for i in range(2, len(t)):
         q, r = divmod(t[i] + t[i - 2], t[i - 1])
         if r != 0 or q < 1:
+            for j in range(i - 1, len(t) - 1):
+                if gcd(t[j], t[j + 1]) != 1:
+                    raise CoprimalityError(
+                        f"terms {j} and {j + 1} share a factor: gcd({t[j]}, {t[j + 1]}) != 1"
+                    )
             return None
         u.append(q)
     return u
@@ -158,6 +163,17 @@ def one_mod_k(k, n):
     return [(i - 1) * k + 1 for i in range(1, n + 1)]
 
 
+# the families by text name: kind, parameter word, least value, parameter
+# count, and the generator of the terms s_1..s_n
+_FAMILIES = {
+    "rec": ("recurrence", "coefficient", None, 2, generate_recurrence),
+    "kl": ("kl", "parameter", 2, 2, generate_kl),
+    "ell": ("ell", "parameter", 2, 1, lambda l, n: generate_kl(l, l, n)),
+    "onemodk": ("one_mod_k", "parameter", 1, 1, one_mod_k),
+}
+_GENERATORS = {kind: generate for kind, _, _, _, generate in _FAMILIES.values()}
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """A parsed sequence description: a family plus parameters, or a list."""
@@ -166,7 +182,7 @@ class SequenceSpec:
     params: tuple
 
     def needs_length(self):
-        return self.kind in ("recurrence", "kl", "ell", "one_mod_k")
+        return self.default_length() is None
 
     def default_length(self):
         if self.kind == "explicit":
@@ -188,22 +204,12 @@ class SequenceSpec:
             if n > len(self.params):
                 raise ValueError(f"list has {len(self.params)} terms, asked for {n}")
             return list(self.params[:n])
-        if self.kind == "recurrence":
-            l, b = self.params
-            return generate_recurrence(l, b, n)
-        if self.kind == "kl":
-            k, l = self.params
-            return generate_kl(k, l, n)
-        if self.kind == "ell":
-            (l,) = self.params
-            return generate_kl(l, l, n)
         if self.kind == "u":
             u, s1 = self.params
             return generate_from_u(u, s1, n)
-        if self.kind == "one_mod_k":
-            (k,) = self.params
-            return one_mod_k(k, n)
-        raise ValueError(f"unknown kind '{self.kind}'")
+        if self.kind not in _GENERATORS:
+            raise ValueError(f"unknown kind '{self.kind}'")
+        return _GENERATORS[self.kind](*self.params, n)
 
 
 def _parse_int_list(text, offset, what, minimum=None):
@@ -230,29 +236,16 @@ def parse_sequence_spec(text):
         raise SpecParseError("expected 'kind:...' with one of rec, kl, ell, u, onemodk, list", 0)
     kind = head.strip()
     arg_offset = len(head) + 1
-    if kind == "rec":
-        vals = _parse_int_list(rest, arg_offset, "coefficient")
-        if len(vals) != 2:
-            raise SpecParseError(f"rec takes exactly two coefficients, got {len(vals)}", arg_offset)
-        l, b = vals
-        if not validate_positivity(l, b):
+    if kind in _FAMILIES:
+        spec_kind, word, least, count, _ = _FAMILIES[kind]
+        vals = _parse_int_list(rest, arg_offset, word, minimum=least)
+        if len(vals) != count:
+            words = f"{('one', 'two')[count - 1]} {word}{'s' if count > 1 else ''}"
+            raise SpecParseError(f"{kind} takes exactly {words}, got {len(vals)}", arg_offset)
+        if kind == "rec" and not validate_positivity(*vals):
+            l, b = vals
             raise SpecParseError(f"recurrence l={l}, b={b} does not stay positive", arg_offset)
-        return SequenceSpec("recurrence", (l, b))
-    if kind == "kl":
-        vals = _parse_int_list(rest, arg_offset, "parameter", minimum=2)
-        if len(vals) != 2:
-            raise SpecParseError(f"kl takes exactly two parameters, got {len(vals)}", arg_offset)
-        return SequenceSpec("kl", tuple(vals))
-    if kind == "ell":
-        vals = _parse_int_list(rest, arg_offset, "parameter", minimum=2)
-        if len(vals) != 1:
-            raise SpecParseError(f"ell takes exactly one parameter, got {len(vals)}", arg_offset)
-        return SequenceSpec("ell", tuple(vals))
-    if kind == "onemodk":
-        vals = _parse_int_list(rest, arg_offset, "parameter", minimum=1)
-        if len(vals) != 1:
-            raise SpecParseError(f"onemodk takes exactly one parameter, got {len(vals)}", arg_offset)
-        return SequenceSpec("one_mod_k", tuple(vals))
+        return SequenceSpec(spec_kind, tuple(vals))
     if kind == "list":
         vals = _parse_int_list(rest, arg_offset, "term", minimum=1)
         return SequenceSpec("explicit", tuple(vals))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lhcone import cli
-from lhcone.cli import _json, _strs, _write_json, main
+from lhcone.cli import _strs, _write_json, main
 from lhcone.gcd_structure import ratio_table
 from lhcone.gorenstein import ell_sequence_point, gorenstein_fail_index, lecture_hall_gorenstein
 from lhcone.sequences import generate_recurrence, parse_sequence_spec
@@ -259,6 +259,20 @@ def test_classify_huge_horizon_returns():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["fail_index"] == 7
+
+
+@pytest.mark.parametrize("l", [1, 2, 10])
+@pytest.mark.parametrize("n", [3, 50])
+def test_classify_accepts_b_zero(l, n):
+    # b = 0 has no gcd profile; the family is Gorenstein for every n
+    argv = ["--seq", f"rec:{l},0", "--n", str(n)]
+    _, gor, _ = run_json(["gor", *argv])
+    code, cls, err = run_json(["classify", *argv])
+    assert code == 0, err
+    for key in ("gorenstein", "point", "fails_at", "witness"):
+        assert cls.get(key) == gor.get(key)
+    assert cls["fail_index"] is None
+    assert "profile" not in cls and "threshold_check" not in cls
 
 
 def test_classify_profile_matches_profile():
@@ -823,6 +837,16 @@ def test_hstar_charges_its_answer_before_the_lattice(monkeypatch):
     assert (code, out, err) == (2, "", "error: enumeration passed 20000000 nodes\n")
 
 
+def test_product_budget_refusal_on_a_long_list_is_immediate(monkeypatch):
+    # the denominator's 20,000 tail sums come before the budget charge
+    monkeypatch.delenv("LHCONE_BUDGET", raising=False)
+    terms = "list:" + ",".join(["1"] * 20000)
+    start = time.perf_counter()
+    code, out, err = run(["product", "--seq", terms])
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: enumeration passed 50000000 nodes\n")
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int <-> str limit")
 def test_int_str_limit_is_restored():
     before = sys.get_int_max_str_digits()
@@ -886,18 +910,14 @@ json_values = st.recursive(
 
 @given(json_values)
 @settings(max_examples=300, deadline=None)
-def test_writer_is_json_dumps_with_indent(value):
-    assert _json(value) == json.dumps(value, indent=2)
-
-
-@given(json_values)
-@settings(max_examples=100, deadline=None)
 def test_streamed_writer_writes_json_dumps_with_indent(value):
-    # bodies of two entries, so the lists drawn here span several
-    out = io.StringIO()
-    with mock.patch("lhcone.cli._BODY_ITEMS", 2), redirect_stdout(out):
-        _write_json(value)
-    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+    # at the default body size, and in bodies of two entries, so the lists
+    # drawn here span several
+    for body_items in (cli._BODY_ITEMS, 2):
+        out = io.StringIO()
+        with mock.patch("lhcone.cli._BODY_ITEMS", body_items), redirect_stdout(out):
+            _write_json(value)
+        assert out.getvalue() == json.dumps(value, indent=2) + "\n"
 
 
 EVERY_SUBCOMMAND = [

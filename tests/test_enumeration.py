@@ -290,6 +290,11 @@ def test_denominator_exponents():
     assert denominator_exponents((1,)) == [1]
 
 
+@given(st.lists(st.integers(1, 10**30), min_size=1, max_size=40))
+def test_denominator_exponents_are_tail_sums(s):
+    assert denominator_exponents(s) == [sum(s[i:]) for i in range(len(s))]
+
+
 def test_numerator_identity_value():
     H = numerator_H((1, 3, 5, 7))
     assert H(1) == 105

@@ -104,6 +104,50 @@ def test_recognize_singleton():
     assert recognize_u_generated((7,)) == []
 
 
+def sweep_recognize(s):
+    """u-recognition with a gcd on every consecutive pair before looking for u."""
+    for i in range(len(s) - 1):
+        if gcd(s[i], s[i + 1]) != 1:
+            raise CoprimalityError(
+                f"terms {i + 1} and {i + 2} share a factor: gcd({s[i]}, {s[i + 1]}) != 1"
+            )
+    u = []
+    t = [1, *s]
+    for i in range(2, len(t)):
+        q, r = divmod(t[i] + t[i - 2], t[i - 1])
+        if r != 0 or q < 1:
+            return None
+        u.append(q)
+    return u
+
+
+def outcome(f, s):
+    try:
+        return f(s)
+    except CoprimalityError as exc:
+        return str(exc)
+
+
+@st.composite
+def u_prefixes(draw):
+    """A u-generated sequence, some of its terms scaled or shifted, and a
+    tail of arbitrary terms: integral steps up to a point, then anything."""
+    u = draw(st.lists(st.integers(1, 5), max_size=8))
+    try:
+        s = generate_from_u(u, draw(st.integers(1, 5)), len(u) + 1)
+    except ValueError:
+        s = [1]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(s) - 1))
+        s[i] = max(1, s[i] + draw(st.integers(-3, 3))) * draw(st.sampled_from([1, 2, 3]))
+    return s + draw(st.lists(st.integers(1, 12), max_size=2))
+
+
+@given(st.one_of(st.lists(st.integers(1, 12), min_size=1, max_size=7), u_prefixes()))
+def test_recognition_matches_the_gcd_sweep(s):
+    assert outcome(recognize_u_generated, s) == outcome(sweep_recognize, s)
+
+
 @given(
     st.lists(st.integers(1, 6), min_size=1, max_size=7),
     st.integers(1, 4),
@@ -155,21 +199,38 @@ def test_parse_u_with_first_term():
     assert sp.default_length() == 5
 
 
-def test_parse_errors_carry_positions():
+SPEC_ERRORS = [
+    ("no-colon", "expected 'kind:...' with one of rec, kl, ell, u, onemodk, list", 0),
+    ("zzz:1", "unknown kind 'zzz'", 0),
+    ("list:1,x,5", "expected an integer term, got 'x'", 7),
+    ("rec:3,y", "expected an integer coefficient, got 'y'", 6),
+    ("ell:", "expected an integer parameter, got ''", 4),
+    ("rec:3", "rec takes exactly two coefficients, got 1", 4),
+    ("rec:1,2,3", "rec takes exactly two coefficients, got 3", 4),
+    ("kl:2", "kl takes exactly two parameters, got 1", 3),
+    ("kl:2,3,4", "kl takes exactly two parameters, got 3", 3),
+    ("ell:2,3", "ell takes exactly one parameter, got 2", 4),
+    ("onemodk:1,2", "onemodk takes exactly one parameter, got 2", 8),
+    ("kl:1,3", "parameter must be >= 2, got 1", 3),
+    ("kl:3, 1", "parameter must be >= 2, got 1", 6),
+    ("ell:1", "parameter must be >= 2, got 1", 4),
+    ("onemodk:0", "parameter must be >= 1, got 0", 8),
+    ("list:1,0", "term must be >= 1, got 0", 7),
+    ("rec:2,-2", "recurrence l=2, b=-2 does not stay positive", 4),
+    ("rec:0,3", "recurrence l=0, b=3 does not stay positive", 4),
+    ("u:1,2", "u form is 'u:u1,u2,...;s1'", 5),
+    ("u:1,0;1", "multiplier must be >= 1, got 0", 4),
+    ("u:1;0", "first term must be >= 1, got 0", 4),
+    ("u:1;1,2", "exactly one first term after ';'", 4),
+]
+
+
+@pytest.mark.parametrize("text, message, position", SPEC_ERRORS, ids=[e[0] for e in SPEC_ERRORS])
+def test_parse_errors_carry_positions(text, message, position):
     with pytest.raises(SpecParseError) as ei:
-        parse_sequence_spec("list:1,x,5")
-    assert ei.value.position == 7
-    with pytest.raises(SpecParseError) as ei:
-        parse_sequence_spec("zzz:1")
-    assert ei.value.position == 0
-    with pytest.raises(SpecParseError):
-        parse_sequence_spec("rec:3")
-    with pytest.raises(SpecParseError):
-        parse_sequence_spec("kl:1,3")
-    with pytest.raises(SpecParseError):
-        parse_sequence_spec("no-colon")
-    with pytest.raises(SpecParseError):
-        parse_sequence_spec("rec:2,-2")
+        parse_sequence_spec(text)
+    assert ei.value.position == position
+    assert str(ei.value) == f"{message} (position {position})"
 
 
 def test_family_realization_needs_length():
