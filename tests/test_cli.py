@@ -910,14 +910,22 @@ json_values = st.recursive(
 
 @given(json_values)
 @settings(max_examples=300, deadline=None)
+def test_writer_is_json_dumps_with_indent(value):
+    # at the default body size
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _write_json(value)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+
+
+@given(json_values)
+@settings(max_examples=100, deadline=None)
 def test_streamed_writer_writes_json_dumps_with_indent(value):
-    # at the default body size, and in bodies of two entries, so the lists
-    # drawn here span several
-    for body_items in (cli._BODY_ITEMS, 2):
-        out = io.StringIO()
-        with mock.patch("lhcone.cli._BODY_ITEMS", body_items), redirect_stdout(out):
-            _write_json(value)
-        assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+    # bodies of two entries, so the lists drawn here span several
+    out = io.StringIO()
+    with mock.patch("lhcone.cli._BODY_ITEMS", 2), redirect_stdout(out):
+        _write_json(value)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
 
 
 EVERY_SUBCOMMAND = [
