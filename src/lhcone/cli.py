@@ -21,6 +21,7 @@ import decimal
 import functools
 import sys
 from dataclasses import asdict
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .enumeration import (
@@ -58,82 +59,96 @@ from .sequences import (
 SCHEMA = 2
 
 
-def _emit(args, payload, csv=None):
+def _emit(args, payload, table=None):
     """Render one result object in the chosen format, byte-deterministically.
 
-    JSON puts "schema" first.  csv, when given, returns the command's own
-    table; without it the csv format flattens the payload to key,value rows.
+    JSON puts "schema" first.  table, when given, is the command's csv: a
+    header line and row lines, of fields that need no quoting.  Other csv is
+    key,value rows, a value quoted (RFC 4180) when it holds a comma, a quote
+    or a line break.  Long lists and rows go out through _join.
     """
+    csv = args.format == "csv"
     if args.format == "json":
         _write_json({"schema": SCHEMA, **payload})
-    elif args.format == "csv":
-        sys.stdout.write(csv() if csv else _csv("key,value", _flat_items(payload)))
+    elif csv and table:
+        _join([table[0]], "", table[1])  # a table has rows, so the header goes too
     else:
-        for key, value in _flat_items(payload):
-            sys.stdout.write(f"{key}: {value}\n")
+        parts = ["key,value\n"] if csv else []
+        for key, value in payload.items():
+            parts.append(f"{key}," if csv else f"{key}: ")
+            if isinstance(value, _Decimals):
+                _join(parts, " ", value)
+            else:
+                field = _flat(value)
+                if csv and any(c in field for c in ',"\r\n'):
+                    field = '"' + field.replace('"', '""') + '"'
+                parts.append(field)
+            parts.append("\n")
+        sys.stdout.write("".join(parts))
 
 
 class _Decimals(list):
-    """A list of integers in decimal, str() of an int or of an integral
-    Decimal: JSON strings that need no escaping."""
+    """A list of integers, ints or integral Decimals, written in decimal:
+    JSON strings that need no escaping, csv fields that need no quoting."""
 
 
 def _write_json(value):
     """Write json.dumps(value, indent=2) and a newline to stdout, byte for
     byte, for the types payloads hold: dicts with str keys, lists, str, int,
-    bool and None.
+    bool and None, with a _Decimals list's entries as strings.
 
     json.dumps cannot use its C encoder when indenting, and escape-scans
-    every string; a _Decimals list is joined in bodies of _BODY_ITEMS
-    entries instead, one call each.  The bodies, which hold nearly all of a
-    long answer, are written one by one, so no copy of the whole answer is
-    made, neither as one string nor as its encoded bytes; the short parts
-    between bodies are joined, one write per run, since on answers of many
-    small parts a write each costs more than the join.
+    every string; a _Decimals list goes through _join instead.  The short
+    parts between such lists are joined, one write per run, since on
+    answers of many small parts a write each costs more than the join.
     """
-    parts, bodies = [], []
-    _json_parts(value, parts, "\n", bodies)
+    parts = []
+    _json_parts(value, parts, "\n")
     parts.append("\n")
-    start = 0
-    for i in bodies:
-        sys.stdout.write("".join(parts[start:i]))
-        sys.stdout.write(parts[i])
-        start = i + 1
-    sys.stdout.write("".join(parts[start:]))
+    sys.stdout.write("".join(parts))
 
 
-# entries of a _Decimals list joined into one body: about a megabyte of text
+# items in one piece of _join; a list any benchmark operation writes fits in
+# one: 2,000 entries at most, and 953 kB of JSON at most (ell:7 --n 1500)
 _BODY_ITEMS = 1 << 16
 
 
-def _json_parts(value, parts, indent, bodies):
-    """Append the pieces of value's text to parts, and to bodies the index
-    in parts of each body: up to _BODY_ITEMS entries of a _Decimals list,
-    joined in one call."""
+def _join(parts, sep, items):
+    """Write parts, then items joined by sep, to stdout, _BODY_ITEMS items a
+    piece, each turned into text only as it is written; parts is written
+    and emptied before each piece, and the caller goes on appending to it."""
+    items, lead = iter(items), ""
+    while piece := list(islice(items, _BODY_ITEMS)):
+        parts.append(lead)
+        sys.stdout.write("".join(parts))
+        parts.clear()
+        sys.stdout.write(sep.join(map(str, piece)))
+        lead = sep
+
+
+def _json_parts(value, parts, indent):
+    """Append the pieces of value's text to parts; a _Decimals list is
+    written through _join."""
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
         return
     inner = indent + "  "
     if isinstance(value, _Decimals) and value:
-        sep = '",' + inner + '"'
-        parts += ("[", inner)
-        for i in range(0, len(value), _BODY_ITEMS):
-            parts.append('"' if i == 0 else sep)
-            bodies.append(len(parts))
-            parts.append(sep.join(value[i : i + _BODY_ITEMS]))
+        parts += ("[", inner, '"')
+        _join(parts, '",' + inner + '"', value)
         parts += ('"', indent, "]")
     elif isinstance(value, list) and value:
         sep = "[" + inner
         for item in value:
             parts.append(sep)
-            _json_parts(item, parts, inner, bodies)
+            _json_parts(item, parts, inner)
             sep = "," + inner
         parts += (indent, "]")
     elif isinstance(value, dict) and value:
         sep = "{" + inner
         for key, item in value.items():
             parts += (sep, encode_basestring_ascii(key), ": ")
-            _json_parts(item, parts, inner, bodies)
+            _json_parts(item, parts, inner)
             sep = "," + inner
         parts += (indent, "}")
     elif isinstance(value, (list, dict)):
@@ -158,18 +173,6 @@ def _flat(value):
     if value is False:
         return "false"
     return str(value)
-
-
-def _flat_items(payload):
-    return ((key, _flat(value)) for key, value in payload.items())
-
-
-def _csv(header, rows):
-    return "\n".join([header, *(f"{a},{b}" for a, b in rows)]) + "\n"
-
-
-def _strs(values):
-    return _Decimals(map(str, values))
 
 
 def _charge_terms(n):
@@ -220,7 +223,7 @@ def _gorenstein(terms):
 
 def _gor_fields(result):
     if result.gorenstein:
-        return {"gorenstein": True, "point": _strs(result.point)}
+        return {"gorenstein": True, "point": _Decimals(result.point)}
     return {"gorenstein": False, "fails_at": result.fails_at, "witness": str(result.witness)}
 
 
@@ -255,9 +258,9 @@ def cmd_series(args):
             "seq": args.seq,
             "n": len(terms),
             "m": args.m,
-            "coefficients": _strs(f.coeffs),
+            "coefficients": _Decimals(f.coeffs),
         },
-        lambda: _csv("degree,coefficient", enumerate(f.coeffs)),
+        ("degree,coefficient\n", (f"{d},{c}\n" for d, c in enumerate(f.coeffs))),
     )
     return 0
 
@@ -270,11 +273,11 @@ def cmd_numerator(args):
         {
             "seq": args.seq,
             "n": len(terms),
-            "denominator_exponents": _strs(denominator_exponents(terms)),
-            "coefficients": _strs(H.coeffs),
+            "denominator_exponents": _Decimals(denominator_exponents(terms)),
+            "coefficients": _Decimals(H.coeffs),
             "palindromic": is_palindromic(H),
         },
-        lambda: _csv("degree,coefficient", enumerate(H.coeffs)),
+        ("degree,coefficient\n", (f"{d},{c}\n" for d, c in enumerate(H.coeffs))),
     )
     return 0
 
@@ -285,7 +288,7 @@ def cmd_hstar(args):
     payload = {
         "seq": args.seq,
         "n": len(terms),
-        "coefficients": _strs(hs.coeffs.coeffs),
+        "coefficients": _Decimals(hs.coeffs.coeffs),
         "denominator_exponent": str(hs.denominator_exponent),
         "power": hs.power,
         "q1": str(sum(hs.coeffs.coeffs)),
@@ -293,8 +296,9 @@ def cmd_hstar(args):
         "unimodal": hs.unimodal,
     }
     if args.t is not None:
-        payload["ehrhart_counts"] = _strs(ehrhart_counts(terms, args.t))
-    _emit(args, payload, lambda: _csv("degree,coefficient", enumerate(hs.coeffs.coeffs)))
+        payload["ehrhart_counts"] = _Decimals(ehrhart_counts(terms, args.t))
+    rows = (f"{d},{c}\n" for d, c in enumerate(hs.coeffs.coeffs))
+    _emit(args, payload, ("degree,coefficient\n", rows))
     return 0
 
 
@@ -305,7 +309,7 @@ def cmd_product(args):
         "seq": args.seq,
         "n": len(terms),
         "product_form": exponents is not None,
-        "exponents": None if exponents is None else _strs(exponents),
+        "exponents": None if exponents is None else _Decimals(exponents),
     }
     _emit(args, payload)
     return 0 if exponents is not None else 1
@@ -323,7 +327,7 @@ def cmd_gcd_table(args):
             for (n, g, norm, u) in table.rows
         ],
     }
-    _emit(args, payload, table.to_csv)
+    _emit(args, payload, ("n,gcd,normalizer,u_n\n", (f"{n},{g},{m},{u}\n" for n, g, m, u in table.rows)))
     return 0
 
 
@@ -332,7 +336,7 @@ def cmd_profile(args):
     payload = {"l": str(args.l), "b": str(args.b), **_profile_fields(prof)}
     if args.n is not None:
         _charge_terms(args.n + 1)
-        payload["f_sequence"] = _strs(f_sequence(args.l, args.b, args.n))
+        payload["f_sequence"] = _Decimals(f_sequence(args.l, args.b, args.n))
     _emit(args, payload)
     return 0
 
@@ -360,7 +364,7 @@ def cmd_classify(args):
         "seq": args.seq,
         "kind": spec.kind,
         "n": len(terms),
-        "terms": _strs(terms),
+        "terms": _Decimals(terms),
     }
     try:
         u = recognize_u_generated(terms)
@@ -370,7 +374,7 @@ def cmd_classify(args):
         if u is None:
             payload["u_generation"] = {"status": "not-u-generated"}
         else:
-            payload["u_generation"] = {"status": "recognized", "u": _strs(u)}
+            payload["u_generation"] = {"status": "recognized", "u": _Decimals(u)}
     result = _gorenstein(terms)
     payload.update(_gor_fields(result))
     if spec.kind == "recurrence":

@@ -61,11 +61,6 @@ class RatioTable:
     def u_values(self):
         return [u for (_, _, _, u) in self.rows]
 
-    def to_csv(self):
-        lines = ["n,gcd,normalizer,u_n"]
-        lines += [f"{n},{g},{norm},{u}" for (n, g, norm, u) in self.rows]
-        return "\n".join(lines) + "\n"
-
 
 def ratio_table(l, b, N):
     _check_pair(l, b)

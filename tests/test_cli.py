@@ -1,3 +1,4 @@
+import csv
 import decimal
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lhcone import cli
-from lhcone.cli import _strs, _write_json, main
+from lhcone.cli import _Decimals, _write_json, main
 from lhcone.gcd_structure import ratio_table
 from lhcone.gorenstein import ell_sequence_point, gorenstein_fail_index, lecture_hall_gorenstein
 from lhcone.sequences import generate_recurrence, parse_sequence_spec
@@ -174,7 +175,7 @@ def test_gcd_table_csv():
     assert len(lines) == 25
     u = [line.split(",")[3] for line in lines[1:]]
     assert u == [str(x) for x in [1, 1, 2, 3, 1, 2, 1, 3, 2, 1, 1, 6] * 2]
-    assert out == ratio_table(6, 36, 24).to_csv()
+    assert lines[1:] == [",".join(map(str, row)) for row in ratio_table(6, 36, 24).rows]
 
 
 def test_profile_fields():
@@ -898,14 +899,25 @@ decimal_lists = st.lists(
         st.integers(-(10**6), 10**6),
         st.integers(10**999, 10**1000 - 1),  # 1000 digits
         st.integers(-(10**1000) + 1, -(10**999)),
-    ),
+    ).flatmap(lambda i: st.sampled_from([i, decimal.Decimal(i)])),
     max_size=4,
-).map(_strs)
+).map(_Decimals)
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), json_text, decimal_lists),
     lambda kids: st.one_of(st.lists(kids, max_size=4), st.dictionaries(json_text, kids, max_size=4)),
     max_leaves=20,
 )
+
+
+def as_strings(value):
+    """value with each _Decimals list as the decimal strings the writer prints."""
+    if isinstance(value, _Decimals):
+        return [str(v) for v in value]
+    if isinstance(value, list):
+        return [as_strings(v) for v in value]
+    if isinstance(value, dict):
+        return {k: as_strings(v) for k, v in value.items()}
+    return value
 
 
 @given(json_values)
@@ -915,7 +927,7 @@ def test_writer_is_json_dumps_with_indent(value):
     out = io.StringIO()
     with redirect_stdout(out):
         _write_json(value)
-    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+    assert out.getvalue() == json.dumps(as_strings(value), indent=2) + "\n"
 
 
 @given(json_values)
@@ -925,7 +937,7 @@ def test_streamed_writer_writes_json_dumps_with_indent(value):
     out = io.StringIO()
     with mock.patch("lhcone.cli._BODY_ITEMS", 2), redirect_stdout(out):
         _write_json(value)
-    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+    assert out.getvalue() == json.dumps(as_strings(value), indent=2) + "\n"
 
 
 EVERY_SUBCOMMAND = [
@@ -960,6 +972,57 @@ def test_matrix_json_output_is_json_dumps_of_itself(tmp_path):
     code, out, err = run(["gor", "--matrix", str(m)])
     assert code in (0, 1), err
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+@pytest.mark.parametrize("argv", [*EVERY_SUBCOMMAND, ["gor", "--matrix", "QUOTED"]], ids=" ".join)
+def test_csv_output_is_csv(argv, tmp_path):
+    # a value with a comma or a quote (specs, dicts, the path) is quoted,
+    # as csv.writer quotes it
+    m = tmp_path / "cone \"quoted\" é.txt"
+    m.write_text("1 0 0\n-1 1/2 0\n0 -1/2 1/5\n", encoding="utf-8")
+    argv = [str(m) if a == "QUOTED" else a for a in argv]
+    code, out, err = run([*argv, "--format", "csv"])
+    assert code in (0, 1), err
+    header, *rows = csv.reader(io.StringIO(out))
+    assert rows and all(len(row) == len(header) for row in rows)
+    written = io.StringIO()
+    csv.writer(written, lineterminator="\n").writerows([header, *rows])
+    assert written.getvalue() == out
+    if header == ["key", "value"]:
+        assert [f"{k}: {v}" for k, v in rows] == run([*argv, "--format", "text"])[1].splitlines()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=" ".join)
+def test_output_does_not_depend_on_the_piece_size(argv, fmt):
+    want = run([*argv, "--format", fmt])
+    with mock.patch("lhcone.cli._BODY_ITEMS", 2):
+        assert run([*argv, "--format", fmt]) == want
+
+
+class Pieces(list):
+    """A stdout that keeps each write apart."""
+
+    write = list.append
+
+
+# what stands between two entries of a long list inside one piece
+ENTRY_SEPARATOR = {"json": r'(?<=\d)",\n +"(?=\d)', "csv": r"(?<=\d)\n(?=\d)", "text": r"(?<=\d) (?=\d)"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize(
+    "argv", [["hstar", "--seq", "list:1,3,5"], ["series", "--seq", "list:1,2", "--m", "40"]], ids=" ".join
+)
+def test_long_lists_go_out_two_entries_a_piece(argv, fmt):
+    # the memory bound, seen without measuring memory: no write holds more
+    # than _BODY_ITEMS entries of a list
+    argv = [*argv, "--format", fmt]
+    pieces = Pieces()
+    with mock.patch("lhcone.cli._BODY_ITEMS", 2), redirect_stdout(pieces):
+        assert main(argv) == 0
+    assert "".join(pieces) == run(argv)[1]
+    assert max(len(re.findall(ENTRY_SEPARATOR[fmt], piece)) for piece in pieces) == 1
 
 
 @given(
