@@ -12,6 +12,10 @@ strings so they survive any JSON reader, while small structural indices
 (n, fails_at, thresholds) stay plain numbers.  The JSON text is written by
 a small writer of this module whose output is byte-for-byte
 json.dumps(payload, indent=2).
+
+The text format prints one "key: value" line per key.  In a value, a
+backslash is written as two backslashes, a carriage return as \\r and a line
+feed as \\n, so every value stays on its line and reads back unambiguously.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ from .gcd_structure import (
     ratio_table,
 )
 from .gorenstein import (
+    GorensteinResult,
+    _u_point,
     gorenstein_fail_index,
     lecture_hall_gorenstein,
     parse_matrix,
@@ -65,7 +71,8 @@ def _emit(args, payload, table=None):
     JSON puts "schema" first.  table, when given, is the command's csv: a
     header line and row lines, of fields that need no quoting.  Other csv is
     key,value rows, a value quoted (RFC 4180) when it holds a comma, a quote
-    or a line break.  Long lists and rows go out through _join.
+    or a line break.  Text is "key: value" lines, a value escaped as the
+    module docstring says.  Long lists and rows go out through _join.
     """
     csv = args.format == "csv"
     if args.format == "json":
@@ -80,7 +87,9 @@ def _emit(args, payload, table=None):
                 _join(parts, " ", value)
             else:
                 field = _flat(value)
-                if csv and any(c in field for c in ',"\r\n'):
+                if not csv:
+                    field = field.replace("\\", "\\\\").replace("\r", "\\r").replace("\n", "\\n")
+                elif any(c in field for c in ',"\r\n'):
                     field = '"' + field.replace('"', '""') + '"'
                 parts.append(field)
             parts.append("\n")
@@ -182,15 +191,20 @@ def _charge_terms(n):
         raise BudgetExceeded(f"asked for {n} terms, past the budget of {budget} nodes")
 
 
-def _realized(args):
+def _spec(args):
+    """The parsed --seq and --n, with n charged against the budget."""
     spec = parse_sequence_spec(args.seq)
     n = args.n
     if n is None and spec.needs_length():
         raise ValueError(f"--n is required for '{args.seq}'")
     if n is not None:
         _charge_terms(n)
-    terms = spec.realize(n)
-    return spec, terms
+    return spec, n
+
+
+def _realized(args):
+    spec, n = _spec(args)
+    return spec, spec.realize(n)
 
 
 # integers computed exactly: every digit kept, and any rounding an error
@@ -221,6 +235,16 @@ def _gorenstein(terms):
         return lecture_hall_gorenstein(terms, decimal.Decimal)
 
 
+def _u_gorenstein(u):
+    """The Gorenstein result of a family whose kind fixes its multipliers u
+    (`SequenceSpec.multipliers`): Gorenstein for every n, with the point
+    built from u alone (see `_u_point`).  The entries are ints until one
+    passes _DECIMAL_BITS, and Decimal under _EXACT from the entry before it
+    on; the caller's decimal context is left as it was."""
+    with decimal.localcontext(_EXACT):
+        return GorensteinResult(_u_point(u, decimal.Decimal, _DECIMAL_BITS), None, None)
+
+
 def _gor_fields(result):
     if result.gorenstein:
         return {"gorenstein": True, "point": _Decimals(result.point)}
@@ -242,9 +266,14 @@ def cmd_gor(args):
     else:
         if args.seq is None:
             raise ValueError("one of --seq or --matrix is required")
-        _, terms = _realized(args)
-        result = _gorenstein(terms)
-        source = {"seq": args.seq, "n": len(terms)}
+        spec, n = _spec(args)
+        u = spec.multipliers(n)
+        if u is None:
+            terms = spec.realize(n)
+            n, result = len(terms), _gorenstein(terms)
+        else:
+            result = _u_gorenstein(u)
+        source = {"seq": args.seq, "n": n}
     _emit(args, {**source, **_gor_fields(result)})
     return 0 if result.gorenstein else 1
 
@@ -366,8 +395,12 @@ def cmd_classify(args):
         "n": len(terms),
         "terms": _Decimals(terms),
     }
+    # a family whose kind fixes its multipliers is decided by theorem
+    u = spec.multipliers(len(terms))
+    family = u is not None
     try:
-        u = recognize_u_generated(terms)
+        if not family:
+            u = recognize_u_generated(terms)
     except CoprimalityError as exc:
         payload["u_generation"] = {"status": "hypothesis-violated", "detail": str(exc)}
     else:
@@ -375,7 +408,7 @@ def cmd_classify(args):
             payload["u_generation"] = {"status": "not-u-generated"}
         else:
             payload["u_generation"] = {"status": "recognized", "u": _Decimals(u)}
-    result = _gorenstein(terms)
+    result = _u_gorenstein(u) if family else _gorenstein(terms)
     payload.update(_gor_fields(result))
     if spec.kind == "recurrence":
         l, b = spec.params
@@ -393,6 +426,9 @@ def cmd_classify(args):
                 "threshold": verdict.threshold,
                 "actual": verdict.actual,
             }
+    elif family:
+        # every step is a u-step: Gorenstein for every n (see _u_point)
+        payload["fail_index"] = None
     _emit(args, payload)
     return 0
 

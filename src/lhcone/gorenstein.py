@@ -16,6 +16,13 @@ A step with s_j = u*s_{j-1} - s_{j-2}, as on ell-sequences, is always
 integral and takes c_j = u*c_{j-1} - c_{j-2}, in O(digits).  The
 recursion builds those entries in a number type the caller picks: the CLI
 picks decimal.Decimal for long points, whose str() is linear in the digits.
+
+So a point has two routes.  The index recursion runs on realized terms and
+serves every sequence.  `_u_point` builds the point from the multipliers
+alone, for the families whose kind fixes them (ell, kl, onemodk and
+rec:l,-1), which are Gorenstein for every n by the source paper's theorem:
+no term is drawn and no division made.  `u_generated_point` builds its
+point there too and checks it against the recursion.
 """
 
 from __future__ import annotations
@@ -143,6 +150,42 @@ def ell_sequence_point(l, n):
     return tuple([s[0]] + [s[i - 1] + s[i] for i in range(1, n)])
 
 
+def _u_point(u, number=int, bits=0):
+    """The point c_1..c_n of a sequence whose every step is a u-step with the
+    multipliers u = (u_1, ..., u_{n-1}): c_1 = 1, c_j = u_{j-1}*c_{j-1} - c_{j-2}.
+
+    This is the Gorenstein point, with no term drawn, for the families whose
+    kind fixes u (`SequenceSpec.multipliers`): ell:l and rec:l,-1, kl:k,l,
+    onemodk:k.  Their cones are Gorenstein for every n:
+    - each step of these families is a u-step by construction: the
+      generator computes s_{i+1} = u_i*s_i - s_{i-1} with these u, the first
+      step included, since s_2 = l = (l+1)*1 - 1 (k+1 = (k+2)*1 - 1 for
+      onemodk) with the virtual s_0 = 1;
+    - `_index_recursion`'s docstring shows that a u-step is integral, with
+      c_j = u*c_{j-1} - c_{j-2}, from the virtual c_0 = 0, c_1 = 1 on;
+    - the recursion applies, because the terms are positive: u_1 is l+1 >= 3
+      (k, l >= 2, and rec:l,-1 stays positive only for l >= 2) or k+2 >= 3
+      (k >= 1), and every later u_i is k, l or 2, so at least 2.  Then
+      s_{i+1} - s_i = (u_i - 2)*s_i + (s_i - s_{i-1}) >= s_i - s_{i-1}, and
+      from s_2 - s_1 = u_1 - 2 >= 1 on the terms increase from s_1 = 1.  The
+      same argument from c_1 - c_0 = 1 makes the entries increase.
+
+    The entries are ints until one passes bits bits; that entry and the one
+    before it are then converted to number, and the later entries are built
+    in number by the arithmetic (see `_index_recursion` for decimal.Decimal,
+    under a context that computes integers exactly).  With number = int
+    every entry is an int.
+    """
+    c = [0, 1]  # c_0 = 0 makes c_2 = u_1 an instance of the rule
+    switch = number is not int
+    for ui in u:
+        c.append(ui * c[-1] - c[-2])
+        if switch and c[-1].bit_length() > bits:
+            switch = False
+            c[-2:] = map(number, c[-2:])
+    return tuple(c[1:])
+
+
 def u_generated_point(u, n, s1=1):
     """Gorenstein point of a u-generated sequence: c_1 = 1, c_2 = u_1,
     c_{i+1} = u_i*c_i - c_{i-1}.
@@ -152,10 +195,7 @@ def u_generated_point(u, n, s1=1):
     the point of the index recursion; a mismatch raises InvariantViolation.
     """
     s = generate_from_u(u, s1, n)
-    c = [0, 1]  # c_0 = 0 makes c_2 = u_1 an instance of the rule
-    for ui in u[: n - 1]:
-        c.append(ui * c[-1] - c[-2])
-    point = tuple(c[1:])
+    point = _u_point(u[: n - 1])
     if lecture_hall_gorenstein(s).point != point:
         raise InvariantViolation("u-generated point is not the point of the index recursion")
     return point

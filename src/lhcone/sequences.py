@@ -16,7 +16,7 @@ Parse errors carry the 0-based character position of the offending token.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, cycle, islice, repeat
 from math import gcd
 
 
@@ -163,15 +163,22 @@ def one_mod_k(k, n):
     return [(i - 1) * k + 1 for i in range(1, n + 1)]
 
 
+def _ell_u(l):
+    return chain([l + 1], repeat(l))
+
+
 # the families by text name: kind, parameter word, least value, parameter
-# count, and the generator of the terms s_1..s_n
+# count, the generator of the terms s_1..s_n, and the multiplier rule: the
+# unending u_1, u_2, ... with s_{i+1} = u_i*s_i - s_{i-1} (s_0 = 1) that the
+# generator applies, or None where the parameters fix no such u
 _FAMILIES = {
-    "rec": ("recurrence", "coefficient", None, 2, generate_recurrence),
-    "kl": ("kl", "parameter", 2, 2, generate_kl),
-    "ell": ("ell", "parameter", 2, 1, lambda l, n: generate_kl(l, l, n)),
-    "onemodk": ("one_mod_k", "parameter", 1, 1, one_mod_k),
+    "rec": ("recurrence", "coefficient", None, 2, generate_recurrence, lambda l, b: _ell_u(l) if b == -1 else None),
+    "kl": ("kl", "parameter", 2, 2, generate_kl, lambda k, l: chain([l + 1], cycle((k, l)))),
+    "ell": ("ell", "parameter", 2, 1, lambda l, n: generate_kl(l, l, n), _ell_u),
+    "onemodk": ("one_mod_k", "parameter", 1, 1, one_mod_k, lambda k: chain([k + 2], repeat(2))),
 }
-_GENERATORS = {kind: generate for kind, _, _, _, generate in _FAMILIES.values()}
+_GENERATORS = {kind: generate for kind, _, _, _, generate, _ in _FAMILIES.values()}
+_MULTIPLIERS = {kind: rule for kind, _, _, _, _, rule in _FAMILIES.values()}
 
 
 @dataclass(frozen=True)
@@ -191,6 +198,21 @@ class SequenceSpec:
             u, _ = self.params
             return len(u) + 1
         return None
+
+    def multipliers(self, n):
+        """u_1..u_{n-1} where the kind fixes them: s_{i+1} = u_i*s_i - s_{i-1}
+        with s_0 = 1 is how the family's generator builds its terms.  They are
+        l+1, l, l, ... for ell:l and rec:l,-1, l+1, k, l, k, ... for kl:k,l and
+        k+2, 2, 2, ... for onemodk:k.  None for every other spec: a list, a
+        u: spec, whose terms must be checked for positivity, or rec:l,b with
+        b != -1."""
+        rule = _MULTIPLIERS.get(self.kind)
+        u = rule and rule(*self.params)
+        if u is None:
+            return None
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        return list(islice(u, n - 1))
 
     def realize(self, n=None):
         """The terms s_1..s_n; n defaults to the natural length where one exists."""
@@ -237,7 +259,7 @@ def parse_sequence_spec(text):
     kind = head.strip()
     arg_offset = len(head) + 1
     if kind in _FAMILIES:
-        spec_kind, word, least, count, _ = _FAMILIES[kind]
+        spec_kind, word, least, count, _, _ = _FAMILIES[kind]
         vals = _parse_int_list(rest, arg_offset, word, minimum=least)
         if len(vals) != count:
             words = f"{('one', 'two')[count - 1]} {word}{'s' if count > 1 else ''}"

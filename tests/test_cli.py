@@ -1,3 +1,4 @@
+import argparse
 import csv
 import decimal
 import io
@@ -19,7 +20,7 @@ from lhcone import cli
 from lhcone.cli import _Decimals, _write_json, main
 from lhcone.gcd_structure import ratio_table
 from lhcone.gorenstein import ell_sequence_point, gorenstein_fail_index, lecture_hall_gorenstein
-from lhcone.sequences import generate_recurrence, parse_sequence_spec
+from lhcone.sequences import SequenceSpec, generate_recurrence, parse_sequence_spec, recognize_u_generated
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 LONG_ONES = "list:" + ",".join(["1"] * 1500)
@@ -783,6 +784,88 @@ def test_long_points_are_built_in_decimal():
     short = cli._gorenstein(parse_sequence_spec("ell:3").realize(300)).point
     assert isinstance(long[-1], decimal.Decimal)
     assert all(type(c) is int for c in short)
+
+
+FAMILY_SPECS = ["ell:2", "ell:3", "ell:7", "rec:2,-1", "rec:3,-1", "kl:2,5", "kl:7,3", "onemodk:1", "onemodk:7"]
+
+
+def recursion_output(spec, n, fmt):
+    """What gor prints for the index recursion's answer on the realized terms."""
+    result = lecture_hall_gorenstein(parse_sequence_spec(spec).realize(n))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit(argparse.Namespace(format=fmt), {"seq": spec, "n": n, **cli._gor_fields(result)})
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS)
+def test_family_specs_print_the_recursion_answer_without_terms(spec):
+    # the point built from the spec's multipliers prints byte for byte what
+    # the recursion on the terms prints, and gor draws no term for it
+    for n in (1, 2, 3, 50, 400, 1350, 2000):
+        want = {fmt: recursion_output(spec, n, fmt) for fmt in ("json", "csv", "text")}
+        with mock.patch.object(SequenceSpec, "realize", side_effect=AssertionError("terms drawn")):
+            for fmt, out in want.items():
+                assert run(["gor", "--seq", spec, "--n", str(n), "--format", fmt]) == (0, out, "")
+
+
+def test_family_points_at_n_one_and_two():
+    for spec, second in (("ell:3", "4"), ("rec:3,-1", "4"), ("kl:2,5", "6"), ("onemodk:7", "9")):
+        assert run_json(["gor", "--seq", spec, "--n", "1"])[1]["point"] == ["1"]
+        assert run_json(["gor", "--seq", spec, "--n", "2"])[1]["point"] == ["1", second]
+
+
+@pytest.mark.parametrize("cmd", ["gor", "classify"])
+def test_family_route_charges_the_budget_before_any_entry(monkeypatch, cmd):
+    argv = [cmd, "--seq", "ell:3", "--n", "2000"]
+    monkeypatch.setenv("LHCONE_BUDGET", "1999")
+    with mock.patch("lhcone.cli._u_point") as built:
+        assert run(argv) == (2, "", "error: asked for 2000 terms, past the budget of 1999 nodes\n")
+    built.assert_not_called()
+    monkeypatch.setenv("LHCONE_BUDGET", "2000")
+    assert run(argv)[0] == 0
+
+
+def test_family_points_are_ints_until_an_entry_is_long():
+    # ell:2's entries, 1, 3, 5, ..., never pass four digits
+    point = cli._u_gorenstein(parse_sequence_spec("ell:2").multipliers(2000)).point
+    assert point == tuple(range(1, 4000, 2)) and all(type(c) is int for c in point)
+    # ell:3's pass _DECIMAL_BITS near 720; from the entry before that on
+    # they are Decimal
+    point = cli._u_gorenstein(parse_sequence_spec("ell:3").multipliers(2000)).point
+    first = next(j for j, c in enumerate(point) if int(c).bit_length() > cli._DECIMAL_BITS)
+    assert all(type(c) is int for c in point[: first - 1])
+    assert all(type(c) is decimal.Decimal for c in point[first - 1 :])
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS)
+def test_classify_decides_family_specs_by_theorem(spec):
+    # u comes from the spec, not from recognizing the terms, the point from
+    # u, not from the recursion, and the family is Gorenstein for every n
+    with mock.patch("lhcone.cli.recognize_u_generated", side_effect=AssertionError("u recognized")), mock.patch(
+        "lhcone.cli.lecture_hall_gorenstein", side_effect=AssertionError("recursion run")
+    ):
+        code, doc, err = run_json(["classify", "--seq", spec, "--n", "40"])
+    assert code == 0, err
+    terms = parse_sequence_spec(spec).realize(40)
+    assert doc["u_generation"] == {"status": "recognized", "u": [str(u) for u in recognize_u_generated(terms)]}
+    assert doc["point"] == [str(c) for c in lecture_hall_gorenstein(terms).point]
+    assert doc["fail_index"] is None
+
+
+def test_text_values_stay_on_their_line(tmp_path):
+    # a backslash, a carriage return and a line feed in a value are escaped,
+    # so every line is one "key: value" and the value reads back
+    m = tmp_path / "line\nbreak\r\\x.txt"
+    m.write_text("1 0\n-1 1/2\n")
+    code, out, err = run(["gor", "--matrix", str(m), "--format", "text"])
+    assert code == 0, err
+    assert "\r" not in out and out.endswith("\n")
+    lines = out[:-1].split("\n")
+    assert all(re.fullmatch(r"[a-z_]+: .*", line) for line in lines)
+    assert [line.split(": ", 1)[0] for line in lines] == ["matrix", "gorenstein", "point"]
+    value = lines[0].split(": ", 1)[1]
+    assert re.sub(r"\\(.)", lambda e: {"\\": "\\", "r": "\r", "n": "\n"}[e.group(1)], value) == str(m)
 
 
 def test_decimal_context_is_left_as_it_was():

@@ -11,6 +11,7 @@ from lhcone import gorenstein
 from lhcone.gorenstein import (
     GorensteinResult,
     SingularMatrixError,
+    _u_point,
     ell_sequence_point,
     gorenstein_fail_index,
     lecture_hall_gorenstein,
@@ -18,7 +19,7 @@ from lhcone.gorenstein import (
     simple_cone_gorenstein,
     u_generated_point,
 )
-from lhcone.sequences import generate_kl, generate_recurrence, recurrence_terms, validate_positivity
+from lhcone.sequences import generate_from_u, generate_kl, generate_recurrence, recurrence_terms, validate_positivity
 from test_enumeration import CORPUS
 
 
@@ -253,6 +254,22 @@ def test_decimal_point_has_the_digits_of_the_int_point(s):
         # u-step entries are Decimal, the others int; each equals its int
         assert all(type(c) in (int, decimal.Decimal) for c in got.point)
         assert list(map(int, got.point)) == list(want.point)
+
+
+@given(st.lists(st.integers(2, 10**6), max_size=60), st.integers(1, 400))
+@settings(max_examples=200, deadline=None)
+def test_u_point_switches_to_decimal_at_the_first_long_entry(u, bits):
+    # the point of the multipliers is the recursion's point on the terms
+    # they generate; ints up to the first entry past bits bits, then Decimal
+    # from the entry before it on
+    want = _u_point(u)
+    assert want == lecture_hall_gorenstein(generate_from_u(u, 1, len(u) + 1)).point
+    with decimal.localcontext(EXACT):
+        got = _u_point(u, decimal.Decimal, bits)
+    assert [str(c) for c in got] == [str(c) for c in want]
+    first = next((j for j, c in enumerate(want) if c.bit_length() > bits), len(want) + 1)
+    assert all(type(c) is int for c in got[: first - 1])
+    assert all(type(c) is decimal.Decimal for c in got[first - 1 :])
 
 
 def test_decimal_points_of_families_and_division_runs():

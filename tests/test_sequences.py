@@ -233,6 +233,27 @@ def test_parse_errors_carry_positions(text, message, position):
     assert str(ei.value) == f"{message} (position {position})"
 
 
+FAMILY_SPECS = ["ell:2", "ell:5", "rec:2,-1", "rec:3,-1", "kl:2,2", "kl:2,5", "kl:7,3", "onemodk:1", "onemodk:7"]
+
+
+@pytest.mark.parametrize("text", FAMILY_SPECS)
+@pytest.mark.parametrize("n", [1, 2, 3, 1100])
+def test_family_multipliers_are_the_recognized_u(text, n):
+    spec = parse_sequence_spec(text)
+    assert spec.multipliers(n) == recognize_u_generated(spec.realize(n))
+
+
+@pytest.mark.parametrize("text", ["list:1,3,5", "u:3,3,2;1", "rec:3,9", "rec:4,0", "rec:1,1"])
+def test_multipliers_only_where_the_kind_fixes_them(text):
+    assert parse_sequence_spec(text).multipliers(3) is None
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_multipliers_reject_n_below_one(n):
+    with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+        parse_sequence_spec("kl:2,3").multipliers(n)
+
+
 def test_family_realization_needs_length():
     sp = parse_sequence_spec("rec:3,9")
     assert sp.needs_length()
