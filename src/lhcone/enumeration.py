@@ -21,14 +21,18 @@ consecutive values from ceil(a*s_j/s_{j-1}), and that start never decreases
 with a, so the values of x_j are 0..top and each layer is one sliding-window
 sum over the previous one: O(1) big-integer operations per state.  A state
 carries the polynomial sum of q^{g.x} over the prefixes x_1..x_j ending in
-it, packed into one int by Kronecker substitution, one slot of whole bytes
-per coefficient, at least one bit wider than a bound on every coefficient
-(prod(s) for Pi), so no slot carries into the next.  Each state stores its
-polynomial from its own least degree, kept as a separate offset; the least
-degree never decreases along a layer, so the window sum only ever shifts
-left to add and right to drop its zeroed low slots.  The last coordinate
-gets no states: its window contributes q^{ceil(a*s_n/s_{n-1})} times
-1 + q + ... + q^{s_n - 1}, added in closed form.
+it, packed into one int by Kronecker substitution, one slot per
+coefficient, at least one bit wider than a bound on every coefficient
+(prod(s) for Pi), so no slot carries into the next.  A slot of up to 8
+bytes is widened to 1, 2, 4 or 8, the size of a C integer, so on a
+little-endian host the answer is read back by one memoryview cast; a wider
+slot, or any slot on a big-endian host, is read one at a time.
+Each state stores its polynomial from its own least degree, kept as a
+separate offset; the least degree never decreases along a layer, so the
+window sum only ever shifts left to add and right to drop its zeroed low
+slots.  The last coordinate gets no states: its window contributes
+q^{ceil(a*s_n/s_{n-1})} times 1 + q + ... + q^{s_n - 1}, added in closed
+form.
 
 The same layers count the whole cone up to a grade limit,
 counts[k] = #{x in the cone : g.x = k}: `weight_series` grades by total
@@ -44,13 +48,15 @@ grading at most limit*s_j/s_n + 1.  The prefixes x_1..x_{n-1} lie in the
 box of those ranges, whose size bounds every coefficient.
 
 Every count is charged against one budget of nodes, where a node is one
-packed slot of a state or one coefficient of the output.  The output length
-and one slot per state are known in closed form and charged before any
-work, as is the length of the h*-vector that `h_star` builds from the
-output, the rest of each state's slots as the state is made.  The environment
-variable LHCONE_BUDGET, a positive integer, overrides the default cap;
-exceeding it raises BudgetExceeded rather than letting an oversized
-instance spin forever or exhaust memory.
+packed slot of a state or one coefficient of the output.  A state's slots
+are counted from its bit length and the slot width, and its highest slot
+is nonzero, so the charge is the same at any width that holds the bound.
+The output length and one slot per state are known in closed form and
+charged before any work, as is the length of the h*-vector that `h_star`
+builds from the output, the rest of each state's slots as the state is
+made.  The environment variable LHCONE_BUDGET, a positive integer,
+overrides the default cap; exceeding it raises BudgetExceeded rather than
+letting an oversized instance spin forever or exhaust memory.
 
 That a numerator has nonnegative coefficients summing to the volume is a
 theorem; `numerator_H` and `h_star` check it on every answer and raise
@@ -60,6 +66,7 @@ InvariantViolation, which `python -O` does not remove, if it fails.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from math import prod
@@ -76,6 +83,8 @@ from .gorenstein import lecture_hall_gorenstein
 from .sequences import InvariantViolation, _check_positive
 
 DEFAULT_NODE_BUDGET = 50_000_000
+# the C integer types of a slot of 1, 2, 4 or 8 bytes
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class BudgetExceeded(RuntimeError):
@@ -108,8 +117,14 @@ def _add_term(runs, o, p, W):
     """Add q^o times the packed p to a sum kept as runs of 1, 2, 4, ... terms.
 
     Terms come in order of o, so each run starts at its first term's degree;
-    equal runs merge, so a term takes part in O(log(terms)) additions.
+    equal runs merge, so a term takes part in O(log(terms)) additions.  A
+    run that starts at o holds only terms of degree o, so a term of that
+    degree is added into it in place.
     """
+    if runs and runs[-1][1] == o:
+        k, _, p0 = runs[-1]
+        runs[-1] = (k, o, p0 + p)
+        return
     k = 1
     while runs and runs[-1][0] == k:
         _, o0, p0 = runs.pop()
@@ -152,6 +167,9 @@ def _lattice(s, g, limit, max_nodes, charged=0):
     # Pi has prod(s) points; the cone's prefixes x_1..x_{n-1} lie in a box
     bound = prod(s) if limit is None else prod(t + 1 for t in tops[:-1])
     B = (bound.bit_length() + 8) // 8
+    if B <= 8:
+        # widen to 1, 2, 4 or 8 bytes, the size of a C integer type
+        B = 1 << (B - 1).bit_length()
     W = 8 * B
     sn, gn = s[-1], g[-1]
     # the states of x_{j-1}, packed polynomials and their least degrees,
@@ -206,7 +224,11 @@ def _lattice(s, g, limit, max_nodes, charged=0):
     head = length - sn + 1 if limit is None else length
     p &= (1 << W * head) - 1
     packed = memoryview(p.to_bytes(head * B, "little"))
-    coeffs = [int.from_bytes(packed[k : k + B], "little") for k in range(0, head * B, B)]
+    if B <= 8 and sys.byteorder == "little":
+        # each slot is one C integer in native order: one cast reads them all
+        coeffs = packed.cast(_SLOT_FORMATS[B]).tolist()
+    else:
+        coeffs = [int.from_bytes(packed[k : k + B], "little") for k in range(0, head * B, B)]
     return _window_sum(coeffs, sn) if limit is None else list(accumulate(coeffs))
 
 

@@ -1,5 +1,6 @@
 import itertools
 from itertools import accumulate
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -212,6 +213,79 @@ def test_cone_counts_match_walker(s, M, T):
     assert list(weight_series(s, len(want) - 1).coeffs) == want
     want = list(accumulate(walker_counts(s, (0,) * (n - 1) + (1,), T)))
     assert ehrhart_counts(s, len(want) - 1) == want
+
+
+def _ones_box(n, M):
+    # the box of the prefixes' ranges for the weight grading of n ones: x_j
+    # is at most M // (n - j + 1)
+    return prod(M // k + 1 for k in range(2, n + 1))
+
+
+SLOT_ORACLES = {
+    "numerator_H": (lambda s, _: numerator_H(s), lambda s, _: oracle_numerator(s)),
+    "h_star": (lambda s, _: h_star(s).coeffs, lambda s, _: oracle_hstar(s)),
+    "weight_series": (
+        lambda s, M: list(weight_series(s, M).coeffs),
+        lambda s, M: _graded_counts(s, (1,) * len(s), M, None),
+    ),
+    "ehrhart_counts": (
+        ehrhart_counts,
+        lambda s, T: list(accumulate(_graded_counts(s, (0,) * (len(s) - 1) + (1,), T, None))),
+    ),
+}
+
+
+# (count, s, limit, slot bytes, bound): the bound on every coefficient is
+# prod(s) on Pi and the box of the ranges of x_1..x_{n-1} on the cone (each
+# x_j at most T*s_j/s_n under the Ehrhart grading), and it needs slots of 1,
+# 2, 3, 4, 5, 8 and 9 bytes, so each rounding (3 to 4, 5 to 8) and the
+# slot-by-slot read past 8 bytes is met.  On (127, 1) and (32767, 1) Pi has
+# a coefficient of 126 and 32766, all but one bit of its slot.
+SLOT_CASES = [
+    ("h_star", (127, 1), None, 1, 127),
+    ("numerator_H", (1, 3, 8), None, 1, 24),
+    ("ehrhart_counts", (1,) * 4, 3, 1, 4**3),
+    ("weight_series", (1,) * 4, 6, 1, _ones_box(4, 6)),
+    ("h_star", (32767, 1), None, 2, 32767),
+    ("numerator_H", (5, 6, 7, 8), None, 2, 1680),
+    ("ehrhart_counts", (1,) * 5, 3, 2, 4**4),
+    ("weight_series", (1,) * 6, 12, 2, _ones_box(6, 12)),
+    ("h_star", (2**15, 1), None, 3, 2**15),
+    ("ehrhart_counts", (2**16, 1), 1, 3, 2**16 + 1),
+    ("ehrhart_counts", (1,) * 9, 3, 3, 4**8),
+    ("weight_series", (1,) * 10, 20, 3, _ones_box(10, 20)),
+    ("ehrhart_counts", (1,) * 13, 3, 4, 4**12),
+    ("weight_series", (1,) * 14, 24, 4, _ones_box(14, 24)),
+    ("ehrhart_counts", (1,) * 17, 3, 5, 4**16),
+    ("weight_series", (1,) * 20, 30, 5, _ones_box(20, 30)),
+    ("ehrhart_counts", (1,) * 29, 3, 8, 4**28),
+    ("ehrhart_counts", (1,) * 33, 3, 9, 4**32),
+    ("weight_series", (1,) * 36, 44, 9, _ones_box(36, 44)),
+]
+
+
+@pytest.mark.parametrize(
+    "count, s, limit, width, bound",
+    SLOT_CASES,
+    ids=[f"{c[0]}-n{len(c[1])}-{c[3]}B" for c in SLOT_CASES],
+)
+def test_every_slot_width_matches_the_oracles(count, s, limit, width, bound):
+    assert (bound.bit_length() + 8) // 8 == width
+    run, oracle = SLOT_ORACLES[count]
+    assert run(s, limit) == oracle(s, limit)
+
+
+@pytest.mark.parametrize("s", [(2**9,) * 6 + (2**8, 1), (1000,) * 7 + (1,)])
+def test_a_full_top_byte_survives_the_read(s):
+    # x_n takes few values on Pi, so the h*-vector has coefficients near
+    # prod(s)/n: up to 61 bits in the 8-byte slots of the first shape and
+    # 69 in the 9-byte slots of the second, past the walker's reach.  A
+    # dropped or misread byte breaks the value s_n*prod(s) at 1, and the
+    # index recursion decides the symmetry on its own
+    Q = h_star(s).coeffs
+    assert max(Q.coeffs).bit_length() > 8 * ((prod(s).bit_length() + 8) // 8) - 8
+    assert sum(Q.coeffs) == prod(s)
+    assert is_palindromic(Q) == lecture_hall_gorenstein(s).gorenstein
 
 
 def test_weight_series_one_dimensional():
@@ -495,6 +569,23 @@ def test_parallelepiped_budget_is_exact():
         need = next(b for b in range(1, 10_000) if _admits(run, b))
         assert not any(_admits(run, b) for b in range(1, need))
         assert run(need) == run(need + 7) == run(None)
+
+
+@pytest.mark.parametrize(
+    "run, need",
+    [
+        (lambda b: numerator_H((3, 20, 50, 30), max_nodes=b), 2200),
+        (lambda b: numerator_H((10, 100, 1000, 5000), max_nodes=b), 230552),
+        (lambda b: h_star((3, 20, 50, 30), max_nodes=b), 430),
+        (lambda b: weight_series((2, 3, 5, 7, 11, 13, 17, 19), 40, max_nodes=b), 471),
+    ],
+)
+def test_least_admitting_budget_counts_slots_not_bytes(run, need):
+    # a node is a slot whatever its width: these bounds need 3, 5, 3 and 3
+    # bytes a slot, held in slots of 4 and 8, and the least budget that
+    # admits each count is the one that 3- and 5-byte slots had
+    assert not _admits(run, need - 1)
+    assert _admits(run, need)
 
 
 def test_product_form_charges_its_division(monkeypatch):
