@@ -54,9 +54,9 @@ is nonzero, so the charge is the same at any width that holds the bound.
 The output length and one slot per state are known in closed form and
 charged before any work, as is the length of the h*-vector that `h_star`
 builds from the output, the rest of each state's slots as the state is
-made.  The environment variable LHCONE_BUDGET, a positive integer,
-overrides the default cap; exceeding it raises BudgetExceeded rather than
-letting an oversized instance spin forever or exhaust memory.
+made.  The environment variable LHCONE_BUDGET, a positive integer read at
+each count, overrides the default cap; exceeding it raises BudgetExceeded
+rather than letting an oversized instance spin forever or exhaust memory.
 
 That a numerator has nonnegative coefficients summing to the volume is a
 theorem; `numerator_H` and `h_star` check it on every answer and raise
@@ -133,7 +133,7 @@ def _add_term(runs, o, p, W):
     runs.append((k, o, p))
 
 
-def _lattice(s, g, limit, max_nodes, charged=0):
+def _lattice(s, g, limit, charged=0):
     """Lattice points of the cone of s graded by g, nonnegative and ending in 1.
 
     With limit None, the coefficients of sum_{x in Pi} q^{g.x}; otherwise
@@ -141,7 +141,7 @@ def _lattice(s, g, limit, max_nodes, charged=0):
     the slots a caller builds from the answer, count against the budget
     with the rest.
     """
-    budget = node_budget() if max_nodes is None else max_nodes
+    budget = node_budget()
     n = len(s)
     # the largest value of each coordinate and the output length, in closed
     # form, and a bound on every coefficient of a state
@@ -232,7 +232,7 @@ def _lattice(s, g, limit, max_nodes, charged=0):
     return _window_sum(coeffs, sn) if limit is None else list(accumulate(coeffs))
 
 
-def weight_series(s, M, max_nodes=None):
+def weight_series(s, M):
     """Exact counts, by total weight 0..M, of the lattice points of the cone.
 
     The counts match the coefficients of the cone's generating function, so
@@ -241,16 +241,16 @@ def weight_series(s, M, max_nodes=None):
     _check_positive(s)
     if M < 0:
         raise ValueError(f"need M >= 0, got {M}")
-    return TruncatedSeries(_lattice(s, (1,) * len(s), M, max_nodes), M)
+    return TruncatedSeries(_lattice(s, (1,) * len(s), M), M)
 
 
-def ehrhart_counts(s, T, max_nodes=None):
+def ehrhart_counts(s, T):
     """Lattice point counts i(t) = #{x in the cone : x_n <= t} for t = 0..T."""
     _check_positive(s)
     if T < 0:
         raise ValueError(f"need T >= 0, got {T}")
     g = (0,) * (len(s) - 1) + (1,)
-    return list(accumulate(_lattice(s, g, T, max_nodes)))
+    return list(accumulate(_lattice(s, g, T)))
 
 
 def denominator_exponents(s):
@@ -259,7 +259,7 @@ def denominator_exponents(s):
     return list(accumulate(reversed(s)))[::-1]
 
 
-def numerator_H(s, max_nodes=None):
+def numerator_H(s):
     """The numerator polynomial over prod_i (1 - q^{d_i}), d_i = s_i+...+s_n.
 
     It is sum_{x in Pi} q^{|x|}, the fundamental parallelepiped graded by
@@ -268,7 +268,7 @@ def numerator_H(s, max_nodes=None):
     not bad input.
     """
     _check_positive(s)
-    H = DensePoly(_lattice(s, (1,) * len(s), None, max_nodes))
+    H = DensePoly(_lattice(s, (1,) * len(s), None))
     if sum(H.coeffs) != prod(s) or min(H.coeffs) < 0:
         raise InvariantViolation("numerator is not nonnegative with value prod(s) at 1")
     return H
@@ -310,7 +310,7 @@ def detect_product_form(f, n):
     return sorted(exponents)
 
 
-def product_form(s, max_nodes=None):
+def product_form(s):
     """The exponents of the cone's weight series as prod_i 1/(1 - q^{e_i}).
 
     Returns the sorted e_1..e_n, or None when the series has no such form.
@@ -323,8 +323,7 @@ def product_form(s, max_nodes=None):
     H * prod(1 - q^{e_i}) - prod(1 - q^{d_i}) has degree at most D and
     vanishes through D, so it is zero.  Every e_i is at most D, so the
     greedy misses none.  The division costs n*(D+1) nodes, charged before
-    any work under the budget of `numerator_H` (max_nodes, else
-    LHCONE_BUDGET).
+    any work under LHCONE_BUDGET, the budget of `numerator_H`.
 
     A positive answer must have sum(e_i) = |c|, c the Gorenstein point, a
     theorem checked on every one: F(1/q) = (-1)^n q^{|c|} F(q) on a
@@ -337,10 +336,10 @@ def product_form(s, max_nodes=None):
         return None
     d = denominator_exponents(s)
     D = sum(d)
-    budget = node_budget() if max_nodes is None else max_nodes
+    budget = node_budget()
     if len(s) * (D + 1) > budget:
         raise BudgetExceeded(f"enumeration passed {budget} nodes")
-    H = numerator_H(s, max_nodes)
+    H = numerator_H(s)
     series = _divide_by_factors(list(H.coeffs) + [0] * (D - H.degree), d)
     exponents = detect_product_form(TruncatedSeries(series, D), len(s))
     if exponents is None or H.degree + sum(exponents) != D:
@@ -369,7 +368,7 @@ class HStarVector:
         return is_unimodal(self.coeffs)
 
 
-def h_star(s, max_nodes=None):
+def h_star(s):
     """The h*-vector of the rational polytope {x in the cone : x_n <= 1}.
 
     It is sum_{x in Pi} t^{x_n} times 1 + t + ... + t^{s_n - 1}: the
@@ -384,7 +383,7 @@ def h_star(s, max_nodes=None):
     g = (0,) * (n - 1) + (1,)
     # the window sum builds an answer of degree below (n+1)*s_n, charged
     # with the lattice before it runs
-    Q = DensePoly(_window_sum(_lattice(s, g, None, max_nodes, (n + 1) * sn), sn))
+    Q = DensePoly(_window_sum(_lattice(s, g, None, (n + 1) * sn), sn))
     if sum(Q.coeffs) != sn * prod(s) or min(Q.coeffs) < 1 or Q.degree >= (n + 1) * sn:
         raise InvariantViolation(
             "h*-vector is not positive of degree < (n+1)*s_n with value s_n*prod(s) at 1"
@@ -406,17 +405,15 @@ class CrossCheckReport:
         return self.recursion_gorenstein == self.numerator_palindromic == self.hstar_palindromic
 
 
-def cross_check_gorenstein(s, max_nodes=None):
+def cross_check_gorenstein(s):
     """Run all three Gorenstein criteria on one instance and report them.
 
-    The numerator and the h*-vector each run under the node budget of
-    `numerator_H` and `h_star` (max_nodes, else LHCONE_BUDGET); an instance
-    past it raises BudgetExceeded.  The three verdicts agreeing is a
-    theorem, so a disagreement in the report is a hard failure to be
-    treated as a bug.
+    Both lattice counts run under LHCONE_BUDGET and raise BudgetExceeded
+    past it.  The three verdicts agreeing is a theorem, so a disagreement in
+    the report is a hard failure to be treated as a bug.
     """
     _check_positive(s)
     recursion = lecture_hall_gorenstein(s).gorenstein
-    numerator = is_palindromic(numerator_H(s, max_nodes))
-    hstar = is_palindromic(h_star(s, max_nodes).coeffs)
+    numerator = is_palindromic(numerator_H(s))
+    hstar = is_palindromic(h_star(s).coeffs)
     return CrossCheckReport(recursion, numerator, hstar)

@@ -114,9 +114,12 @@ def find_n0(l, b, horizon=None):
     """Smallest n0 whose whole window [n0, n0+horizon] satisfies the growth
     bound s_n/(t^{n-2}*sigma^{floor((n-1)/2)}) > t*(r+|b|).
 
-    With no horizon given, the window defaults to max(64, 4 * first index
-    where the bound holds).  Raises HorizonTooSmallError when no window
-    starting at n0 <= horizon is clean, which is every horizon below 1.
+    With no horizon given, the window is max(64, 4 * first index where the
+    bound holds), looked for within 4096 terms.  On l = 2m, b = -m^2,
+    s_n = n*m^(n-1) grows only linearly once normalized: n0 = m(m+1) + 1 for
+    odd m and m(m+2) for even m, and the first index passes 4096 from odd
+    m = 65 and even m = 90 on.  HorizonTooSmallError is raised then, and when
+    no window starting at n0 <= horizon is clean, which is every horizon < 1.
     """
     _check_pair(l, b)
     if horizon is not None and horizon < 1:

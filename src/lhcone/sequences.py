@@ -134,16 +134,16 @@ def recognize_u_generated(s):
     None (the recognition criterion is only an iff under that hypothesis).
 
     Only the pairs from the first non-integral step on need a gcd: an
-    integral step s_i = u*s_{i-1} - s_{i-2} gives gcd(s_i, s_{i-1}) =
-    gcd(s_{i-1}, s_{i-2}), which is gcd(s_1, s_0 = 1) = 1 at the start, so
-    every pair before the first non-integral step is coprime.
+    integral step s_i = u*s_{i-1} - s_{i-2}, whose u is positive as the
+    terms are, gives gcd(s_i, s_{i-1}) = gcd(s_{i-1}, s_{i-2}), which is
+    gcd(s_1, s_0 = 1) = 1 at the start, so every earlier pair is coprime.
     """
     _check_positive(s)
     u = []
     t = [1, *s]  # t[i] = s_i, and s_0 = 1 makes s_2 = u_1*s_1 - 1 an instance of the rule
     for i in range(2, len(t)):
         q, r = divmod(t[i] + t[i - 2], t[i - 1])
-        if r != 0 or q < 1:
+        if r != 0:
             for j in range(i - 1, len(t) - 1):
                 if gcd(t[j], t[j + 1]) != 1:
                     raise CoprimalityError(

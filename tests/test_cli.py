@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from lhcone import cli
 from lhcone.cli import _Decimals, _write_json, main
-from lhcone.gcd_structure import ratio_table
+from lhcone.gcd_structure import find_n0, ratio_table
 from lhcone.gorenstein import ell_sequence_point, gorenstein_fail_index, lecture_hall_gorenstein
 from lhcone.sequences import SequenceSpec, generate_recurrence, parse_sequence_spec, recognize_u_generated
 
@@ -1133,6 +1133,18 @@ def test_gcd_commands_never_crash(command, l, b, n):
 def test_n0_rejects_horizon_below_one(horizon):
     code, out, err = run(["n0", "--l", "3", "--b", "9", "--horizon", str(horizon)])
     assert (code, out, err) == (2, "", f"error: need horizon >= 1, got {horizon}\n")
+
+
+def test_n0_on_double_root_pairs():
+    # on l = 2m, b = -m^2 the terms are n*m^(n-1): the normalized term grows
+    # linearly, and the bound first holds past 4096 terms from m = 65 on
+    for m in [*range(2, 10), 63, 64]:
+        assert find_n0(2 * m, -m * m) == (m * (m + 1) + 1 if m % 2 else m * (m + 2))
+    assert run(["n0", "--l", "130", "--b", "-4225"]) == (
+        2,
+        "",
+        "error: growth bound not reached within 4096 terms\n",
+    )
 
 
 PERFBENCH = os.path.join(os.path.dirname(SRC), "perfbench")

@@ -456,7 +456,7 @@ def test_product_form_needs_the_degree_identity(monkeypatch):
     # (1 - q^2 + q^3)/((1 - q)(1 - q^2)) agrees with 1/((1 - q)(1 - q^3))
     # through D = 3 only: the greedy finds [1, 3] there, and
     # deg H + sum(e_i) = 7 != D rejects it
-    monkeypatch.setattr(enumeration, "numerator_H", lambda s, max_nodes=None: DensePoly([1, 0, -1, 1]))
+    monkeypatch.setattr(enumeration, "numerator_H", lambda s: DensePoly([1, 0, -1, 1]))
     assert product_form((1, 1)) is None
 
 
@@ -524,87 +524,104 @@ def test_cross_check_agreement():
     "count",
     [
         # x_1 takes about 2e6 values below T = 2
-        lambda: ehrhart_counts((10**6, 1), 2, max_nodes=100),
+        lambda: ehrhart_counts((10**6, 1), 2),
         # x_1 takes about 3e8 values below T = 3
-        lambda: ehrhart_counts((10**8, 1, 1), 3, max_nodes=100),
+        lambda: ehrhart_counts((10**8, 1, 1), 3),
         # the answer alone has 1e20 + 1 entries
-        lambda: weight_series((1, 2), 10**20, max_nodes=100),
-        lambda: ehrhart_counts((1, 2), 10**20, max_nodes=100),
+        lambda: weight_series((1, 2), 10**20),
+        lambda: ehrhart_counts((1, 2), 10**20),
     ],
 )
-def test_budget_stops_a_long_ray(count):
+def test_budget_stops_a_long_ray(count, monkeypatch):
     # the range of every coordinate and the answer's length are charged in
     # closed form before any work
+    monkeypatch.setenv("LHCONE_BUDGET", "100")
     with pytest.raises(BudgetExceeded, match=BUDGET_MESSAGE):
         count()
 
 
-def test_budget_is_exact_on_both_loops():
+def _capped(monkeypatch, run, budget):
+    """run() under LHCONE_BUDGET = budget, or under the default cap at None."""
+    if budget is None:
+        monkeypatch.delenv("LHCONE_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("LHCONE_BUDGET", str(budget))
+    return run()
+
+
+def _admits(monkeypatch, run, budget):
+    try:
+        _capped(monkeypatch, run, budget)
+    except BudgetExceeded:
+        return False
+    return True
+
+
+def test_budget_is_exact_on_both_loops(monkeypatch):
     # under both gradings of the cone a budget of 1 stops the count, and the
     # least budget that admits a count also admits every larger one and
     # gives the unbudgeted answer
     for count in (
-        lambda b: weight_series((1, 3, 8), 12, max_nodes=b).coeffs,
-        lambda b: ehrhart_counts((2, 5, 3), 6, max_nodes=b),
+        lambda: weight_series((1, 3, 8), 12).coeffs,
+        lambda: ehrhart_counts((2, 5, 3), 6),
     ):
         with pytest.raises(BudgetExceeded, match=BUDGET_MESSAGE):
-            count(1)
-        need = next(b for b in range(1, 10_000) if _admits(count, b))
-        assert not any(_admits(count, b) for b in range(1, need))
-        assert count(need) == count(need + 7) == count(None)
+            _capped(monkeypatch, count, 1)
+        need = next(b for b in range(1, 10_000) if _admits(monkeypatch, count, b))
+        assert not any(_admits(monkeypatch, count, b) for b in range(1, need))
+        assert (
+            _capped(monkeypatch, count, need)
+            == _capped(monkeypatch, count, need + 7)
+            == _capped(monkeypatch, count, None)
+        )
 
 
-def test_parallelepiped_budget_is_exact():
+def test_parallelepiped_budget_is_exact(monkeypatch):
     # the engine charges its output and every packed slot: a small budget
     # stops it, and the least admitting one admits every larger one and
     # gives the unbudgeted answer
     for run in (
-        lambda b: numerator_H((1, 3, 8), max_nodes=b),
-        lambda b: h_star((2, 5, 3), max_nodes=b),
-        lambda b: product_form((1, 3, 8), max_nodes=b),
-        lambda b: product_form((2, 5, 3), max_nodes=b),
+        lambda: numerator_H((1, 3, 8)),
+        lambda: h_star((2, 5, 3)),
+        lambda: product_form((1, 3, 8)),
+        lambda: product_form((2, 5, 3)),
     ):
         with pytest.raises(BudgetExceeded, match=BUDGET_MESSAGE):
-            run(1)
-        need = next(b for b in range(1, 10_000) if _admits(run, b))
-        assert not any(_admits(run, b) for b in range(1, need))
-        assert run(need) == run(need + 7) == run(None)
+            _capped(monkeypatch, run, 1)
+        need = next(b for b in range(1, 10_000) if _admits(monkeypatch, run, b))
+        assert not any(_admits(monkeypatch, run, b) for b in range(1, need))
+        assert (
+            _capped(monkeypatch, run, need)
+            == _capped(monkeypatch, run, need + 7)
+            == _capped(monkeypatch, run, None)
+        )
 
 
 @pytest.mark.parametrize(
     "run, need",
     [
-        (lambda b: numerator_H((3, 20, 50, 30), max_nodes=b), 2200),
-        (lambda b: numerator_H((10, 100, 1000, 5000), max_nodes=b), 230552),
-        (lambda b: h_star((3, 20, 50, 30), max_nodes=b), 430),
-        (lambda b: weight_series((2, 3, 5, 7, 11, 13, 17, 19), 40, max_nodes=b), 471),
+        (lambda: numerator_H((3, 20, 50, 30)), 2200),
+        (lambda: numerator_H((10, 100, 1000, 5000)), 230552),
+        (lambda: h_star((3, 20, 50, 30)), 430),
+        (lambda: weight_series((2, 3, 5, 7, 11, 13, 17, 19), 40), 471),
     ],
 )
-def test_least_admitting_budget_counts_slots_not_bytes(run, need):
+def test_least_admitting_budget_counts_slots_not_bytes(run, need, monkeypatch):
     # a node is a slot whatever its width: these bounds need 3, 5, 3 and 3
     # bytes a slot, held in slots of 4 and 8, and the least budget that
     # admits each count is the one that 3- and 5-byte slots had
-    assert not _admits(run, need - 1)
-    assert _admits(run, need)
+    assert not _admits(monkeypatch, run, need - 1)
+    assert _admits(monkeypatch, run, need)
 
 
 def test_product_form_charges_its_division(monkeypatch):
     # the division's n*(D+1) nodes, D = 31 here, are charged before any
     # work under the cap of numerator_H, which needs fewer
-    with pytest.raises(BudgetExceeded, match=BUDGET_MESSAGE):
-        product_form((1, 3, 8), max_nodes=95)
-    assert product_form((1, 3, 8), max_nodes=96) == [1, 4, 11]
     monkeypatch.setenv("LHCONE_BUDGET", "95")
     with pytest.raises(BudgetExceeded, match=BUDGET_MESSAGE):
         product_form((1, 3, 8))
-
-
-def _admits(count, budget):
-    try:
-        count(budget)
-    except BudgetExceeded:
-        return False
-    return True
+    monkeypatch.setenv("LHCONE_BUDGET", "96")
+    assert product_form((1, 3, 8)) == [1, 4, 11]
 
 
 def test_cross_check_budget(monkeypatch):
@@ -612,8 +629,6 @@ def test_cross_check_budget(monkeypatch):
     # cheap from the parallelepiped, and the node budget bounds the work
     assert cross_check_gorenstein(generate_kl(3, 3, 7)).agree
     assert cross_check_gorenstein((1, 3, 18, 81, 405, 1944)).agree
-    with pytest.raises(BudgetExceeded):
-        cross_check_gorenstein(generate_kl(3, 3, 7), max_nodes=1000)
     monkeypatch.setenv("LHCONE_BUDGET", "1000")
     with pytest.raises(BudgetExceeded):
         cross_check_gorenstein(generate_kl(3, 3, 7))
