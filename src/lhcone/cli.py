@@ -49,7 +49,6 @@ from .gcd_structure import (
 )
 from .gorenstein import (
     GorensteinResult,
-    _u_point,
     gorenstein_fail_index,
     lecture_hall_gorenstein,
     parse_matrix,
@@ -58,6 +57,7 @@ from .gorenstein import (
 from .sequences import (
     CoprimalityError,
     InvariantViolation,
+    _u_walk,
     parse_sequence_spec,
     recognize_u_generated,
 )
@@ -235,14 +235,13 @@ def _gorenstein(terms):
         return lecture_hall_gorenstein(terms, decimal.Decimal)
 
 
-def _u_gorenstein(u):
-    """The Gorenstein result of a family whose kind fixes its multipliers u
-    (`SequenceSpec.multipliers`): Gorenstein for every n, with the point
-    built from u alone (see `_u_point`).  The entries are ints until one
-    passes _DECIMAL_BITS, and Decimal under _EXACT from the entry before it
-    on; the caller's decimal context is left as it was."""
+def _walk(u, first, second):
+    """The walk over a family's multipliers u: its Gorenstein point from the
+    seeds (0, 1) (see `_u_point`), its terms from (1, 1).  Entries are ints
+    until one passes _DECIMAL_BITS, then Decimal under _EXACT from the entry
+    before it on; the caller's decimal context is left as it was."""
     with decimal.localcontext(_EXACT):
-        return GorensteinResult(_u_point(u, decimal.Decimal, _DECIMAL_BITS), None, None)
+        return _u_walk(u, first, second, decimal.Decimal, _DECIMAL_BITS)
 
 
 def _gor_fields(result):
@@ -272,7 +271,7 @@ def cmd_gor(args):
             terms = spec.realize(n)
             n, result = len(terms), _gorenstein(terms)
         else:
-            result = _u_gorenstein(u)
+            result = GorensteinResult(tuple(_walk(u, 0, 1)), None, None)
         source = {"seq": args.seq, "n": n}
     _emit(args, {**source, **_gor_fields(result)})
     return 0 if result.gorenstein else 1
@@ -388,16 +387,17 @@ def cmd_n0(args):
 
 
 def cmd_classify(args):
-    spec, terms = _realized(args)
+    spec, n = _spec(args)
+    # a family whose kind fixes its multipliers is walked and decided by theorem
+    u = spec.multipliers(n)
+    family = u is not None
+    terms = _walk(u, 1, 1) if family else spec.realize(n)
     payload = {
         "seq": args.seq,
         "kind": spec.kind,
         "n": len(terms),
         "terms": _Decimals(terms),
     }
-    # a family whose kind fixes its multipliers is decided by theorem
-    u = spec.multipliers(len(terms))
-    family = u is not None
     try:
         if not family:
             u = recognize_u_generated(terms)
@@ -408,7 +408,7 @@ def cmd_classify(args):
             payload["u_generation"] = {"status": "not-u-generated"}
         else:
             payload["u_generation"] = {"status": "recognized", "u": _Decimals(u)}
-    result = _u_gorenstein(u) if family else _gorenstein(terms)
+    result = GorensteinResult(tuple(_walk(u, 0, 1)), None, None) if family else _gorenstein(terms)
     payload.update(_gor_fields(result))
     if spec.kind == "recurrence":
         l, b = spec.params

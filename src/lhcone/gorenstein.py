@@ -21,8 +21,9 @@ So a point has two routes.  The index recursion runs on realized terms and
 serves every sequence.  `_u_point` builds the point from the multipliers
 alone, for the families whose kind fixes them (ell, kl, onemodk and
 rec:l,-1), which are Gorenstein for every n by the source paper's theorem:
-no term is drawn and no division made.  `u_generated_point` builds its
-point there too and checks it against the recursion.
+no term is drawn and no division made: it is `_u_walk` from the seeds
+(0, 1), which walks their terms from (1, 1).  `u_generated_point` builds
+its point there too and checks it against the recursion.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from math import gcd, lcm
 from .sequences import (
     InvariantViolation,
     _check_positive,
+    _u_walk,
     generate_from_u,
     generate_kl,
     recurrence_terms,
@@ -157,10 +159,10 @@ def _u_point(u, number=int, bits=0):
     This is the Gorenstein point, with no term drawn, for the families whose
     kind fixes u (`SequenceSpec.multipliers`): ell:l and rec:l,-1, kl:k,l,
     onemodk:k.  Their cones are Gorenstein for every n:
-    - each step of these families is a u-step by construction: the
-      generator computes s_{i+1} = u_i*s_i - s_{i-1} with these u, the first
-      step included, since s_2 = l = (l+1)*1 - 1 (k+1 = (k+2)*1 - 1 for
-      onemodk) with the virtual s_0 = 1;
+    - each step of these families is a u-step by definition: their terms
+      are the walk s_{i+1} = u_i*s_i - s_{i-1} with these u from the virtual
+      s_0 = 1 and s_1 = 1 (`SequenceSpec.realize`), the first step included,
+      where s_2 = l = (l+1)*1 - 1 (k+1 = (k+2)*1 - 1 for onemodk);
     - `_index_recursion`'s docstring shows that a u-step is integral, with
       c_j = u*c_{j-1} - c_{j-2}, from the virtual c_0 = 0, c_1 = 1 on;
     - the recursion applies, because the terms are positive: u_1 is l+1 >= 3
@@ -170,20 +172,10 @@ def _u_point(u, number=int, bits=0):
       from s_2 - s_1 = u_1 - 2 >= 1 on the terms increase from s_1 = 1.  The
       same argument from c_1 - c_0 = 1 makes the entries increase.
 
-    The entries are ints until one passes bits bits; that entry and the one
-    before it are then converted to number, and the later entries are built
-    in number by the arithmetic (see `_index_recursion` for decimal.Decimal,
-    under a context that computes integers exactly).  With number = int
-    every entry is an int.
+    It is `_u_walk` from the seeds c_0 = 0, c_1 = 1, the walk that builds
+    the terms from s_0 = s_1 = 1; number and bits are the walk's.
     """
-    c = [0, 1]  # c_0 = 0 makes c_2 = u_1 an instance of the rule
-    switch = number is not int
-    for ui in u:
-        c.append(ui * c[-1] - c[-2])
-        if switch and c[-1].bit_length() > bits:
-            switch = False
-            c[-2:] = map(number, c[-2:])
-    return tuple(c[1:])
+    return tuple(_u_walk(u, 0, 1, number, bits))
 
 
 def u_generated_point(u, n, s1=1):

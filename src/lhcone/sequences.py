@@ -1,7 +1,7 @@
 """Positive integer sequence families and their text form.
 
-All generators fix the seeds s_0 = 0, s_1 = 1 (families) and produce the
-terms s_1..s_n.  A sequence spec is parsed from one of the text forms
+All families start at s_1 = 1 and produce the terms s_1..s_n.  A sequence
+spec is parsed from one of the text forms
 
     rec:L,B       second-order recurrence s_j = L*s_{j-1} + B*s_{j-2}
     kl:K,L        alternating two-coefficient recurrence (K, L >= 2)
@@ -74,15 +74,7 @@ def generate_kl(k, l, n):
     a_0 = 0, a_1 = 1, then a_{2i} = l*a_{2i-1} - a_{2i-2} and
     a_{2i+1} = k*a_{2i} - a_{2i-1}.  Positivity requires k, l >= 2.
     """
-    if k < 2 or l < 2:
-        raise ValueError(f"need k >= 2 and l >= 2, got k={k}, l={l}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    a = [0, 1]
-    for i in range(2, n + 1):
-        coeff = l if i % 2 == 0 else k
-        a.append(coeff * a[-1] - a[-2])
-    return a[1:]
+    return SequenceSpec("kl", (k, l)).realize(n)
 
 
 def kl_product_exponents(k, l, n):
@@ -100,6 +92,26 @@ def kl_product_exponents(k, l, n):
     if n % 2 == 0:
         return [a[i] + b[i - 1] for i in range(1, n + 1)]
     return [b[i] + a[i - 1] for i in range(1, n + 1)]
+
+
+def _u_walk(u, first, second, number=int, bits=0):
+    """x_1..x_n of x_{i+1} = u_i*x_i - x_{i-1} over u = (u_1, ..., u_{n-1})
+    from x_0 = first, x_1 = second: terms from (1, 1), the Gorenstein point
+    from (0, 1) (`lhcone.gorenstein._u_point`).  Entries are ints until one
+    passes bits bits; it and the entry before it become number, and the
+    arithmetic carries number on (see `lhcone.gorenstein._index_recursion`).
+    """
+    a, b = first, second
+    x = [b]
+    switch = number is not int
+    for ui in u:
+        a, b = b, ui * b - a
+        if switch and b.bit_length() > bits:
+            switch = False
+            a = x[-1] = number(a)
+            b = number(b)
+        x.append(b)
+    return x
 
 
 def generate_from_u(u, s1, n):
@@ -154,31 +166,21 @@ def recognize_u_generated(s):
     return u
 
 
-def one_mod_k(k, n):
-    """1, k+1, 2k+1, ..., the arithmetic progression that is 1 mod k."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return [(i - 1) * k + 1 for i in range(1, n + 1)]
-
-
-def _ell_u(l):
-    return chain([l + 1], repeat(l))
+def _kl_u(k, l):
+    return chain([l + 1], cycle((k, l)))
 
 
 # the families by text name: kind, parameter word, least value, parameter
-# count, the generator of the terms s_1..s_n, and the multiplier rule: the
-# unending u_1, u_2, ... with s_{i+1} = u_i*s_i - s_{i-1} (s_0 = 1) that the
-# generator applies, or None where the parameters fix no such u
+# count, and the multiplier rule: the unending u_1, u_2, ... with
+# s_{i+1} = u_i*s_i - s_{i-1} (s_0 = s_1 = 1) that defines the terms, or
+# None where the parameters fix no such u
 _FAMILIES = {
-    "rec": ("recurrence", "coefficient", None, 2, generate_recurrence, lambda l, b: _ell_u(l) if b == -1 else None),
-    "kl": ("kl", "parameter", 2, 2, generate_kl, lambda k, l: chain([l + 1], cycle((k, l)))),
-    "ell": ("ell", "parameter", 2, 1, lambda l, n: generate_kl(l, l, n), _ell_u),
-    "onemodk": ("one_mod_k", "parameter", 1, 1, one_mod_k, lambda k: chain([k + 2], repeat(2))),
+    "rec": ("recurrence", "coefficient", None, 2, lambda l, b: _kl_u(l, l) if b == -1 else None),
+    "kl": ("kl", "parameter", 2, 2, _kl_u),
+    "ell": ("ell", "parameter", 2, 1, lambda l: _kl_u(l, l)),
+    "onemodk": ("one_mod_k", "parameter", 1, 1, lambda k: chain([k + 2], repeat(2))),
 }
-_GENERATORS = {kind: generate for kind, _, _, _, generate, _ in _FAMILIES.values()}
-_MULTIPLIERS = {kind: rule for kind, _, _, _, _, rule in _FAMILIES.values()}
+_KINDS = {row[0]: row for row in _FAMILIES.values()}
 
 
 @dataclass(frozen=True)
@@ -200,14 +202,20 @@ class SequenceSpec:
         return None
 
     def multipliers(self, n):
-        """u_1..u_{n-1} where the kind fixes them: s_{i+1} = u_i*s_i - s_{i-1}
-        with s_0 = 1 is how the family's generator builds its terms.  They are
-        l+1, l, l, ... for ell:l and rec:l,-1, l+1, k, l, k, ... for kl:k,l and
-        k+2, 2, 2, ... for onemodk:k.  None for every other spec: a list, a
-        u: spec, whose terms must be checked for positivity, or rec:l,b with
-        b != -1."""
-        rule = _MULTIPLIERS.get(self.kind)
-        u = rule and rule(*self.params)
+        """u_1..u_{n-1} where the kind fixes them: the rule that defines the
+        family's terms, s_{i+1} = u_i*s_i - s_{i-1} from s_0 = s_1 = 1.  They
+        are l+1, l, l, ... for ell:l and rec:l,-1, l+1, k, l, k, ... for
+        kl:k,l and k+2, 2, 2, ... for onemodk:k.  None for every other spec:
+        a list, a u: spec, whose terms must be checked for positivity, or
+        rec:l,b with b != -1.  A family's parameters are checked first."""
+        if self.kind not in _KINDS:
+            return None
+        _, word, least, _, rule = _KINDS[self.kind]
+        if self.kind == "recurrence" and not validate_positivity(*self.params):
+            raise ValueError("recurrence l={}, b={} does not stay positive".format(*self.params))
+        if least is not None and min(self.params) < least:
+            raise ValueError(f"{word} must be >= {least}, got {min(self.params)}")
+        u = rule(*self.params)
         if u is None:
             return None
         if n < 1:
@@ -229,9 +237,12 @@ class SequenceSpec:
         if self.kind == "u":
             u, s1 = self.params
             return generate_from_u(u, s1, n)
-        if self.kind not in _GENERATORS:
+        u = self.multipliers(n)
+        if u is not None:
+            return _u_walk(u, 1, 1)
+        if self.kind != "recurrence":
             raise ValueError(f"unknown kind '{self.kind}'")
-        return _GENERATORS[self.kind](*self.params, n)
+        return generate_recurrence(*self.params, n)
 
 
 def _parse_int_list(text, offset, what, minimum=None):
@@ -259,7 +270,7 @@ def parse_sequence_spec(text):
     kind = head.strip()
     arg_offset = len(head) + 1
     if kind in _FAMILIES:
-        spec_kind, word, least, count, _, _ = _FAMILIES[kind]
+        spec_kind, word, least, count, _ = _FAMILIES[kind]
         vals = _parse_int_list(rest, arg_offset, word, minimum=least)
         if len(vals) != count:
             words = f"{('one', 'two')[count - 1]} {word}{'s' if count > 1 else ''}"

@@ -21,6 +21,7 @@ from lhcone.cli import _Decimals, _write_json, main
 from lhcone.gcd_structure import find_n0, ratio_table
 from lhcone.gorenstein import ell_sequence_point, gorenstein_fail_index, lecture_hall_gorenstein
 from lhcone.sequences import SequenceSpec, generate_recurrence, parse_sequence_spec, recognize_u_generated
+from test_sequences import family_oracle
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 LONG_ONES = "list:" + ",".join(["1"] * 1500)
@@ -819,7 +820,7 @@ def test_family_points_at_n_one_and_two():
 def test_family_route_charges_the_budget_before_any_entry(monkeypatch, cmd):
     argv = [cmd, "--seq", "ell:3", "--n", "2000"]
     monkeypatch.setenv("LHCONE_BUDGET", "1999")
-    with mock.patch("lhcone.cli._u_point") as built:
+    with mock.patch("lhcone.cli._u_walk") as built:
         assert run(argv) == (2, "", "error: asked for 2000 terms, past the budget of 1999 nodes\n")
     built.assert_not_called()
     monkeypatch.setenv("LHCONE_BUDGET", "2000")
@@ -828,11 +829,11 @@ def test_family_route_charges_the_budget_before_any_entry(monkeypatch, cmd):
 
 def test_family_points_are_ints_until_an_entry_is_long():
     # ell:2's entries, 1, 3, 5, ..., never pass four digits
-    point = cli._u_gorenstein(parse_sequence_spec("ell:2").multipliers(2000)).point
+    point = tuple(cli._walk(parse_sequence_spec("ell:2").multipliers(2000), 0, 1))
     assert point == tuple(range(1, 4000, 2)) and all(type(c) is int for c in point)
     # ell:3's pass _DECIMAL_BITS near 720; from the entry before that on
     # they are Decimal
-    point = cli._u_gorenstein(parse_sequence_spec("ell:3").multipliers(2000)).point
+    point = tuple(cli._walk(parse_sequence_spec("ell:3").multipliers(2000), 0, 1))
     first = next(j for j, c in enumerate(point) if int(c).bit_length() > cli._DECIMAL_BITS)
     assert all(type(c) is int for c in point[: first - 1])
     assert all(type(c) is decimal.Decimal for c in point[first - 1 :])
@@ -851,6 +852,27 @@ def test_classify_decides_family_specs_by_theorem(spec):
     assert doc["u_generation"] == {"status": "recognized", "u": [str(u) for u in recognize_u_generated(terms)]}
     assert doc["point"] == [str(c) for c in lecture_hall_gorenstein(terms).point]
     assert doc["fail_index"] is None
+
+
+def printed_terms(out, fmt):
+    """The terms classify printed, as strings."""
+    if fmt == "json":
+        return json.loads(out)["terms"]
+    prefix = "terms," if fmt == "csv" else "terms: "
+    return next(line for line in out.splitlines() if line.startswith(prefix))[len(prefix) :].split(" ")
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS)
+def test_classify_walks_family_terms_from_their_multipliers(spec):
+    # the terms are the reference definition's, in every format, and the
+    # spec is never realized: they are walked from its multipliers
+    for n in (1, 2, 400, 1550):
+        want = [str(x) for x in family_oracle(spec, n)]
+        with mock.patch.object(SequenceSpec, "realize", side_effect=AssertionError("terms drawn")):
+            for fmt in ("json", "csv", "text"):
+                code, out, err = run(["classify", "--seq", spec, "--n", str(n), "--format", fmt])
+                assert (code, err) == (0, "")
+                assert printed_terms(out, fmt) == want
 
 
 def test_text_values_stay_on_their_line(tmp_path):

@@ -19,7 +19,14 @@ from lhcone.gorenstein import (
     simple_cone_gorenstein,
     u_generated_point,
 )
-from lhcone.sequences import generate_from_u, generate_kl, generate_recurrence, recurrence_terms, validate_positivity
+from lhcone.sequences import (
+    _u_walk,
+    generate_from_u,
+    generate_kl,
+    generate_recurrence,
+    recurrence_terms,
+    validate_positivity,
+)
 from test_enumeration import CORPUS
 
 
@@ -260,16 +267,20 @@ def test_decimal_point_has_the_digits_of_the_int_point(s):
 @settings(max_examples=200, deadline=None)
 def test_u_point_switches_to_decimal_at_the_first_long_entry(u, bits):
     # the point of the multipliers is the recursion's point on the terms
-    # they generate; ints up to the first entry past bits bits, then Decimal
-    # from the entry before it on
-    want = _u_point(u)
-    assert want == lecture_hall_gorenstein(generate_from_u(u, 1, len(u) + 1)).point
+    # they generate, and the walk from the seeds (1, 1) gives those terms;
+    # both are ints up to the first entry past bits bits, then Decimal from
+    # the entry before it on
+    s = generate_from_u(u, 1, len(u) + 1)
+    point = _u_point(u)
+    assert point == lecture_hall_gorenstein(s).point
+    assert _u_walk(u, 1, 1) == s
     with decimal.localcontext(EXACT):
-        got = _u_point(u, decimal.Decimal, bits)
-    assert [str(c) for c in got] == [str(c) for c in want]
-    first = next((j for j, c in enumerate(want) if c.bit_length() > bits), len(want) + 1)
-    assert all(type(c) is int for c in got[: first - 1])
-    assert all(type(c) is decimal.Decimal for c in got[first - 1 :])
+        built = ((_u_point(u, decimal.Decimal, bits), point), (_u_walk(u, 1, 1, decimal.Decimal, bits), s))
+    for got, want in built:
+        assert [str(c) for c in got] == [str(c) for c in want]
+        first = next((j for j, c in enumerate(want) if c.bit_length() > bits), len(want) + 1)
+        assert all(type(c) is int for c in got[: first - 1])
+        assert all(type(c) is decimal.Decimal for c in got[first - 1 :])
 
 
 def test_decimal_points_of_families_and_division_runs():

@@ -1,14 +1,16 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from lhcone.sequences import (
     CoprimalityError,
+    SequenceSpec,
     SpecParseError,
     generate_from_u,
     generate_kl,
     generate_recurrence,
     kl_product_exponents,
-    one_mod_k,
     parse_sequence_spec,
     recognize_u_generated,
     recurrence_terms,
@@ -16,6 +18,36 @@ from lhcone.sequences import (
 )
 from itertools import islice
 from math import gcd
+
+
+# reference definitions of the families whose terms lhcone walks from their
+# multipliers: each is written here without that walk
+
+
+def kl_oracle(k, l, n):
+    """a_1..a_n of a_0 = 0, a_1 = 1, a_{2i} = l*a_{2i-1} - a_{2i-2},
+    a_{2i+1} = k*a_{2i} - a_{2i-1}."""
+    a = [0, 1]
+    for i in range(2, n + 1):
+        a.append((l if i % 2 == 0 else k) * a[-1] - a[-2])
+    return a[1:]
+
+
+def one_mod_k(k, n):
+    """1, k+1, 2k+1, ..., the arithmetic progression that is 1 mod k."""
+    return [(i - 1) * k + 1 for i in range(1, n + 1)]
+
+
+def family_oracle(text, n):
+    """The terms s_1..s_n of a family spec whose kind fixes its multipliers
+    (rec:l,b only with b = -1)."""
+    spec = parse_sequence_spec(text)
+    return {
+        "kl": lambda k, l: kl_oracle(k, l, n),
+        "ell": lambda l: kl_oracle(l, l, n),
+        "one_mod_k": lambda k: one_mod_k(k, n),
+        "recurrence": lambda l, b: generate_recurrence(l, b, n),
+    }[spec.kind](*spec.params)
 
 
 def test_positivity_predicate():
@@ -72,6 +104,20 @@ def test_kl_product_exponents():
 def test_u_generation_example():
     assert generate_from_u((3, 3, 2, 3), 1, 5) == [1, 2, 5, 8, 19]
     assert generate_from_u((4, 1, 2, 5, 1, 2, 5, 1), 1, 9) == [1, 3, 2, 1, 3, 2, 1, 3, 2]
+
+
+def test_u_generation_stops_at_the_first_nonpositive_term():
+    # checked as each term is built: nothing past term 2 is computed, so the
+    # 3000 steps of a million do not build million-digit terms
+    u = (1,) + (10**6,) * 3000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="term 2 of the u-generated sequence is 0, not positive"):
+            generate_from_u(u, 1, len(u) + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_u_generation_rejects_with_index():
@@ -162,10 +208,10 @@ def test_u_generated_sequences_have_coprime_neighbours(u, s1):
 
 
 def test_one_mod_k():
-    assert one_mod_k(4, 5) == [1, 5, 9, 13, 17]
-    assert one_mod_k(1, 3) == [1, 2, 3]
+    assert parse_sequence_spec("onemodk:4").realize(5) == one_mod_k(4, 5) == [1, 5, 9, 13, 17]
+    assert parse_sequence_spec("onemodk:1").realize(3) == one_mod_k(1, 3) == [1, 2, 3]
     with pytest.raises(ValueError):
-        one_mod_k(0, 3)
+        SequenceSpec("one_mod_k", (0,)).realize(3)
 
 
 def test_parse_explicit():
@@ -241,6 +287,30 @@ FAMILY_SPECS = ["ell:2", "ell:5", "rec:2,-1", "rec:3,-1", "kl:2,2", "kl:2,5", "k
 def test_family_multipliers_are_the_recognized_u(text, n):
     spec = parse_sequence_spec(text)
     assert spec.multipliers(n) == recognize_u_generated(spec.realize(n))
+
+
+@pytest.mark.parametrize("text", FAMILY_SPECS)
+@pytest.mark.parametrize("n", [1, 2, 3, 1100])
+def test_family_terms_match_their_reference_definitions(text, n):
+    assert parse_sequence_spec(text).realize(n) == family_oracle(text, n)
+
+
+BAD_FAMILY_PARAMETERS = [
+    ("kl", (1, 3), "parameter must be >= 2, got 1"),
+    ("one_mod_k", (0,), "parameter must be >= 1, got 0"),
+    ("ell", (1,), "parameter must be >= 2, got 1"),
+    ("recurrence", (1, -1), "recurrence l=1, b=-1 does not stay positive"),
+]
+
+
+@pytest.mark.parametrize("kind, params, message", BAD_FAMILY_PARAMETERS)
+def test_specs_built_directly_check_their_parameters(kind, params, message):
+    # the parser refuses these with positions; a spec built without it must
+    # not walk multipliers that generate nonpositive terms
+    spec = SequenceSpec(kind, params)
+    for build in (spec.realize, spec.multipliers):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(4)
 
 
 @pytest.mark.parametrize("text", ["list:1,3,5", "u:3,3,2;1", "rec:3,9", "rec:4,0", "rec:1,1"])
