@@ -312,6 +312,8 @@ def cmd_numerator(args):
 
 def cmd_hstar(args):
     _, terms = _realized(args)
+    # charged first: a --t past the budget is refused before the h*-vector
+    counts = None if args.t is None else ehrhart_counts(terms, args.t)
     hs = h_star(terms)
     payload = {
         "seq": args.seq,
@@ -323,8 +325,8 @@ def cmd_hstar(args):
         "symmetric": hs.symmetric,
         "unimodal": hs.unimodal,
     }
-    if args.t is not None:
-        payload["ehrhart_counts"] = _Decimals(ehrhart_counts(terms, args.t))
+    if counts is not None:
+        payload["ehrhart_counts"] = _Decimals(counts)
     rows = (f"{d},{c}\n" for d, c in enumerate(hs.coeffs.coeffs))
     _emit(args, payload, ("degree,coefficient\n", rows))
     return 0

@@ -30,9 +30,13 @@ slot, or any slot on a big-endian host, is read one at a time.
 Each state stores its polynomial from its own least degree, kept as a
 separate offset; the least degree never decreases along a layer, so the
 window sum only ever shifts left to add and right to drop its zeroed low
-slots.  The last coordinate gets no states: its window contributes
-q^{ceil(a*s_n/s_{n-1})} times 1 + q + ... + q^{s_n - 1}, added in closed
-form.
+slots.  The last coordinate gets no states: each value a of x_{n-1} adds
+its state times q^{ceil(a*s_n/s_{n-1})} to a packed sum p, and p times
+1 + q + ... + q^{s_n - 1} is ((p << W*s_n) - p) // (2^W - 1), exact as
+z^w - 1 = (z - 1)(1 + z + ... + z^{w-1}) at z = 2^W, and linear in time as
+the divisor is one slot.  Each coefficient of the product sums s_n of a
+nonnegative polynomial's, which sum to at most prod(s), so it fits its
+slot, also after `h_star`'s second window.
 
 The same layers count the whole cone up to a grade limit,
 counts[k] = #{x in the cone : g.x = k}: `weight_series` grades by total
@@ -53,7 +57,7 @@ are counted from its bit length and the slot width, and its highest slot
 is nonzero, so the charge is the same at any width that holds the bound.
 The output length and one slot per state are known in closed form and
 charged before any work, as is the length of the h*-vector that `h_star`
-builds from the output, the rest of each state's slots as the state is
+builds with its second window, the rest of each state's slots as the state is
 made.  The environment variable LHCONE_BUDGET, a positive integer read at
 each count, overrides the default cap; exceeding it raises BudgetExceeded
 rather than letting an oversized instance spin forever or exhaust memory.
@@ -68,9 +72,8 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate
 from math import prod
-from operator import sub
 
 from .exact_arith import (
     DensePoly,
@@ -104,39 +107,11 @@ def node_budget():
     return budget
 
 
-def _window_sum(coeffs, w):
-    """The coefficients of coeffs * (1 + q + ... + q^{w-1})."""
-    pre = [0, *accumulate(coeffs)]
-    # entry k is pre[min(k + 1, L)] - pre[max(k + 1 - w, 0)], L = len(coeffs)
-    upper = chain(islice(pre, 1, None), repeat(pre[-1], w - 1))
-    lower = chain(repeat(0, w), islice(pre, 1, len(pre) - 1))
-    return list(map(sub, upper, lower))
-
-
-def _add_term(runs, o, p, W):
-    """Add q^o times the packed p to a sum kept as runs of 1, 2, 4, ... terms.
-
-    Terms come in order of o, so each run starts at its first term's degree;
-    equal runs merge, so a term takes part in O(log(terms)) additions.  A
-    run that starts at o holds only terms of degree o, so a term of that
-    degree is added into it in place.
-    """
-    if runs and runs[-1][1] == o:
-        k, _, p0 = runs[-1]
-        runs[-1] = (k, o, p0 + p)
-        return
-    k = 1
-    while runs and runs[-1][0] == k:
-        _, o0, p0 = runs.pop()
-        p = p0 + (p << W * (o - o0))
-        o, k = o0, 2 * k
-    runs.append((k, o, p))
-
-
-def _lattice(s, g, limit, charged=0):
+def _lattice(s, g, limit, charged=0, windows=1):
     """Lattice points of the cone of s graded by g, nonnegative and ending in 1.
 
-    With limit None, the coefficients of sum_{x in Pi} q^{g.x}; otherwise
+    With limit None, the coefficients of sum_{x in Pi} q^{g.x} times
+    (1 + q + ... + q^{s_n - 1})^(windows - 1); otherwise
     counts[k] = #{x in the cone : g.x = k} for k = 0..limit.  charged nodes,
     the slots a caller builds from the answer, count against the budget
     with the rest.
@@ -164,7 +139,7 @@ def _lattice(s, g, limit, charged=0):
     used = charged + length + sum(tops[:-1]) + n - 1
     if used > budget:
         raise BudgetExceeded(f"enumeration passed {budget} nodes")
-    # Pi has prod(s) points; the cone's prefixes x_1..x_{n-1} lie in a box
+    # Pi's prod(s) points bound its windows' coefficients; the cone's prefixes lie in a box
     bound = prod(s) if limit is None else prod(t + 1 for t in tops[:-1])
     B = (bound.bit_length() + 8) // 8
     if B <= 8:
@@ -209,7 +184,21 @@ def _lattice(s, g, limit, charged=0):
             if used > budget:
                 raise BudgetExceeded(f"enumeration passed {budget} nodes")
             if last:
-                _add_term(runs, o + gn * ((x * sn + sj - 1) // sj), state, W)
+                # add q^o times state to runs of 1, 2, 4, ... terms, each from
+                # its first term's degree; equal runs merge, so a term joins
+                # O(log(terms)) additions, and one of the top run's degree
+                # is added into that run in place
+                o += gn * ((x * sn + sj - 1) // sj)
+                if runs and runs[-1][1] == o:
+                    k, _, p = runs[-1]
+                    runs[-1] = (k, o, p + state)
+                else:
+                    k = 1
+                    while runs and runs[-1][0] == k:
+                        _, o0, p = runs.pop()
+                        state = p + (state << W * (o - o0))
+                        o, k = o0, 2 * k
+                    runs.append((k, o, state))
             else:
                 new_polys.append(state)
                 new_offs.append(o)
@@ -219,17 +208,23 @@ def _lattice(s, g, limit, charged=0):
         _, o0, p0 = runs.pop()
         p = p0 + (p << W * (o - o0))
         o = o0
-    # the last coordinate's factor: 1 + q + ... + q^{s_n - 1} on Pi,
-    # 1/(1 - q) on the cone, whose terms reach past the limit and are cut
-    head = length - sn + 1 if limit is None else length
-    p &= (1 << W * head) - 1
-    packed = memoryview(p.to_bytes(head * B, "little"))
+    if limit is None:
+        # each window 1 + q + ... + q^{s_n - 1} is one exact division
+        for _ in range(windows):
+            p = ((p << W * sn) - p) // ((1 << W) - 1)
+        head = length + (windows - 1) * (sn - 1)
+    else:
+        # 1/(1 - q) is a prefix sum at the end; terms past the limit are cut
+        head = length
+        p &= (1 << W * head) - 1
+    packed = p.to_bytes(head * B, "little")
+    del p  # only the bytes are read from here on: free the int before the unpack
     if B <= 8 and sys.byteorder == "little":
         # each slot is one C integer in native order: one cast reads them all
-        coeffs = packed.cast(_SLOT_FORMATS[B]).tolist()
+        coeffs = memoryview(packed).cast(_SLOT_FORMATS[B]).tolist()
     else:
         coeffs = [int.from_bytes(packed[k : k + B], "little") for k in range(0, head * B, B)]
-    return _window_sum(coeffs, sn) if limit is None else list(accumulate(coeffs))
+    return coeffs if limit is None else list(accumulate(coeffs))
 
 
 def weight_series(s, M):
@@ -375,15 +370,16 @@ def h_star(s):
     homogenized cone has rays (0, 1) and (v_i, s_n), and the second factor
     brings its denominator to (1 - t^{s_n})^{n+1}.  Its degree below
     (n+1)*s_n, its positivity and its value s_n*prod(s) at 1 are theorems,
-    checked on every answer.
+    checked on every answer.  Each coefficient sums s_n of those of the sum
+    over Pi, so the slots of Pi hold the second factor's packed product.
     """
     _check_positive(s)
     n = len(s)
     sn = s[-1]
     g = (0,) * (n - 1) + (1,)
-    # the window sum builds an answer of degree below (n+1)*s_n, charged
+    # the second window's answer, of degree below (n+1)*s_n, is charged
     # with the lattice before it runs
-    Q = DensePoly(_window_sum(_lattice(s, g, None, (n + 1) * sn), sn))
+    Q = DensePoly(_lattice(s, g, None, (n + 1) * sn, 2))
     if sum(Q.coeffs) != sn * prod(s) or min(Q.coeffs) < 1 or Q.degree >= (n + 1) * sn:
         raise InvariantViolation(
             "h*-vector is not positive of degree < (n+1)*s_n with value s_n*prod(s) at 1"

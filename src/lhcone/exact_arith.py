@@ -22,10 +22,11 @@ class DensePoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = tuple(coeffs)
+        k = len(cs)
+        while k and cs[k - 1] == 0:
+            k -= 1
+        object.__setattr__(self, "coeffs", cs[:k])
 
     def __setattr__(self, name, value):
         raise AttributeError("DensePoly is immutable")

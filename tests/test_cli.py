@@ -943,6 +943,17 @@ def test_hstar_charges_its_answer_before_the_lattice(monkeypatch):
     assert (code, out, err) == (2, "", "error: enumeration passed 20000000 nodes\n")
 
 
+def test_hstar_refuses_a_huge_t_before_the_hstar_vector(monkeypatch):
+    # rec:5,6 n=8 admits its h*-vector under the default budget, which takes
+    # seconds to build; the Ehrhart counts to t = 1e20 do not, and are
+    # charged first
+    monkeypatch.delenv("LHCONE_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(["hstar", "--seq", "rec:5,6", "--n", "8", "--t", str(10**20)])
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: enumeration passed 50000000 nodes\n")
+
+
 def test_product_budget_refusal_on_a_long_list_is_immediate(monkeypatch):
     # the denominator's 20,000 tail sums come before the budget charge
     monkeypatch.delenv("LHCONE_BUDGET", raising=False)

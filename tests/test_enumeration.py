@@ -1,6 +1,11 @@
 import itertools
-from itertools import accumulate
+import sys
+import tracemalloc
+from itertools import accumulate, chain, islice, repeat
 from math import prod
+from operator import sub
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -236,11 +241,13 @@ SLOT_ORACLES = {
 
 
 # (count, s, limit, slot bytes, bound): the bound on every coefficient is
-# prod(s) on Pi and the box of the ranges of x_1..x_{n-1} on the cone (each
-# x_j at most T*s_j/s_n under the Ehrhart grading), and it needs slots of 1,
-# 2, 3, 4, 5, 8 and 9 bytes, so each rounding (3 to 4, 5 to 8) and the
-# slot-by-slot read past 8 bytes is met.  On (127, 1) and (32767, 1) Pi has
-# a coefficient of 126 and 32766, all but one bit of its slot.
+# prod(s) on Pi, also after the h*-vector's second window, whose
+# coefficients each sum s_n of Pi's, and the box of the ranges of
+# x_1..x_{n-1} on the cone (each x_j at most T*s_j/s_n under the Ehrhart
+# grading), and it needs slots of 1, 2, 3, 4, 5, 8 and 9 bytes, so each
+# rounding (3 to 4, 5 to 8) and the slot-by-slot read past 8 bytes is met.
+# On (127, 1) and (32767, 1) Pi has a coefficient of 126 and 32766, all but
+# one bit of its slot.
 SLOT_CASES = [
     ("h_star", (127, 1), None, 1, 127),
     ("numerator_H", (1, 3, 8), None, 1, 24),
@@ -286,6 +293,77 @@ def test_a_full_top_byte_survives_the_read(s):
     assert max(Q.coeffs).bit_length() > 8 * ((prod(s).bit_length() + 8) // 8) - 8
     assert sum(Q.coeffs) == prod(s)
     assert is_palindromic(Q) == lecture_hall_gorenstein(s).gorenstein
+
+
+def _window_sum(coeffs, w):
+    """The coefficients of coeffs * (1 + q + ... + q^{w-1}), as one list."""
+    pre = [0, *accumulate(coeffs)]
+    # entry k is pre[min(k + 1, L)] - pre[max(k + 1 - w, 0)], L = len(coeffs)
+    upper = chain(islice(pre, 1, None), repeat(pre[-1], w - 1))
+    lower = chain(repeat(0, w), islice(pre, 1, len(pre) - 1))
+    return list(map(sub, upper, lower))
+
+
+def listed_windows(s, g, windows):
+    """The engine's sum over Pi unpacked before the last coordinate's window,
+    then that window and the rest applied as lists."""
+    coeffs = enumeration._lattice(s, g, None, 0, 0)
+    for _ in range(windows):
+        coeffs = _window_sum(coeffs, s[-1])
+    return coeffs
+
+
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+@example([1000, 1000, 1000])
+# h*-coefficients that reach prod(s), 7 of the 8 bits and 15 of the 16 bits
+# of their slots
+@example([1, 127])
+@example([1, 32767])
+@example([1, 3, 13, 51, 205])
+@settings(max_examples=60, deadline=None)
+def test_packed_windows_match_list_windows(s):
+    n = len(s)
+    weight, last = (1,) * n, (0,) * (n - 1) + (1,)
+    want = listed_windows(s, weight, 1), listed_windows(s, last, 2)
+    # the one-cast read, then the per-slot read that a big-endian host takes
+    # at every width
+    assert (list(numerator_H(s).coeffs), list(h_star(s).coeffs.coeffs)) == want
+    with mock.patch.object(enumeration, "sys", SimpleNamespace(byteorder="big")):
+        assert (list(numerator_H(s).coeffs), list(h_star(s).coeffs.coeffs)) == want
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="slots are read one at a time")
+def test_hstar_keeps_the_slots_of_pi():
+    # prod(s) = 10^9 needs 31 bits, a 4-byte slot, for the numerator and for
+    # the h*-vector: each h*-coefficient sums s_n of Pi's coefficients, so
+    # the second window needs no wider slot although the h*-vector sums to
+    # s_n*prod(s) = 10^12
+    widths = []
+
+    class Recording(dict):
+        def __getitem__(self, B):
+            widths.append(B)
+            return super().__getitem__(B)
+
+    s = (1000, 1000, 1000)
+    with mock.patch.object(enumeration, "_SLOT_FORMATS", Recording(enumeration._SLOT_FORMATS)):
+        numerator_H(s)
+        h_star(s)
+    assert widths == [4, 4]
+    assert max(h_star((1, 32767)).coeffs.coeffs) == 32767
+
+
+def test_hstar_memory_peak():
+    # the windows run on the packed answer, so no list but the answer is
+    # built: the peak is 12.5 MiB, against 20.8 MiB when each window ran as
+    # a list pass
+    tracemalloc.start()
+    try:
+        h_star((1, 100, 100000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 << 20
 
 
 def test_weight_series_one_dimensional():
