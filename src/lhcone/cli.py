@@ -219,29 +219,24 @@ _EXACT = decimal.Context(
 _DECIMAL_BITS = 1000
 
 
-def _gorenstein(terms):
-    """lecture_hall_gorenstein(terms), with a point built to be printed.
-
-    Entries of a long point are built in Decimal under _EXACT and printed
-    in linear time (see `_index_recursion`); the caller's decimal context
-    is left as it was.  Every entry c_j is below j*s_j, since
-    c_j/s_j <= c_{j-1}/s_{j-1} + 1/s_j, and the families grow, so the last
-    term stands for the length of the entries; a list that ends in a short
-    term takes the int route, which prints the same digits.
-    """
-    if terms[-1].bit_length() <= _DECIMAL_BITS:
-        return lecture_hall_gorenstein(terms)
-    with decimal.localcontext(_EXACT):
-        return lecture_hall_gorenstein(terms, decimal.Decimal)
-
-
 def _walk(u, first, second):
-    """The walk over a family's multipliers u: its Gorenstein point from the
-    seeds (0, 1) (see `_u_point`), its terms from (1, 1).  Entries are ints
+    """The walk over multipliers u: the Gorenstein point from the seeds
+    (0, 1) (see `_u_point`), a family's terms from (1, 1).  Entries are ints
     until one passes _DECIMAL_BITS, then Decimal under _EXACT from the entry
-    before it on; the caller's decimal context is left as it was."""
+    before it on, whose str() is linear in the digits where str(int) is
+    quadratic; the caller's decimal context is left as it was.  This is the
+    one place a point or a term becomes Decimal."""
     with decimal.localcontext(_EXACT):
         return _u_walk(u, first, second, decimal.Decimal, _DECIMAL_BITS)
+
+
+def _decide(terms, u):
+    """The Gorenstein decision on terms.  With their multipliers u, the point
+    walked from u, which is the recursion's point since every step is a
+    u-step (see `_index_recursion`); with u None, the recursion's answer."""
+    if u is None:
+        return lecture_hall_gorenstein(terms)
+    return GorensteinResult(tuple(_walk(u, 0, 1)), None, None)
 
 
 def _gor_fields(result):
@@ -267,11 +262,11 @@ def cmd_gor(args):
             raise ValueError("one of --seq or --matrix is required")
         spec, n = _spec(args)
         u = spec.multipliers(n)
+        terms = None  # a family is walked from its multipliers, no term drawn
         if u is None:
             terms = spec.realize(n)
-            n, result = len(terms), _gorenstein(terms)
-        else:
-            result = GorensteinResult(tuple(_walk(u, 0, 1)), None, None)
+            n = len(terms)
+        result = _decide(terms, u)
         source = {"seq": args.seq, "n": n}
     _emit(args, {**source, **_gor_fields(result)})
     return 0 if result.gorenstein else 1
@@ -389,8 +384,14 @@ def cmd_n0(args):
 
 
 def cmd_classify(args):
+    """u-generation, the Gorenstein decision and, for rec:l,b, the profile.
+
+    A family whose kind fixes its multipliers is walked and decided by
+    theorem.  Other terms are realized, and their point is walked from the
+    multipliers recognize_u_generated finds in them, if it finds any; else
+    the index recursion decides.
+    """
     spec, n = _spec(args)
-    # a family whose kind fixes its multipliers is walked and decided by theorem
     u = spec.multipliers(n)
     family = u is not None
     terms = _walk(u, 1, 1) if family else spec.realize(n)
@@ -410,7 +411,7 @@ def cmd_classify(args):
             payload["u_generation"] = {"status": "not-u-generated"}
         else:
             payload["u_generation"] = {"status": "recognized", "u": _Decimals(u)}
-    result = GorensteinResult(tuple(_walk(u, 0, 1)), None, None) if family else _gorenstein(terms)
+    result = _decide(terms, u)
     payload.update(_gor_fields(result))
     if spec.kind == "recurrence":
         l, b = spec.params
@@ -481,7 +482,12 @@ def build_parser():
 
     p = sub.add_parser("hstar", help="h*-vector of the associated polytope")
     _add_seq(p)
-    p.add_argument("--t", type=int, help="also report lattice counts for dilates 0..T")
+    p.add_argument(
+        "--t",
+        type=int,
+        help="also report lattice counts for dilates 0..T (json and text; csv writes only the "
+        "degree,coefficient table)",
+    )
 
     p = sub.add_parser("product", help="test for a pure product-form series")
     _add_seq(p)

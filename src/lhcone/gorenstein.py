@@ -13,9 +13,7 @@ and certifies it without a gcd: g = c_j*s_{j-1} - c_{j-1}*s_j is a Bezout
 combination of s_j and s_{j-1}, so their gcd divides g, and g dividing both
 makes it the gcd.  Only a failing step computes the gcd, for its witness.
 A step with s_j = u*s_{j-1} - s_{j-2}, as on ell-sequences, is always
-integral and takes c_j = u*c_{j-1} - c_{j-2}, in O(digits).  The
-recursion builds those entries in a number type the caller picks: the CLI
-picks decimal.Decimal for long points, whose str() is linear in the digits.
+integral and takes c_j = u*c_{j-1} - c_{j-2}, in O(digits).
 
 So a point has two routes.  The index recursion runs on realized terms and
 serves every sequence.  `_u_point` builds the point from the multipliers
@@ -59,19 +57,18 @@ class GorensteinResult:
         return self.point is not None
 
 
-def lecture_hall_gorenstein(s, number=int):
+def lecture_hall_gorenstein(s):
     """Decide the Gorenstein property of the cone of s by the index recursion.
 
     c_1 = 1 and c_j = (c_{j-1}*s_j + gcd(s_j, s_{j-1})) / s_{j-1}; the cone
     is Gorenstein iff every c_j is an integer, and then (c_1, ..., c_n) is
-    the Gorenstein point.  number is the type of the entries the recursion's
-    u-steps build, as `_index_recursion` says; the default gives ints.
+    the Gorenstein point.
     """
     _check_positive(s)
-    return _index_recursion(s, number)
+    return _index_recursion(s)
 
 
-def _index_recursion(terms, number=int):
+def _index_recursion(terms):
     """The recursion over positive terms, drawn only up to the first failure.
 
     A step divides c_{j-1}*s_j by s_{j-1} once, giving quotient q and
@@ -90,37 +87,20 @@ def _index_recursion(terms, number=int):
     u is one division with a small quotient, O(digits).  The virtual
     s_0 = 1, c_0 = 0 satisfy the identity with g = 1, so the first step is
     no exception.
-
-    A u-step computes number(u)*c_{j-1} - c_{j-2}, so its entry has the
-    type number; c_1 and the entries of division steps are ints.  With
-    number = decimal.Decimal, under a context that computes integers
-    exactly (a precision past every entry's digits, Inexact trapped), a
-    run of u-steps stays in Decimal, where each step is still O(digits) and
-    str() of an entry is linear in its digits; CPython's str(int) is
-    quadratic, and on long points it cost more than the whole recursion.
-    An int entry that meets a Decimal is converted exactly by the
-    arithmetic, and a division step takes int(c_{j-1}), which is free after
-    a division step and converts once, in O(digits^2) like the division
-    itself, after a u-step: a run of division steps never converts at all.
     """
     terms = iter(terms)
     pprev, prev = 1, next(terms)
     c = [0, 1]
-    u_prev = u_num = None
     for j, cur in enumerate(terms, start=2):
         u, t = divmod(cur + pprev, prev)
         if t:
-            x = int(c[-1])
-            q, r = divmod(x * cur, prev)
+            q, r = divmod(c[-1] * cur, prev)
             g = prev - r
             if prev % g or cur % g:
-                return GorensteinResult(None, j, Fraction(x * cur + gcd(cur, prev), prev))
+                return GorensteinResult(None, j, Fraction(c[-1] * cur + gcd(cur, prev), prev))
             c.append(q + 1)
         else:
-            # number(u) once per run of equal u, not once per step
-            if u != u_prev:
-                u_prev, u_num = u, number(u)
-            c.append(u_num * c[-1] - c[-2])
+            c.append(u * c[-1] - c[-2])
         pprev, prev = prev, cur
     return GorensteinResult(tuple(c[1:]), None, None)
 
@@ -152,7 +132,7 @@ def ell_sequence_point(l, n):
     return tuple([s[0]] + [s[i - 1] + s[i] for i in range(1, n)])
 
 
-def _u_point(u, number=int, bits=0):
+def _u_point(u):
     """The point c_1..c_n of a sequence whose every step is a u-step with the
     multipliers u = (u_1, ..., u_{n-1}): c_1 = 1, c_j = u_{j-1}*c_{j-1} - c_{j-2}.
 
@@ -173,9 +153,10 @@ def _u_point(u, number=int, bits=0):
       same argument from c_1 - c_0 = 1 makes the entries increase.
 
     It is `_u_walk` from the seeds c_0 = 0, c_1 = 1, the walk that builds
-    the terms from s_0 = s_1 = 1; number and bits are the walk's.
+    the terms from s_0 = s_1 = 1, here in ints; `lhcone.cli._walk` runs the
+    same walk with long entries in Decimal.
     """
-    return tuple(_u_walk(u, 0, 1, number, bits))
+    return tuple(_u_walk(u, 0, 1))
 
 
 def u_generated_point(u, n, s1=1):

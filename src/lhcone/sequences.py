@@ -99,7 +99,7 @@ def _u_walk(u, first, second, number=int, bits=0):
     from x_0 = first, x_1 = second: terms from (1, 1), the Gorenstein point
     from (0, 1) (`lhcone.gorenstein._u_point`).  Entries are ints until one
     passes bits bits; it and the entry before it become number, and the
-    arithmetic carries number on (see `lhcone.gorenstein._index_recursion`).
+    arithmetic carries number on (`lhcone.cli._walk` passes decimal.Decimal).
     """
     a, b = first, second
     x = [b]

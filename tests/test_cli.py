@@ -778,15 +778,6 @@ def test_printed_point_is_the_int_point_on_division_steps_and_mixed_lists():
             assert cli_answer(["classify", "--seq", spec]) == library_answer(s[:m])
 
 
-def test_long_points_are_built_in_decimal():
-    # the route the tests above compare: Decimal entries past the size
-    # where str(int) gets slow, ints below it
-    long = cli._gorenstein(parse_sequence_spec("ell:3").realize(2000)).point
-    short = cli._gorenstein(parse_sequence_spec("ell:3").realize(300)).point
-    assert isinstance(long[-1], decimal.Decimal)
-    assert all(type(c) is int for c in short)
-
-
 FAMILY_SPECS = ["ell:2", "ell:3", "ell:7", "rec:2,-1", "rec:3,-1", "kl:2,5", "kl:7,3", "onemodk:1", "onemodk:7"]
 
 
@@ -852,6 +843,36 @@ def test_classify_decides_family_specs_by_theorem(spec):
     assert doc["u_generation"] == {"status": "recognized", "u": [str(u) for u in recognize_u_generated(terms)]}
     assert doc["point"] == [str(c) for c in lecture_hall_gorenstein(terms).point]
     assert doc["fail_index"] is None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "list:" + ",".join(map(str, parse_sequence_spec("ell:3").realize(2000))),
+        "u:4" + ",3" * 1998 + ";7",
+    ],
+    ids=["ell:3 as a list", "u with s1 = 7"],
+)
+def test_classify_walks_the_point_of_recognized_multipliers(spec):
+    # long u-generated terms that are no family spec: the point is walked
+    # from the u recognize_u_generated finds, not run through the recursion,
+    # and prints byte for byte what the recursion's answer prints
+    parsed = parse_sequence_spec(spec)
+    terms = parsed.realize()
+    payload = {
+        "seq": spec,
+        "kind": parsed.kind,
+        "n": len(terms),
+        "terms": _Decimals(terms),
+        "u_generation": {"status": "recognized", "u": _Decimals(recognize_u_generated(terms))},
+        **cli._gor_fields(lecture_hall_gorenstein(terms)),
+    }
+    for fmt in ("json", "csv", "text"):
+        want = io.StringIO()
+        with redirect_stdout(want):
+            cli._emit(argparse.Namespace(format=fmt), payload)
+        with mock.patch("lhcone.cli.lecture_hall_gorenstein", side_effect=AssertionError("recursion run")):
+            assert run(["classify", "--seq", spec, "--format", fmt]) == (0, want.getvalue(), "")
 
 
 def printed_terms(out, fmt):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -89,6 +91,21 @@ def test_unimodal_edges():
 def test_palindromic_iff_equal_to_reverse(c):
     p = DensePoly(c)
     assert is_palindromic(p) == (p.coeffs == tuple(reversed(p.coeffs)))
+
+
+def test_palindromic_check_copies_nothing():
+    # a reversed tuple of 10^6 coefficients costs 8 MB; the check reads the
+    # halves in place, and a palindrome makes it read every pair
+    half = list(range(1, 500_001))
+    p = DensePoly(half + half[::-1])
+    del half
+    tracemalloc.start()
+    try:
+        assert is_palindromic(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_series_exact_length():

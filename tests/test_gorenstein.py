@@ -221,24 +221,6 @@ def test_falling_and_alternating_steps_match_oracle(s):
     assert lecture_hall_gorenstein(s) == oracle_gorenstein(s)
 
 
-@st.composite
-def long_mixed_steps(draw):
-    # runs of u-steps and of division steps, each after the other, from a
-    # start past the 28 digits of the default decimal context: a u-step
-    # s_j = u*s_{j-1} - s_{j-2} or a division step s_j = k*s_{j-1}, which
-    # stays integral (c_j = k*c_{j-1} + 1); then maybe a free term, which
-    # mostly fails
-    s = [1, draw(st.integers(10**300, 10**400))]
-    for step in draw(st.lists(st.one_of(st.integers(1, 6), st.integers(-9, -1)), max_size=40)):
-        s.append(step * s[-1] - s[-2] if step > 0 else -step * s[-1])
-        if s[-1] < 1:
-            s.pop()
-            break
-    if draw(st.booleans()):
-        s.append(s[-1] + draw(st.integers(1, 10**6)))
-    return s[1:]
-
-
 EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
     Emax=decimal.MAX_EMAX,
@@ -247,54 +229,25 @@ EXACT = decimal.Context(
 )
 
 
-@given(st.one_of(long_mixed_steps(), mixed_steps(), u_generated()))
-@settings(max_examples=300, deadline=None)
-def test_decimal_point_has_the_digits_of_the_int_point(s):
-    want = lecture_hall_gorenstein(s)
-    with decimal.localcontext(EXACT):
-        got = lecture_hall_gorenstein(s, decimal.Decimal)
-    assert (got.fails_at, got.witness) == (want.fails_at, want.witness)
-    if want.point is None:
-        assert got.point is None
-    else:
-        assert [str(c) for c in got.point] == [str(c) for c in want.point]
-        # u-step entries are Decimal, the others int; each equals its int
-        assert all(type(c) in (int, decimal.Decimal) for c in got.point)
-        assert list(map(int, got.point)) == list(want.point)
-
-
 @given(st.lists(st.integers(2, 10**6), max_size=60), st.integers(1, 400))
 @settings(max_examples=200, deadline=None)
 def test_u_point_switches_to_decimal_at_the_first_long_entry(u, bits):
     # the point of the multipliers is the recursion's point on the terms
     # they generate, and the walk from the seeds (1, 1) gives those terms;
-    # both are ints up to the first entry past bits bits, then Decimal from
-    # the entry before it on
+    # walked with Decimal, from the seeds (0, 1) and (1, 1), both are ints
+    # up to the first entry past bits bits, then Decimal from the entry
+    # before it on
     s = generate_from_u(u, 1, len(u) + 1)
     point = _u_point(u)
     assert point == lecture_hall_gorenstein(s).point
     assert _u_walk(u, 1, 1) == s
     with decimal.localcontext(EXACT):
-        built = ((_u_point(u, decimal.Decimal, bits), point), (_u_walk(u, 1, 1, decimal.Decimal, bits), s))
+        built = ((_u_walk(u, 0, 1, decimal.Decimal, bits), point), (_u_walk(u, 1, 1, decimal.Decimal, bits), s))
     for got, want in built:
         assert [str(c) for c in got] == [str(c) for c in want]
         first = next((j for j, c in enumerate(want) if c.bit_length() > bits), len(want) + 1)
         assert all(type(c) is int for c in got[: first - 1])
         assert all(type(c) is decimal.Decimal for c in got[first - 1 :])
-
-
-def test_decimal_points_of_families_and_division_runs():
-    # ell and kl families (u-steps only), rec:l,0 (division steps only)
-    for s in (
-        generate_kl(3, 3, 1200),
-        generate_kl(6, 6, 900),
-        generate_kl(2, 5, 1500),
-        generate_recurrence(2, 0, 2000),
-        generate_recurrence(10, 0, 1000),
-    ):
-        with decimal.localcontext(EXACT):
-            got = lecture_hall_gorenstein(s, decimal.Decimal).point
-        assert [str(c) for c in got] == [str(c) for c in lecture_hall_gorenstein(s).point]
 
 
 def test_ell_sequence_point_at_two_thousand_terms():
