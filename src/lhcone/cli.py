@@ -24,7 +24,6 @@ import argparse
 import decimal
 import functools
 import sys
-from dataclasses import asdict
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
@@ -96,9 +95,21 @@ def _emit(args, payload, table=None):
         sys.stdout.write("".join(parts))
 
 
-class _Decimals(list):
+class _Decimals:
     """A list of integers, ints or integral Decimals, written in decimal:
-    JSON strings that need no escaping, csv fields that need no quoting."""
+    JSON strings that need no escaping, csv fields that need no quoting.
+    It wraps the caller's sequence, which is not copied."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self.items = items
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __len__(self):
+        return len(self.items)
 
 
 def _write_json(value):
@@ -160,8 +171,8 @@ def _json_parts(value, parts, indent):
             _json_parts(item, parts, inner)
             sep = "," + inner
         parts += (indent, "}")
-    elif isinstance(value, (list, dict)):
-        parts.append("[]" if isinstance(value, list) else "{}")
+    elif isinstance(value, (list, dict, _Decimals)):
+        parts.append("{}" if isinstance(value, dict) else "[]")
     elif value is None or isinstance(value, bool):
         parts.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
@@ -171,7 +182,7 @@ def _json_parts(value, parts, indent):
 
 
 def _flat(value):
-    if isinstance(value, list):
+    if isinstance(value, (list, _Decimals)):
         return " ".join(_flat(v) for v in value)
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}={_flat(v)}" for k, v in value.items()) + "}"
@@ -246,7 +257,7 @@ def _gor_fields(result):
 
 
 def _profile_fields(prof):
-    return {name: str(value) for name, value in asdict(prof).items()}
+    return {name: str(value) for name, value in prof._asdict().items()}
 
 
 def cmd_gor(args):
@@ -266,6 +277,10 @@ def cmd_gor(args):
         if u is None:
             terms = spec.realize(n)
             n = len(terms)
+            if spec.kind == "u":
+                # realize checked that the terms are positive, so every step
+                # is a u-step from s_0 = 1, c_0 = 0 (see _index_recursion)
+                u = spec.params[0][: n - 1]
         result = _decide(terms, u)
         source = {"seq": args.seq, "n": n}
     _emit(args, {**source, **_gor_fields(result)})
@@ -387,30 +402,37 @@ def cmd_classify(args):
     """u-generation, the Gorenstein decision and, for rec:l,b, the profile.
 
     A family whose kind fixes its multipliers is walked and decided by
-    theorem.  Other terms are realized, and their point is walked from the
-    multipliers recognize_u_generated finds in them, if it finds any; else
-    the index recursion decides.
+    theorem.  Other terms are realized; where recognize_u_generated finds
+    their multipliers, the terms printed and the point are walked from
+    them, and else the index recursion decides.
     """
     spec, n = _spec(args)
     u = spec.multipliers(n)
     family = u is not None
     terms = _walk(u, 1, 1) if family else spec.realize(n)
+    try:
+        if not family:
+            u = recognize_u_generated(terms)
+    except CoprimalityError as exc:
+        u_generation = {"status": "hypothesis-violated", "detail": str(exc)}
+    else:
+        if u is None:
+            u_generation = {"status": "not-u-generated"}
+        else:
+            u_generation = {"status": "recognized", "u": _Decimals(u)}
+            if not family:
+                # the same terms, with long ones in Decimal for printing
+                walked = _walk(u, 1, terms[0])
+                if walked[-1] != terms[-1]:
+                    raise InvariantViolation("terms walked from the recognized u differ from the realized ones")
+                terms = walked
     payload = {
         "seq": args.seq,
         "kind": spec.kind,
         "n": len(terms),
         "terms": _Decimals(terms),
+        "u_generation": u_generation,
     }
-    try:
-        if not family:
-            u = recognize_u_generated(terms)
-    except CoprimalityError as exc:
-        payload["u_generation"] = {"status": "hypothesis-violated", "detail": str(exc)}
-    else:
-        if u is None:
-            payload["u_generation"] = {"status": "not-u-generated"}
-        else:
-            payload["u_generation"] = {"status": "recognized", "u": _Decimals(u)}
     result = _decide(terms, u)
     payload.update(_gor_fields(result))
     if spec.kind == "recurrence":

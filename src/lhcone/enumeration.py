@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from math import prod
 
@@ -346,13 +346,11 @@ def product_form(s):
     return exponents
 
 
-@dataclass(frozen=True)
-class HStarVector:
-    """Numerator of the Ehrhart series over (1 - x^{s_n})^{n+1}."""
+class HStarVector(namedtuple("HStarVector", "coeffs denominator_exponent power")):
+    """Numerator of the Ehrhart series over (1 - x^{s_n})^{n+1}: the
+    DensePoly coeffs over (1 - x^denominator_exponent)^power."""
 
-    coeffs: DensePoly
-    denominator_exponent: int
-    power: int
+    __slots__ = ()
 
     @property
     def symmetric(self):
@@ -387,14 +385,13 @@ def h_star(s):
     return HStarVector(Q, sn, n + 1)
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(
+    namedtuple("CrossCheckReport", "recursion_gorenstein numerator_palindromic hstar_palindromic")
+):
     """Three routes to the same yes/no: the index recursion, palindromicity
     of the weight-series numerator, palindromicity of the h*-vector."""
 
-    recursion_gorenstein: bool
-    numerator_palindromic: bool
-    hstar_palindromic: bool
+    __slots__ = ()
 
     @property
     def agree(self):

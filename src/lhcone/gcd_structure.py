@@ -5,7 +5,7 @@ f-sequence, and the stable-growth index used by the failure threshold test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from math import gcd
 
@@ -17,13 +17,7 @@ class HorizonTooSmallError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GcdProfile:
-    r: int
-    t: int
-    sigma: int
-    gamma: int
-    beta: int
+GcdProfile = namedtuple("GcdProfile", "r t sigma gamma beta")
 
 
 def _check_pair(l, b):
@@ -51,11 +45,10 @@ def gcd_profile(l, b):
     return GcdProfile(r, t, sigma, gamma, beta)
 
 
-@dataclass(frozen=True)
-class RatioTable:
+class RatioTable(namedtuple("RatioTable", "rows")):
     """Rows (n, gcd(s_{n+1}, s_n), normalizer t^{n-1}*sigma^{floor(n/2)}, u_n)."""
 
-    rows: tuple
+    __slots__ = ()
 
     @property
     def u_values(self):
@@ -141,11 +134,11 @@ def find_n0(l, b, horizon=None):
     )
 
 
-@dataclass(frozen=True)
-class ThresholdVerdict:
-    applicable: bool
-    threshold: int | None
-    actual: int | None
+class ThresholdVerdict(namedtuple("ThresholdVerdict", "applicable threshold actual")):
+    """Whether the threshold theorem applies, the index it predicts (an int
+    or None) and the actual first failing index within it (or None)."""
+
+    __slots__ = ()
 
     @property
     def confirmed(self):

@@ -27,7 +27,7 @@ its point there too and checks it against the recursion.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -46,11 +46,11 @@ class SingularMatrixError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GorensteinResult:
-    point: tuple | None
-    fails_at: int | None
-    witness: Fraction | None
+class GorensteinResult(namedtuple("GorensteinResult", "point fails_at witness")):
+    """The point (a tuple) of a Gorenstein cone, else None with the first
+    failing index and the rational value forced there (a Fraction)."""
+
+    __slots__ = ()
 
     @property
     def gorenstein(self):

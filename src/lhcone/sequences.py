@@ -15,7 +15,7 @@ Parse errors carry the 0-based character position of the offending token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, cycle, islice, repeat
 from math import gcd
 
@@ -183,12 +183,10 @@ _FAMILIES = {
 _KINDS = {row[0]: row for row in _FAMILIES.values()}
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(namedtuple("SequenceSpec", "kind params")):
     """A parsed sequence description: a family plus parameters, or a list."""
 
-    kind: str
-    params: tuple
+    __slots__ = ()
 
     def needs_length(self):
         return self.default_length() is None

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from lhcone import cli
 from lhcone.cli import _Decimals, _write_json, main
-from lhcone.gcd_structure import find_n0, ratio_table
+from lhcone.gcd_structure import find_n0, gcd_profile, ratio_table
 from lhcone.gorenstein import ell_sequence_point, gorenstein_fail_index, lecture_hall_gorenstein
 from lhcone.sequences import SequenceSpec, generate_recurrence, parse_sequence_spec, recognize_u_generated
 from test_sequences import family_oracle
@@ -873,6 +873,101 @@ def test_classify_walks_the_point_of_recognized_multipliers(spec):
             cli._emit(argparse.Namespace(format=fmt), payload)
         with mock.patch("lhcone.cli.lecture_hall_gorenstein", side_effect=AssertionError("recursion run")):
             assert run(["classify", "--seq", spec, "--format", fmt]) == (0, want.getvalue(), "")
+
+
+LONG_U = "u:4" + ",3" * 1998 + ";7"
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [(LONG_U, None), (LONG_U, 1200), ("u:3,3,2,3;5", 3), ("u:5,2,2;3", None), ("u:2;5", 1), ("u:1;2", 2)],
+    ids=["long s1 = 7", "long s1 = 7, n = 1200", "s1 = 5, n = 3", "s1 = 3", "s1 = 5, n = 1", "u_1 = 1"],
+)
+def test_u_specs_walk_what_the_recursion_answers(spec, n):
+    # gor walks the point from the spec's multipliers and classify walks the
+    # terms and the point from the recognized ones; both print byte for byte
+    # what the recursion's answer on the realized terms prints
+    terms = parse_sequence_spec(spec).realize(n)
+    fields = cli._gor_fields(lecture_hall_gorenstein(terms))
+    u = _Decimals(recognize_u_generated(terms))
+    payloads = {
+        "gor": {"seq": spec, "n": len(terms), **fields},
+        "classify": {
+            "seq": spec,
+            "kind": "u",
+            "n": len(terms),
+            "terms": _Decimals(terms),
+            "u_generation": {"status": "recognized", "u": u},
+            **fields,
+        },
+    }
+    argv = ["--seq", spec] + ([] if n is None else ["--n", str(n)])
+    for cmd, payload in payloads.items():
+        for fmt in ("json", "csv", "text"):
+            want = io.StringIO()
+            with redirect_stdout(want):
+                cli._emit(argparse.Namespace(format=fmt), payload)
+            walk = mock.Mock(wraps=cli._walk)
+            with mock.patch("lhcone.cli.lecture_hall_gorenstein", side_effect=AssertionError("recursion run")), \
+                    mock.patch.object(cli, "_walk", walk):
+                assert run([cmd, *argv, "--format", fmt]) == (0, want.getvalue(), "")
+            seeds = [c.args[1:] for c in walk.call_args_list]
+            assert seeds == ([(0, 1)] if cmd == "gor" else [(1, terms[0]), (0, 1)])
+
+
+@pytest.mark.parametrize("index", [1, -1])
+def test_classify_prints_and_checks_the_walked_terms(index):
+    # u:3,3;2 has the terms 2, 5, 13; one of the walked terms is made wrong
+    real = cli._walk
+
+    def one_term_off(u, first, second):
+        x = real(u, first, second)
+        x[index] += first  # the terms (seeds 1, s1) only
+        return x
+
+    with mock.patch.object(cli, "_walk", one_term_off):
+        assert run(["gor", "--seq", "u:3,3;2"])[0] == 0
+        code, out, err = run(["classify", "--seq", "u:3,3;2", "--format", "text"])
+    if index == 1:  # the terms printed are the walked ones
+        assert (code, err) == (0, "") and "terms: 2 6 13\n" in out
+    else:  # the last one is checked against the realized terms
+        assert (code, out) == (3, "")
+        assert err == "internal error: terms walked from the recognized u differ from the realized ones\n"
+
+
+def test_profile_fields_keep_their_order():
+    prof = gcd_profile(90, -756)
+    assert list(cli._profile_fields(prof).items()) == [
+        ("r", "18"), ("t", "6"), ("sigma", "3"), ("gamma", "5"), ("beta", "-7")
+    ]
+    code, out, _ = run(["profile", "--l", "90", "--b", "-756"])
+    assert list(json.loads(out)) == ["schema", "l", "b", "r", "t", "sigma", "gamma", "beta"]
+
+
+def test_hstar_writes_its_vector_without_a_copy():
+    seen, real = {}, cli.h_star
+
+    def h_star(s):
+        seen["hs"] = hs = real(s)
+        return hs
+
+    with mock.patch.object(cli, "h_star", h_star), \
+            mock.patch.object(cli, "_emit", lambda args, payload, table=None: seen.update(payload=payload)):
+        assert run(["hstar", "--seq", "list:1,3,5"]) == (0, "", "")
+    assert seen["payload"]["coefficients"].items is seen["hs"].coeffs.coeffs
+
+
+def test_decimals_inside_a_dict_are_flattened():
+    payload = {"u_generation": {"status": "recognized", "u": _Decimals((4, 3))}, "e": _Decimals(())}
+    for fmt, text in (
+        ("text", "u_generation: {status=recognized, u=4 3}\ne: \n"),
+        ("csv", 'key,value\nu_generation,"{status=recognized, u=4 3}"\ne,\n'),
+        ("json", json.dumps({"schema": 2, "u_generation": {"status": "recognized", "u": ["4", "3"]}, "e": []}, indent=2) + "\n"),
+    ):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            cli._emit(argparse.Namespace(format=fmt), payload)
+        assert out.getvalue() == text
 
 
 def printed_terms(out, fmt):
