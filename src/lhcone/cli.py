@@ -56,6 +56,7 @@ from .gorenstein import (
 from .sequences import (
     CoprimalityError,
     InvariantViolation,
+    _u_steps,
     _u_walk,
     parse_sequence_spec,
     recognize_u_generated,
@@ -218,6 +219,20 @@ def _realized(args):
     return spec, spec.realize(n)
 
 
+def _resolve(spec, n):
+    """The terms of spec at n (None for a family: its kind fixes u) and their
+    multipliers u if every step is a u-step from s_0 = 1, else None: a u:
+    spec's own once its terms are positive, or else their u-steps' u."""
+    u = spec.multipliers(n)
+    if u is not None:
+        return None, u
+    terms = spec.realize(n)
+    if spec.kind == "u":
+        return terms, spec.params[0][: len(terms) - 1]
+    u = _u_steps(terms)
+    return terms, u if len(u) == len(terms) - 1 else None
+
+
 # integers computed exactly: every digit kept, and any rounding an error
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
@@ -232,7 +247,7 @@ _DECIMAL_BITS = 1000
 
 def _walk(u, first, second):
     """The walk over multipliers u: the Gorenstein point from the seeds
-    (0, 1) (see `_u_point`), a family's terms from (1, 1).  Entries are ints
+    (0, 1) (see `_u_point`), the terms from (1, s_1).  Entries are ints
     until one passes _DECIMAL_BITS, then Decimal under _EXACT from the entry
     before it on, whose str() is linear in the digits where str(int) is
     quadratic; the caller's decimal context is left as it was.  This is the
@@ -272,19 +287,15 @@ def cmd_gor(args):
         if args.seq is None:
             raise ValueError("one of --seq or --matrix is required")
         spec, n = _spec(args)
-        u = spec.multipliers(n)
-        terms = None  # a family is walked from its multipliers, no term drawn
-        if u is None:
-            terms = spec.realize(n)
-            n = len(terms)
-            if spec.kind == "u":
-                # realize checked that the terms are positive, so every step
-                # is a u-step from s_0 = 1, c_0 = 0 (see _index_recursion)
-                u = spec.params[0][: n - 1]
+        terms, u = _resolve(spec, n)
         result = _decide(terms, u)
-        source = {"seq": args.seq, "n": n}
+        source = {"seq": args.seq, "n": n if terms is None else len(terms)}
     _emit(args, {**source, **_gor_fields(result)})
     return 0 if result.gorenstein else 1
+
+
+def _coefficient_table(coeffs):
+    return "degree,coefficient\n", (f"{d},{c}\n" for d, c in enumerate(coeffs))
 
 
 def cmd_series(args):
@@ -298,7 +309,7 @@ def cmd_series(args):
             "m": args.m,
             "coefficients": _Decimals(f.coeffs),
         },
-        ("degree,coefficient\n", (f"{d},{c}\n" for d, c in enumerate(f.coeffs))),
+        _coefficient_table(f.coeffs),
     )
     return 0
 
@@ -315,7 +326,7 @@ def cmd_numerator(args):
             "coefficients": _Decimals(H.coeffs),
             "palindromic": is_palindromic(H),
         },
-        ("degree,coefficient\n", (f"{d},{c}\n" for d, c in enumerate(H.coeffs))),
+        _coefficient_table(H.coeffs),
     )
     return 0
 
@@ -337,8 +348,7 @@ def cmd_hstar(args):
     }
     if counts is not None:
         payload["ehrhart_counts"] = _Decimals(counts)
-    rows = (f"{d},{c}\n" for d, c in enumerate(hs.coeffs.coeffs))
-    _emit(args, payload, ("degree,coefficient\n", rows))
+    _emit(args, payload, _coefficient_table(hs.coeffs.coeffs))
     return 0
 
 
@@ -401,31 +411,27 @@ def cmd_n0(args):
 def cmd_classify(args):
     """u-generation, the Gorenstein decision and, for rec:l,b, the profile.
 
-    A family whose kind fixes its multipliers is walked and decided by
-    theorem.  Other terms are realized; where recognize_u_generated finds
-    their multipliers, the terms printed and the point are walked from
-    them, and else the index recursion decides.
+    Where `_resolve` gives u, the terms and the point are walked from it;
+    else the index recursion decides, and `recognize_u_generated`'s sweep
+    tells hypothesis-violated from not-u-generated.
     """
     spec, n = _spec(args)
-    u = spec.multipliers(n)
-    family = u is not None
-    terms = _walk(u, 1, 1) if family else spec.realize(n)
-    try:
-        if not family:
-            u = recognize_u_generated(terms)
-    except CoprimalityError as exc:
-        u_generation = {"status": "hypothesis-violated", "detail": str(exc)}
-    else:
-        if u is None:
-            u_generation = {"status": "not-u-generated"}
+    terms, u = _resolve(spec, n)
+    family = terms is None
+    if u is None:
+        try:
+            recognize_u_generated(terms)
+        except CoprimalityError as exc:
+            u_generation = {"status": "hypothesis-violated", "detail": str(exc)}
         else:
-            u_generation = {"status": "recognized", "u": _Decimals(u)}
-            if not family:
-                # the same terms, with long ones in Decimal for printing
-                walked = _walk(u, 1, terms[0])
-                if walked[-1] != terms[-1]:
-                    raise InvariantViolation("terms walked from the recognized u differ from the realized ones")
-                terms = walked
+            u_generation = {"status": "not-u-generated"}
+    else:
+        u_generation = {"status": "recognized", "u": _Decimals(u)}
+        # the same terms, with long ones in Decimal for printing
+        walked = _walk(u, 1, 1 if family else terms[0])
+        if not family and walked[-1] != terms[-1]:
+            raise InvariantViolation("terms walked from the recognized u differ from the realized ones")
+        terms = walked
     payload = {
         "seq": args.seq,
         "kind": spec.kind,

@@ -15,13 +15,12 @@ makes it the gcd.  Only a failing step computes the gcd, for its witness.
 A step with s_j = u*s_{j-1} - s_{j-2}, as on ell-sequences, is always
 integral and takes c_j = u*c_{j-1} - c_{j-2}, in O(digits).
 
-So a point has two routes.  The index recursion runs on realized terms and
-serves every sequence.  `_u_point` builds the point from the multipliers
-alone, for the families whose kind fixes them (ell, kl, onemodk and
-rec:l,-1), which are Gorenstein for every n by the source paper's theorem:
-no term is drawn and no division made: it is `_u_walk` from the seeds
-(0, 1), which walks their terms from (1, 1).  `u_generated_point` builds
-its point there too and checks it against the recursion.
+A point has one walk wherever the multipliers u of the terms are known: of
+ell, kl, onemodk and rec:l,-1, whose kind fixes u (Gorenstein for every n by
+the source paper's theorem), of a u: spec, or of terms whose every step is a
+u-step.  `_u_point` is `_u_walk` from the seeds (0, 1), which walks the
+terms from (1, s_1); `kl_product_exponents` is the same walk.  The index
+recursion decides every other sequence; `u_generated_point` checks the two agree.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .sequences import (
     _check_positive,
     _u_walk,
     generate_from_u,
-    generate_kl,
     recurrence_terms,
 )
 
@@ -126,35 +124,26 @@ def gorenstein_fail_index(l, b, horizon=None):
     return _index_recursion(terms).fails_at
 
 
-def ell_sequence_point(l, n):
-    """Closed-form Gorenstein point (s_1, s_1+s_2, ..., s_{n-1}+s_n) for ell:l."""
-    s = generate_kl(l, l, n)
-    return tuple([s[0]] + [s[i - 1] + s[i] for i in range(1, n)])
-
-
 def _u_point(u):
     """The point c_1..c_n of a sequence whose every step is a u-step with the
     multipliers u = (u_1, ..., u_{n-1}): c_1 = 1, c_j = u_{j-1}*c_{j-1} - c_{j-2}.
 
-    This is the Gorenstein point, with no term drawn, for the families whose
-    kind fixes u (`SequenceSpec.multipliers`): ell:l and rec:l,-1, kl:k,l,
-    onemodk:k.  Their cones are Gorenstein for every n:
-    - each step of these families is a u-step by definition: their terms
-      are the walk s_{i+1} = u_i*s_i - s_{i-1} with these u from the virtual
-      s_0 = 1 and s_1 = 1 (`SequenceSpec.realize`), the first step included,
-      where s_2 = l = (l+1)*1 - 1 (k+1 = (k+2)*1 - 1 for onemodk);
-    - `_index_recursion`'s docstring shows that a u-step is integral, with
-      c_j = u*c_{j-1} - c_{j-2}, from the virtual c_0 = 0, c_1 = 1 on;
-    - the recursion applies, because the terms are positive: u_1 is l+1 >= 3
-      (k, l >= 2, and rec:l,-1 stays positive only for l >= 2) or k+2 >= 3
-      (k >= 1), and every later u_i is k, l or 2, so at least 2.  Then
+    By `_index_recursion`'s docstring this is the Gorenstein point of any
+    positive terms whose every step, from s_0 = 1 on, is a u-step with these
+    u.  The families whose kind fixes u (`SequenceSpec.multipliers`), ell:l
+    and rec:l,-1, kl:k,l, onemodk:k, are such terms, Gorenstein for every n:
+    - their terms are the walk s_{i+1} = u_i*s_i - s_{i-1} with these u from
+      the virtual s_0 = 1 and s_1 = 1 (`SequenceSpec.realize`), the first
+      step included, where s_2 = l = (l+1)*1 - 1 (k+1 = (k+2)*1 - 1 for
+      onemodk);
+    - the terms are positive: u_1 is l+1 >= 3 (k, l >= 2, and rec:l,-1
+      stays positive only for l >= 2) or k+2 >= 3 (k >= 1), and every later
+      u_i is k, l or 2, so at least 2.  Then
       s_{i+1} - s_i = (u_i - 2)*s_i + (s_i - s_{i-1}) >= s_i - s_{i-1}, and
       from s_2 - s_1 = u_1 - 2 >= 1 on the terms increase from s_1 = 1.  The
       same argument from c_1 - c_0 = 1 makes the entries increase.
 
-    It is `_u_walk` from the seeds c_0 = 0, c_1 = 1, the walk that builds
-    the terms from s_0 = s_1 = 1, here in ints; `lhcone.cli._walk` runs the
-    same walk with long entries in Decimal.
+    It is `_u_walk` from c_0 = 0, c_1 = 1; `lhcone.cli._walk` walks in Decimal.
     """
     return tuple(_u_walk(u, 0, 1))
 
@@ -259,10 +248,16 @@ def _solve_exact(rows, rhs):
 
 
 def _entry(token, lineno):
+    """[sign]digits or [sign]digits/digits, in ASCII; Fraction(token) alone
+    would also read 1e2000000, too large a number to build."""
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
     try:
-        return Fraction(token)
+        if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"line {lineno}: bad entry '{token}'") from None
+        pass
+    raise ValueError(f"line {lineno}: bad entry '{token}'")
 
 
 def parse_matrix(text):

@@ -78,20 +78,15 @@ def generate_kl(k, l, n):
 
 
 def kl_product_exponents(k, l, n):
-    """Denominator exponents of the product formula for the (k, l) family.
-
-    With a the (k, l)-sequence and b the (l, k)-sequence (both with the
-    index-0 term 0 prepended): (a_i + b_{i-1})_{i=1..n} for n even,
-    (b_i + a_{i-1})_{i=1..n} for n odd.  For k = l both reduce to
-    (a_i + a_{i-1}).
+    """Denominator exponents of the product formula for the (k, l) family
+    (Bousquet-Melou and Eriksson, JCTA 86, 1999): with a the (k, l)- and b
+    the (l, k)-sequence, a_0 = b_0 = 0, (a_i + b_{i-1}) for n even and
+    (b_i + a_{i-1}) for n odd.  That is the point of kl:k,l (n even) or
+    kl:l,k (n odd), walked from (0, 1) = (1, 1) + (-1, 0), as the walk is
+    linear in its seeds: kl:k,l's multipliers walk a_i from (1, 1), and from
+    (-1, 0) 0, 1, k, ..., b_{i-1}: u_1 does not enter, and u_2, u_3, ... = k, l, ... is b's rule.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    a = [0] + generate_kl(k, l, n)
-    b = [0] + generate_kl(l, k, n)
-    if n % 2 == 0:
-        return [a[i] + b[i - 1] for i in range(1, n + 1)]
-    return [b[i] + a[i - 1] for i in range(1, n + 1)]
+    return _u_walk(SequenceSpec("kl", (k, l) if n % 2 == 0 else (l, k)).multipliers(n), 0, 1)
 
 
 def _u_walk(u, first, second, number=int, bits=0):
@@ -138,6 +133,18 @@ def generate_from_u(u, s1, n):
     return terms[1:]
 
 
+def _u_steps(s):
+    """The u_i of the leading u-steps s_{i+1} = u_i*s_i - s_{i-1} of the
+    positive terms s, from s_0 = 1: len(s) - 1 of them iff s is u-generated."""
+    u = []
+    for pprev, prev, cur in zip(chain([1], s), s, islice(s, 1, None)):
+        q, r = divmod(cur + pprev, prev)
+        if r:
+            break
+        u.append(q)
+    return u
+
+
 def recognize_u_generated(s):
     """Recover the multiplier list u from s, or None when no such u exists.
 
@@ -151,19 +158,12 @@ def recognize_u_generated(s):
     gcd(s_1, s_0 = 1) = 1 at the start, so every earlier pair is coprime.
     """
     _check_positive(s)
-    u = []
-    t = [1, *s]  # t[i] = s_i, and s_0 = 1 makes s_2 = u_1*s_1 - 1 an instance of the rule
-    for i in range(2, len(t)):
-        q, r = divmod(t[i] + t[i - 2], t[i - 1])
-        if r != 0:
-            for j in range(i - 1, len(t) - 1):
-                if gcd(t[j], t[j + 1]) != 1:
-                    raise CoprimalityError(
-                        f"terms {j} and {j + 1} share a factor: gcd({t[j]}, {t[j + 1]}) != 1"
-                    )
-            return None
-        u.append(q)
-    return u
+    u = _u_steps(s)
+    t = [1, *s]  # t[i] = s_i; t[len(u) + 2], if any, is the first term no u-step reaches
+    for j in range(len(u) + 1, len(t) - 1):
+        if gcd(t[j], t[j + 1]) != 1:
+            raise CoprimalityError(f"terms {j} and {j + 1} share a factor: gcd({t[j]}, {t[j + 1]}) != 1")
+    return u if len(u) == len(s) - 1 else None
 
 
 def _kl_u(k, l):

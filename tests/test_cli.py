@@ -19,8 +19,15 @@ from hypothesis import given, settings, strategies as st
 from lhcone import cli
 from lhcone.cli import _Decimals, _write_json, main
 from lhcone.gcd_structure import find_n0, gcd_profile, ratio_table
-from lhcone.gorenstein import ell_sequence_point, gorenstein_fail_index, lecture_hall_gorenstein
-from lhcone.sequences import SequenceSpec, generate_recurrence, parse_sequence_spec, recognize_u_generated
+from lhcone.gorenstein import gorenstein_fail_index, lecture_hall_gorenstein
+from lhcone.sequences import (
+    CoprimalityError,
+    SequenceSpec,
+    generate_recurrence,
+    parse_sequence_spec,
+    recognize_u_generated,
+)
+from test_gorenstein import ell_sequence_point
 from test_sequences import family_oracle
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -845,18 +852,21 @@ def test_classify_decides_family_specs_by_theorem(spec):
     assert doc["fail_index"] is None
 
 
+ELL3_LIST = "list:" + ",".join(map(str, parse_sequence_spec("ell:3").realize(2000)))
+
+
 @pytest.mark.parametrize(
     "spec",
     [
-        "list:" + ",".join(map(str, parse_sequence_spec("ell:3").realize(2000))),
+        ELL3_LIST,
         "u:4" + ",3" * 1998 + ";7",
     ],
     ids=["ell:3 as a list", "u with s1 = 7"],
 )
 def test_classify_walks_the_point_of_recognized_multipliers(spec):
     # long u-generated terms that are no family spec: the point is walked
-    # from the u recognize_u_generated finds, not run through the recursion,
-    # and prints byte for byte what the recursion's answer prints
+    # from the u of their u-steps (a u: spec's own), not run through the
+    # recursion, and prints byte for byte what the recursion's answer prints
     parsed = parse_sequence_spec(spec)
     terms = parsed.realize()
     payload = {
@@ -884,9 +894,9 @@ LONG_U = "u:4" + ",3" * 1998 + ";7"
     ids=["long s1 = 7", "long s1 = 7, n = 1200", "s1 = 5, n = 3", "s1 = 3", "s1 = 5, n = 1", "u_1 = 1"],
 )
 def test_u_specs_walk_what_the_recursion_answers(spec, n):
-    # gor walks the point from the spec's multipliers and classify walks the
-    # terms and the point from the recognized ones; both print byte for byte
-    # what the recursion's answer on the realized terms prints
+    # gor walks the point and classify the terms and the point from the
+    # spec's multipliers; both print byte for byte what the recursion's
+    # answer on the realized terms prints
     terms = parse_sequence_spec(spec).realize(n)
     fields = cli._gor_fields(lecture_hall_gorenstein(terms))
     u = _Decimals(recognize_u_generated(terms))
@@ -913,6 +923,87 @@ def test_u_specs_walk_what_the_recursion_answers(spec, n):
                 assert run([cmd, *argv, "--format", fmt]) == (0, want.getvalue(), "")
             seeds = [c.args[1:] for c in walk.call_args_list]
             assert seeds == ([(0, 1)] if cmd == "gor" else [(1, terms[0]), (0, 1)])
+
+
+def emitted(payload, fmt):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit(argparse.Namespace(format=fmt), payload)
+    return out.getvalue()
+
+
+def test_gor_walks_the_point_of_a_u_generated_list():
+    # ell:3's 2,000 terms given as a list: gor finds u from their u-steps,
+    # runs neither the recursion nor the coprimality sweep, and prints the
+    # recursion's answer byte for byte
+    terms = parse_sequence_spec(ELL3_LIST).realize()
+    payload = {"seq": ELL3_LIST, "n": 2000, **cli._gor_fields(lecture_hall_gorenstein(terms))}
+    walk = mock.Mock(wraps=cli._walk)
+    for fmt in ("json", "csv", "text"):
+        with mock.patch("lhcone.cli.lecture_hall_gorenstein", side_effect=AssertionError("recursion run")), \
+                mock.patch("lhcone.cli.recognize_u_generated", side_effect=AssertionError("sweep run")), \
+                mock.patch.object(cli, "_walk", walk):
+            assert run(["gor", "--seq", ELL3_LIST, "--format", fmt]) == (0, emitted(payload, fmt), "")
+    assert [c.args[1:] for c in walk.call_args_list] == [(0, 1)] * 3
+
+
+@pytest.mark.parametrize("spec, n, fmt", [("rec:1,1", 2000, "json"), ("list:2,4", None, "json"), ("list:2,4,6", None, "text")])
+def test_gor_runs_no_coprimality_sweep(spec, n, fmt):
+    # terms with a step that is no u-step go to the recursion at once: gor
+    # needs no verdict on u-generation, so it pays no gcd per pair
+    argv = ["gor", "--seq", spec, "--format", fmt] + ([] if n is None else ["--n", str(n)])
+    with mock.patch("lhcone.cli.recognize_u_generated", side_effect=AssertionError("sweep run")), \
+            mock.patch("lhcone.sequences.gcd", side_effect=AssertionError("gcd taken")):
+        got = run(argv)
+    terms = parse_sequence_spec(spec).realize(n)
+    result = lecture_hall_gorenstein(terms)
+    payload = {"seq": spec, "n": len(terms), **cli._gor_fields(result)}
+    assert got == (0 if result.gorenstein else 1, emitted(payload, fmt), "")
+
+
+@pytest.mark.parametrize("spec, n", [("u:3,3,2,3;5", None), (LONG_U, 1200), ("u:1;2", None), ("u:2;5", 1)])
+def test_classify_takes_the_multipliers_of_a_u_spec_from_the_spec(spec, n):
+    # neither recognition nor a search of the terms' u-steps: the spec holds u
+    argv = ["classify", "--seq", spec] + ([] if n is None else ["--n", str(n)])
+    with mock.patch("lhcone.cli.recognize_u_generated", side_effect=AssertionError("u recognized")), \
+            mock.patch("lhcone.cli._u_steps", side_effect=AssertionError("u-steps searched")):
+        code, doc, err = run_json(argv)
+    terms = parse_sequence_spec(spec).realize(n)
+    assert (code, err) == (0, "")
+    assert doc["u_generation"] == {"status": "recognized", "u": [str(u) for u in recognize_u_generated(terms)]}
+    assert doc["terms"] == [str(x) for x in terms]
+
+
+@pytest.mark.parametrize(
+    "spec, status",
+    [("list:2,4,6", "hypothesis-violated"), ("list:1,2,4", "hypothesis-violated"), ("list:1,3,4", "not-u-generated"),
+     ("rec:1,1", "not-u-generated")],
+)
+def test_classify_sweeps_terms_that_are_not_u_generated(spec, status):
+    # the sweep tells hypothesis-violated from not-u-generated, as
+    # recognize_u_generated does
+    code, doc, err = run_json(["classify", "--seq", spec, "--n", "3" if spec.startswith("list") else "9"])
+    assert (code, err) == (0, "") and doc["u_generation"]["status"] == status
+    if status == "hypothesis-violated":
+        with pytest.raises(CoprimalityError) as exc:
+            recognize_u_generated(parse_sequence_spec(spec).realize(3))
+        assert doc["u_generation"]["detail"] == str(exc.value)
+
+
+@pytest.mark.parametrize("cmd", ["series", "numerator", "hstar"])
+def test_coefficient_tables_are_degree_and_coefficient_rows(cmd):
+    argv = [cmd, "--seq", "list:1,3,5"] + (["--m", "7"] if cmd == "series" else [])
+    coeffs = run_json(argv)[1]["coefficients"]
+    assert run([*argv, "--format", "csv"]) == (
+        0, "degree,coefficient\n" + "".join(f"{d},{c}\n" for d, c in enumerate(coeffs)), ""
+    )
+
+
+def test_gor_refuses_a_matrix_entry_outside_the_grammar(tmp_path):
+    # an exponent would build a 2,000,000-digit number before any budget
+    m = tmp_path / "cone.txt"
+    m.write_text("1 0\n-1 1e2000000\n")
+    assert run(["gor", "--matrix", str(m)]) == (2, "", "error: line 2: bad entry '1e2000000'\n")
 
 
 @pytest.mark.parametrize("index", [1, -1])

@@ -1,5 +1,6 @@
 import decimal
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, lcm
@@ -12,7 +13,6 @@ from lhcone.gorenstein import (
     GorensteinResult,
     SingularMatrixError,
     _u_point,
-    ell_sequence_point,
     gorenstein_fail_index,
     lecture_hall_gorenstein,
     parse_matrix,
@@ -24,10 +24,18 @@ from lhcone.sequences import (
     generate_from_u,
     generate_kl,
     generate_recurrence,
+    kl_product_exponents,
     recurrence_terms,
     validate_positivity,
 )
 from test_enumeration import CORPUS
+
+
+def ell_sequence_point(l, n):
+    """Closed-form Gorenstein point (s_1, s_1+s_2, ..., s_{n-1}+s_n) for ell:l:
+    the oracle for the walked point and for kl_product_exponents at k = l."""
+    s = generate_kl(l, l, n)
+    return tuple([s[0]] + [s[i - 1] + s[i] for i in range(1, n)])
 
 
 def oracle_gorenstein(s):
@@ -253,6 +261,7 @@ def test_u_point_switches_to_decimal_at_the_first_long_entry(u, bits):
 def test_ell_sequence_point_at_two_thousand_terms():
     s = generate_kl(3, 3, 2000)
     assert lecture_hall_gorenstein(s).point == ell_sequence_point(3, 2000)
+    assert tuple(kl_product_exponents(3, 3, 2000)) == ell_sequence_point(3, 2000)
 
 
 def test_gorenstein_smallest_cases():
@@ -375,6 +384,7 @@ def test_ell_sequence_point():
             pt = ell_sequence_point(l, n)
             r = lecture_hall_gorenstein(s)
             assert r.gorenstein and r.point == pt
+            assert tuple(kl_product_exponents(l, l, n)) == pt
 
 
 def test_u_generated_point_matches_recursion():
@@ -593,6 +603,9 @@ def test_simple_cone_keeps_its_errors():
 def test_parse_matrix_fractions_and_blanks():
     rows = parse_matrix("1 0\n\n-1 1/2\n")
     assert rows == ((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(1, 2)))
+    rows = parse_matrix("+3 007/014\n-6/4 +1/3\n")
+    assert rows == ((3, Fraction(1, 2)), (Fraction(-3, 2), Fraction(1, 3)))
+    assert all(type(x) is Fraction for row in rows for x in row)
 
 
 def test_parse_matrix_zero_entries():
@@ -607,6 +620,17 @@ def test_parse_matrix_zero_entries():
         parse_matrix("0 0\n0x 0\n")
     with pytest.raises(ValueError, match="^row 2 has 1 entries, expected 2$"):
         parse_matrix("0 0\n0\n")
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["1e2000000", "1E2", "1.5", ".5", "1_000", "1/-2", "--1", "1/2/3", "1/", "/2", "+", "inf", "nan", "\u0663", "1/0"],
+)
+def test_parse_matrix_takes_only_integers_and_fractions(token):
+    # what Fraction(token) also reads, exponents above all, is refused with
+    # the entry's line, which counts blank lines
+    with pytest.raises(ValueError, match=f"^line 3: bad entry '{re.escape(token)}'$"):
+        parse_matrix(f"1 0\n\n-1 {token}\n")
 
 
 def test_parse_matrix_errors_name_the_line():

@@ -7,6 +7,7 @@ from lhcone.sequences import (
     CoprimalityError,
     SequenceSpec,
     SpecParseError,
+    _u_steps,
     generate_from_u,
     generate_kl,
     generate_recurrence,
@@ -99,6 +100,34 @@ def test_kl_product_exponents():
     # k = l collapses to consecutive sums a_i + a_{i-1}
     a = [0] + generate_kl(3, 3, 5)
     assert kl_product_exponents(3, 3, 5) == [a[i] + a[i - 1] for i in range(1, 6)]
+
+
+def kl_exponents_oracle(k, l, n):
+    """The (k, l) exponents by their index formula on two generated
+    sequences, a the (k, l)- and b the (l, k)-sequence: (a_i + b_{i-1}) for
+    n even, (b_i + a_{i-1}) for n odd.  The oracle for the walk."""
+    a = [0] + generate_kl(k, l, n)
+    b = [0] + generate_kl(l, k, n)
+    if n % 2 == 0:
+        return [a[i] + b[i - 1] for i in range(1, n + 1)]
+    return [b[i] + a[i - 1] for i in range(1, n + 1)]
+
+
+def test_kl_product_exponents_are_the_walked_point():
+    for k in range(2, 13):
+        for l in range(2, 13):
+            for n in [*range(1, 61), 400, 401]:
+                assert kl_product_exponents(k, l, n) == kl_exponents_oracle(k, l, n), (k, l, n)
+    for k, l, n in ((2, 3, 0), (3, 3, -1), (1, 3, 4), (3, 1, 5)):
+        with pytest.raises(ValueError):
+            kl_product_exponents(k, l, n)
+
+
+def test_u_steps_stop_at_the_first_step_that_is_not_one():
+    assert _u_steps([1, 2, 5, 8, 19]) == [3, 3, 2, 3]
+    assert _u_steps((1, 2, 5, 9, 19)) == [3, 3]
+    assert _u_steps([2, 4]) == []
+    assert _u_steps([7]) == []
 
 
 def test_u_generation_example():
