@@ -26,6 +26,7 @@ import functools
 import sys
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+from math import prod
 
 from .enumeration import (
     BudgetExceeded,
@@ -38,7 +39,7 @@ from .enumeration import (
     product_form,
     weight_series,
 )
-from .exact_arith import is_palindromic, is_unimodal
+from .exact_arith import is_palindromic
 from .gcd_structure import (
     failure_threshold_check,
     f_sequence,
@@ -247,11 +248,11 @@ _DECIMAL_BITS = 1000
 
 def _walk(u, first, second):
     """The walk over multipliers u: the Gorenstein point from the seeds
-    (0, 1) (see `_u_point`), the terms from (1, s_1).  Entries are ints
-    until one passes _DECIMAL_BITS, then Decimal under _EXACT from the entry
-    before it on, whose str() is linear in the digits where str(int) is
-    quadratic; the caller's decimal context is left as it was.  This is the
-    one place a point or a term becomes Decimal."""
+    (0, 1) (see `u_generated_point`), the terms from (1, s_1).  Entries are
+    ints until one passes _DECIMAL_BITS, then Decimal under _EXACT from the
+    entry before it on, whose str() is linear in the digits where str(int)
+    is quadratic; the caller's decimal context is left as it was.  This is
+    the one place a point or a term becomes Decimal."""
     with decimal.localcontext(_EXACT):
         return _u_walk(u, first, second, decimal.Decimal, _DECIMAL_BITS)
 
@@ -342,7 +343,7 @@ def cmd_hstar(args):
         "coefficients": _Decimals(hs.coeffs.coeffs),
         "denominator_exponent": str(hs.denominator_exponent),
         "power": hs.power,
-        "q1": str(sum(hs.coeffs.coeffs)),
+        "q1": str(hs.denominator_exponent * prod(terms)),  # checked by h_star
         "symmetric": hs.symmetric,
         "unimodal": hs.unimodal,
     }
@@ -451,14 +452,9 @@ def cmd_classify(args):
             raise InvariantViolation(f"prefix fails at {result.fails_at}, family at {fail_index}")
         payload["fail_index"] = fail_index
         if b not in (0, -1):
-            verdict = failure_threshold_check(l, b)
-            payload["threshold_check"] = {
-                "applicable": verdict.applicable,
-                "threshold": verdict.threshold,
-                "actual": verdict.actual,
-            }
+            payload["threshold_check"] = failure_threshold_check(l, b)._asdict()
     elif family:
-        # every step is a u-step: Gorenstein for every n (see _u_point)
+        # every step is a u-step: Gorenstein for every n (see u_generated_point)
         payload["fail_index"] = None
     _emit(args, payload)
     return 0
@@ -472,9 +468,7 @@ def cmd_crosscheck(args):
         {
             "seq": args.seq,
             "n": len(terms),
-            "recursion_gorenstein": report.recursion_gorenstein,
-            "numerator_palindromic": report.numerator_palindromic,
-            "hstar_palindromic": report.hstar_palindromic,
+            **report._asdict(),
             "agree": report.agree,
         },
     )

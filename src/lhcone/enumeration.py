@@ -72,8 +72,9 @@ from __future__ import annotations
 import os
 import sys
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, compress, count, islice, repeat
 from math import prod
+from operator import sub
 
 from .exact_arith import (
     DensePoly,
@@ -269,40 +270,46 @@ def numerator_H(s):
     return H
 
 
-def detect_product_form(f, n):
-    """Greedily factor a series as prod of n terms 1/(1 - q^{e_i}).
+def _greedy_exponents(c, n):
+    """The exponents e_1 <= ... <= e_n of the list c, with c[0] = 1, as a
+    product of n terms 1/(1 - q^{e_i}) through its last degree, or None.
 
     Repeatedly takes the smallest positive degree with a nonzero
     coefficient as the next exponent and multiplies that factor out, in
-    place over one list.  Returns the sorted exponents, or None when the
-    series is not such a product through its truncation degree (a negative
-    coefficient showing up mid-extraction, leftovers after n factors, or
-    fewer than n factors).  The verdict holds only through that degree: a
-    series cut too low can miss an exponent or hide a leftover, and
-    `product_form` decides a cone exactly.
+    place over c.  None means a negative coefficient showing up
+    mid-extraction, leftovers after n factors, or fewer than n factors.
     """
-    M = f.truncation_degree
-    if f.coeffs[0] != 1:
-        raise ValueError(f"series must start with 1, got {f.coeffs[0]}")
-    c = list(f.coeffs)
     exponents = []
     # taking out 1/(1 - q^e) leaves the degrees below e alone, so the next
     # exponent is never smaller than this one
     e = 1
     for _ in range(n):
-        e = next((m for m in range(e, M + 1) if c[m] != 0), None)
-        if e is None or c[e] < 0:
+        e = next(compress(count(e), islice(c, e, None)), None)
+        if e is None:
             return None
         # times 1 - q^e, each entry from the old values; a product of the
         # remaining factors has no negative coefficient, so stop early
-        tail = [a - b for a, b in zip(c[e:], c)]
+        # (tail[0] = c[e] - c[0] = c[e] - 1 is negative if c[e] is)
+        tail = list(map(sub, islice(c, e, None), c))
         if min(tail) < 0:
             return None
         c[e:] = tail
         exponents.append(e)
-    if any(c[1:]):
-        return None
-    return sorted(exponents)
+    return None if any(islice(c, 1, None)) else exponents
+
+
+def detect_product_form(f, n):
+    """Greedily factor a truncated series as prod of n terms 1/(1 - q^{e_i}).
+
+    Runs `product_form`'s greedy on a copy of f's coefficients.  Returns the
+    sorted exponents, or None when the series is not such a product through
+    its truncation degree.  The verdict holds only through that degree: a
+    series cut too low can miss an exponent or hide a leftover, and
+    `product_form` decides a cone exactly.
+    """
+    if f.coeffs[0] != 1:
+        raise ValueError(f"series must start with 1, got {f.coeffs[0]}")
+    return _greedy_exponents(list(f.coeffs), n)
 
 
 def product_form(s):
@@ -313,12 +320,13 @@ def product_form(s):
     (Stanley), so the index recursion answers first and a cone it rejects
     is None at once, with no enumeration.  Otherwise, with H the numerator
     over prod_i (1 - q^{d_i}) and D = sum(d_i), the series through degree D
-    goes to the greedy of `detect_product_form`, and its exponents are
-    accepted only when deg H + sum(e_i) = D: then
-    H * prod(1 - q^{e_i}) - prod(1 - q^{d_i}) has degree at most D and
-    vanishes through D, so it is zero.  Every e_i is at most D, so the
-    greedy misses none.  The division costs n*(D+1) nodes, charged before
-    any work under LHCONE_BUDGET, the budget of `numerator_H`.
+    is divided out in one list, which the greedy of `detect_product_form`
+    factors in place, and its exponents are accepted only when
+    deg H + sum(e_i) = D: then H * prod(1 - q^{e_i}) - prod(1 - q^{d_i})
+    has degree at most D and vanishes through D, so it is zero.  Every e_i
+    is at most D, so the greedy misses none.  The division costs n*(D+1)
+    nodes, charged before any work under LHCONE_BUDGET, the budget of
+    `numerator_H`.
 
     A positive answer must have sum(e_i) = |c|, c the Gorenstein point, a
     theorem checked on every one: F(1/q) = (-1)^n q^{|c|} F(q) on a
@@ -335,9 +343,10 @@ def product_form(s):
     if len(s) * (D + 1) > budget:
         raise BudgetExceeded(f"enumeration passed {budget} nodes")
     H = numerator_H(s)
-    series = _divide_by_factors(list(H.coeffs) + [0] * (D - H.degree), d)
-    exponents = detect_product_form(TruncatedSeries(series, D), len(s))
-    if exponents is None or H.degree + sum(exponents) != D:
+    degree, series = H.degree, [*H.coeffs, *repeat(0, D - H.degree)]
+    del H  # only the list is divided from here on
+    exponents = _greedy_exponents(_divide_by_factors(series, d), len(s))
+    if exponents is None or degree + sum(exponents) != D:
         return None
     if sum(exponents) != sum(point):
         raise InvariantViolation(

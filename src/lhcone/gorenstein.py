@@ -18,7 +18,7 @@ integral and takes c_j = u*c_{j-1} - c_{j-2}, in O(digits).
 A point has one walk wherever the multipliers u of the terms are known: of
 ell, kl, onemodk and rec:l,-1, whose kind fixes u (Gorenstein for every n by
 the source paper's theorem), of a u: spec, or of terms whose every step is a
-u-step.  `_u_point` is `_u_walk` from the seeds (0, 1), which walks the
+u-step.  The point is `_u_walk` from the seeds (0, 1), which walks the
 terms from (1, s_1); `kl_product_exponents` is the same walk.  The index
 recursion decides every other sequence; `u_generated_point` checks the two agree.
 """
@@ -124,11 +124,15 @@ def gorenstein_fail_index(l, b, horizon=None):
     return _index_recursion(terms).fails_at
 
 
-def _u_point(u):
-    """The point c_1..c_n of a sequence whose every step is a u-step with the
-    multipliers u = (u_1, ..., u_{n-1}): c_1 = 1, c_j = u_{j-1}*c_{j-1} - c_{j-2}.
+def u_generated_point(u, n, s1=1):
+    """Gorenstein point of a u-generated sequence: c_1 = 1, c_2 = u_1,
+    c_{i+1} = u_i*c_i - c_{i-1}, which is `_u_walk` from c_0 = 0, c_1 = 1.
 
-    By `_index_recursion`'s docstring this is the Gorenstein point of any
+    The sequence itself must exist and stay positive through n (validated by
+    generating it, first term s1); the resulting point is checked against
+    the point of the index recursion; a mismatch raises InvariantViolation.
+
+    By `_index_recursion`'s docstring the walk is the Gorenstein point of any
     positive terms whose every step, from s_0 = 1 on, is a u-step with these
     u.  The families whose kind fixes u (`SequenceSpec.multipliers`), ell:l
     and rec:l,-1, kl:k,l, onemodk:k, are such terms, Gorenstein for every n:
@@ -142,22 +146,10 @@ def _u_point(u):
       s_{i+1} - s_i = (u_i - 2)*s_i + (s_i - s_{i-1}) >= s_i - s_{i-1}, and
       from s_2 - s_1 = u_1 - 2 >= 1 on the terms increase from s_1 = 1.  The
       same argument from c_1 - c_0 = 1 makes the entries increase.
-
-    It is `_u_walk` from c_0 = 0, c_1 = 1; `lhcone.cli._walk` walks in Decimal.
-    """
-    return tuple(_u_walk(u, 0, 1))
-
-
-def u_generated_point(u, n, s1=1):
-    """Gorenstein point of a u-generated sequence: c_1 = 1, c_2 = u_1,
-    c_{i+1} = u_i*c_i - c_{i-1}.
-
-    The sequence itself must exist and stay positive through n (validated by
-    generating it, first term s1); the resulting point is checked against
-    the point of the index recursion; a mismatch raises InvariantViolation.
+    `lhcone.cli._walk` runs the same walk in Decimal.
     """
     s = generate_from_u(u, s1, n)
-    point = _u_point(u[: n - 1])
+    point = tuple(_u_walk(u[: n - 1], 0, 1))
     if lecture_hall_gorenstein(s).point != point:
         raise InvariantViolation("u-generated point is not the point of the index recursion")
     return point

@@ -92,7 +92,7 @@ def kl_product_exponents(k, l, n):
 def _u_walk(u, first, second, number=int, bits=0):
     """x_1..x_n of x_{i+1} = u_i*x_i - x_{i-1} over u = (u_1, ..., u_{n-1})
     from x_0 = first, x_1 = second: terms from (1, 1), the Gorenstein point
-    from (0, 1) (`lhcone.gorenstein._u_point`).  Entries are ints until one
+    from (0, 1) (`lhcone.gorenstein.u_generated_point`).  Entries are ints until one
     passes bits bits; it and the entry before it become number, and the
     arithmetic carries number on (`lhcone.cli._walk` passes decimal.Decimal).
     """

@@ -505,6 +505,54 @@ def test_detect_product_form_requires_unit():
         detect_product_form(TruncatedSeries([2, 1], 4), 1)
 
 
+def reference_greedy(f, n):
+    """The greedy with a sign test on each exponent's coefficient, slice
+    copies and a final sort: the oracle for `detect_product_form`."""
+    M = f.truncation_degree
+    c = list(f.coeffs)
+    exponents = []
+    e = 1
+    for _ in range(n):
+        e = next((m for m in range(e, M + 1) if c[m] != 0), None)
+        if e is None or c[e] < 0:
+            return None
+        tail = [a - b for a, b in zip(c[e:], c)]
+        if min(tail) < 0:
+            return None
+        c[e:] = tail
+        exponents.append(e)
+    if any(c[1:]):
+        return None
+    return sorted(exponents)
+
+
+@st.composite
+def unit_series(draw):
+    """A series starting with 1 and a factor count: random entries, some
+    negative, or a product of 1/(1 - q^e) with one entry perturbed, read
+    with about as many factors as it has."""
+    if draw(st.booleans()):
+        coeffs = [1] + draw(st.lists(st.integers(-3, 3), max_size=30))
+        return TruncatedSeries(coeffs), draw(st.integers(0, 6))
+    exponents = draw(st.lists(st.integers(1, 9), max_size=5))
+    coeffs = list(product_form_series(exponents, draw(st.integers(0, 40))).coeffs)
+    k = draw(st.integers(0, len(coeffs) - 1))
+    if k:
+        coeffs[k] += draw(st.integers(-2, 2))
+    return TruncatedSeries(coeffs), max(0, len(exponents) + draw(st.integers(-1, 1)))
+
+
+@given(unit_series())
+@example((TruncatedSeries([1]), 0))
+@example((TruncatedSeries([1]), 1))
+@example((TruncatedSeries([1, 0, 0]), 0))
+@example((TruncatedSeries([1, -1, 0, 1]), 2))
+@settings(max_examples=400, deadline=None)
+def test_detect_product_form_matches_reference_greedy(case):
+    f, n = case
+    assert detect_product_form(f, n) == reference_greedy(f, n)
+
+
 def oracle_product_form(s):
     """The product form by the walker: the greedy on its weight series
     through sum(d_i), kept only when H * prod(1 - q^{e_i}) equals
@@ -528,6 +576,19 @@ def test_product_form_matches_oracle_on_corpus():
     assert got == {s: oracle_product_form(s) for s in CORPUS}
     # both verdicts occur: the staircase has a product form, (1,3,5,7) not
     assert got[(1, 2, 3, 4)] == [1, 3, 5, 7] and got[(1, 3, 5, 7)] is None
+
+
+def test_product_form_memory_peak():
+    # the greedy factors the division's own list, and the numerator is
+    # dropped once its coefficients are in it: the peak is 5.1 MiB, against
+    # 8.5 MiB with a tuple copy of the series and the numerator held to the end
+    tracemalloc.start()
+    try:
+        assert product_form((1, 200, 40000)) == [1, 201, 40201]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * (1 << 20)
 
 
 def test_product_form_needs_the_degree_identity(monkeypatch):

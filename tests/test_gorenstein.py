@@ -12,7 +12,6 @@ from lhcone import gorenstein
 from lhcone.gorenstein import (
     GorensteinResult,
     SingularMatrixError,
-    _u_point,
     gorenstein_fail_index,
     lecture_hall_gorenstein,
     parse_matrix,
@@ -246,7 +245,7 @@ def test_u_point_switches_to_decimal_at_the_first_long_entry(u, bits):
     # up to the first entry past bits bits, then Decimal from the entry
     # before it on
     s = generate_from_u(u, 1, len(u) + 1)
-    point = _u_point(u)
+    point = tuple(_u_walk(u, 0, 1))
     assert point == lecture_hall_gorenstein(s).point
     assert _u_walk(u, 1, 1) == s
     with decimal.localcontext(EXACT):
