@@ -24,7 +24,7 @@ import argparse
 import decimal
 import functools
 import sys
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from math import prod
 
@@ -79,13 +79,13 @@ def _emit(args, payload, table=None):
     if args.format == "json":
         _write_json({"schema": SCHEMA, **payload})
     elif csv and table:
-        _join([table[0]], "", table[1])  # a table has rows, so the header goes too
+        _join([table[0]], "", _cut(table[1]))  # a table has rows, so the header goes too
     else:
         parts = ["key,value\n"] if csv else []
         for key, value in payload.items():
             parts.append(f"{key}," if csv else f"{key}: ")
             if isinstance(value, _Decimals):
-                _join(parts, " ", value)
+                _join(parts, " ", value.pieces())
             else:
                 field = _flat(value)
                 if not csv:
@@ -100,18 +100,25 @@ def _emit(args, payload, table=None):
 class _Decimals:
     """A list of integers, ints or integral Decimals, written in decimal:
     JSON strings that need no escaping, csv fields that need no quoting.
-    It wraps the caller's sequence, which is not copied."""
+    items is the caller's list or tuple, which is not copied but cut into
+    pieces as it is written, or else the list's pieces themselves, as a walk
+    (`_walk`) hands them over: each is written as it comes and then dropped,
+    so such a list is written once and never held whole."""
 
     __slots__ = ("items",)
 
     def __init__(self, items):
         self.items = items
 
-    def __iter__(self):
-        return iter(self.items)
+    def pieces(self):
+        items = self.items
+        return _cut(items) if isinstance(items, (list, tuple)) else items
 
-    def __len__(self):
-        return len(self.items)
+    def __iter__(self):
+        return chain.from_iterable(self.pieces())
+
+    def __bool__(self):
+        return bool(self.items)
 
 
 def _write_json(value):
@@ -130,17 +137,47 @@ def _write_json(value):
     sys.stdout.write("".join(parts))
 
 
-# items in one piece of _join; a list any benchmark operation writes fits in
-# one: 2,000 entries at most, and 953 kB of JSON at most (ell:7 --n 1500)
-_BODY_ITEMS = 1 << 16
+# characters of text in one piece of _join, an entry counted with the 8 of a
+# json separator: a cache-sized piece.  On the benchmark's recurrence_cli,
+# whose tail is gor points of about 1 MB, op_p90_ms read 4.4 ms at 16, 32
+# and 64 kB pieces, against 4.9 ms with each list in one piece (seed 3);
+# in-process, those points took 20% longer at 4 kB pieces than at 32 kB
+_PIECE_CHARS = 1 << 15
 
 
-def _join(parts, sep, items):
-    """Write parts, then items joined by sep, to stdout, _BODY_ITEMS items a
-    piece, each turned into text only as it is written; parts is written
-    and emptied before each piece, and the caller goes on appending to it."""
-    items, lead = iter(items), ""
-    while piece := list(islice(items, _BODY_ITEMS)):
+def _piece_len(k, x):
+    """The length of a piece that starts with x, after one of k entries: as
+    many entries as x's text would fill _PIECE_CHARS, 2k at most, since the
+    entries of a walk grow as it goes, and 1 at least.  A first piece is
+    given k = 32.  x is a str, an int or an integral Decimal, whose digits
+    are read off its size."""
+    if isinstance(x, str):
+        chars = len(x)
+    elif isinstance(x, int):
+        chars = x.bit_length() * 3 // 10 + 1
+    else:
+        chars = x.adjusted() + 1
+    return max(1, min(2 * k, _PIECE_CHARS // (chars + 8)))
+
+
+def _cut(items):
+    """items, any iterable, as the lists _join writes, each as long as
+    _piece_len gives for its first entry."""
+    items, k = iter(items), 32
+    for first in items:
+        piece = [first]
+        piece += islice(items, _piece_len(k, first) - 1)
+        yield piece
+        k = len(piece)
+
+
+def _join(parts, sep, pieces):
+    """Write parts, then the entries of pieces, an iterable of lists, joined
+    by sep, to stdout, a whole list at a time, its entries turned into text
+    only as it is written; parts is written and emptied before each piece,
+    and the caller goes on appending to it."""
+    lead = ""
+    for piece in pieces:
         parts.append(lead)
         sys.stdout.write("".join(parts))
         parts.clear()
@@ -157,7 +194,7 @@ def _json_parts(value, parts, indent):
     inner = indent + "  "
     if isinstance(value, _Decimals) and value:
         parts += ("[", inner, '"')
-        _join(parts, '",' + inner + '"', value)
+        _join(parts, '",' + inner + '"', value.pieces())
         parts += ('"', indent, "]")
     elif isinstance(value, list) and value:
         sep = "[" + inner
@@ -247,23 +284,43 @@ _DECIMAL_BITS = 1000
 
 
 def _walk(u, first, second):
-    """The walk over multipliers u: the Gorenstein point from the seeds
-    (0, 1) (see `u_generated_point`), the terms from (1, s_1).  Entries are
-    ints until one passes _DECIMAL_BITS, then Decimal under _EXACT from the
-    entry before it on, whose str() is linear in the digits where str(int)
-    is quadratic; the caller's decimal context is left as it was.  This is
-    the one place a point or a term becomes Decimal."""
-    with decimal.localcontext(_EXACT):
-        return _u_walk(u, first, second, decimal.Decimal, _DECIMAL_BITS)
+    """The walk over multipliers u, in the pieces _join writes: the
+    Gorenstein point from the seeds (0, 1) (see `u_generated_point`), the
+    terms from (1, s_1).  Entries are ints until one passes _DECIMAL_BITS,
+    then Decimal under _EXACT from the entry before it on, whose str() is
+    linear in the digits where str(int) is quadratic.  This is the one place
+    a point or a term becomes Decimal.
+
+    The walk is lazy: each piece is computed only when the writer asks for
+    it, under _EXACT entered and left within the piece, so the caller's
+    decimal context holds between pieces; its last entry is held back as
+    the seed of the next piece, so the switch to Decimal, carried from
+    piece to piece, turns the entry before a long one into Decimal wherever
+    the pieces fall.  No more than a piece of the list is ever held."""
+    a, b, i, k = first, second, 0, _piece_len(32, second)
+    while True:
+        number = int if isinstance(b, decimal.Decimal) else decimal.Decimal
+        with decimal.localcontext(_EXACT):
+            x = _u_walk(u[i : i + k], a, b, number, _DECIMAL_BITS)
+        i += k
+        if i >= len(u):
+            yield x
+            return
+        b = x.pop()
+        a = x[-1]
+        yield x
+        k = _piece_len(k, b)
 
 
 def _decide(terms, u):
     """The Gorenstein decision on terms.  With their multipliers u, the point
     walked from u, which is the recursion's point since every step is a
-    u-step (see `_index_recursion`); with u None, the recursion's answer."""
+    u-step (see `_index_recursion`): a lazy `_walk`, whose pieces the writer
+    computes one at a time and drops, so the point is never held whole;
+    with u None, the recursion's answer."""
     if u is None:
         return lecture_hall_gorenstein(terms)
-    return GorensteinResult(tuple(_walk(u, 0, 1)), None, None)
+    return GorensteinResult(_walk(u, 0, 1), None, None)
 
 
 def _gor_fields(result):
@@ -419,6 +476,8 @@ def cmd_classify(args):
     spec, n = _spec(args)
     terms, u = _resolve(spec, n)
     family = terms is None
+    if not family:
+        n = len(terms)
     if u is None:
         try:
             recognize_u_generated(terms)
@@ -428,15 +487,19 @@ def cmd_classify(args):
             u_generation = {"status": "not-u-generated"}
     else:
         u_generation = {"status": "recognized", "u": _Decimals(u)}
-        # the same terms, with long ones in Decimal for printing
+        # the same terms, with long ones in Decimal for printing: a family's
+        # walked lazily, realized ones walked whole and checked before any
+        # byte is written
         walked = _walk(u, 1, 1 if family else terms[0])
-        if not family and walked[-1] != terms[-1]:
-            raise InvariantViolation("terms walked from the recognized u differ from the realized ones")
+        if not family:
+            walked = list(chain.from_iterable(walked))
+            if walked[-1] != terms[-1]:
+                raise InvariantViolation("terms walked from the recognized u differ from the realized ones")
         terms = walked
     payload = {
         "seq": args.seq,
         "kind": spec.kind,
-        "n": len(terms),
+        "n": n,
         "terms": _Decimals(terms),
         "u_generation": u_generation,
     }
@@ -448,7 +511,7 @@ def cmd_classify(args):
             payload["profile"] = _profile_fields(gcd_profile(l, b))
         fail_index = gorenstein_fail_index(l, b)
         # the prefix fails first where the family does, if that is within it
-        if result.fails_at != (fail_index if fail_index and fail_index <= len(terms) else None):
+        if result.fails_at != (fail_index if fail_index and fail_index <= n else None):
             raise InvariantViolation(f"prefix fails at {result.fails_at}, family at {fail_index}")
         payload["fail_index"] = fail_index
         if b not in (0, -1):

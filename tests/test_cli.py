@@ -9,7 +9,9 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain, islice
 from math import lcm
 from unittest import mock
 
@@ -23,6 +25,7 @@ from lhcone.gorenstein import gorenstein_fail_index, lecture_hall_gorenstein
 from lhcone.sequences import (
     CoprimalityError,
     SequenceSpec,
+    _u_walk,
     generate_recurrence,
     parse_sequence_spec,
     recognize_u_generated,
@@ -825,16 +828,137 @@ def test_family_route_charges_the_budget_before_any_entry(monkeypatch, cmd):
     assert run(argv)[0] == 0
 
 
+def walked(u, first, second):
+    """The entries of cli._walk, its pieces joined."""
+    return list(chain.from_iterable(cli._walk(u, first, second)))
+
+
 def test_family_points_are_ints_until_an_entry_is_long():
     # ell:2's entries, 1, 3, 5, ..., never pass four digits
-    point = tuple(cli._walk(parse_sequence_spec("ell:2").multipliers(2000), 0, 1))
+    point = tuple(walked(parse_sequence_spec("ell:2").multipliers(2000), 0, 1))
     assert point == tuple(range(1, 4000, 2)) and all(type(c) is int for c in point)
     # ell:3's pass _DECIMAL_BITS near 720; from the entry before that on
     # they are Decimal
-    point = tuple(cli._walk(parse_sequence_spec("ell:3").multipliers(2000), 0, 1))
+    point = tuple(walked(parse_sequence_spec("ell:3").multipliers(2000), 0, 1))
     first = next(j for j, c in enumerate(point) if int(c).bit_length() > cli._DECIMAL_BITS)
     assert all(type(c) is int for c in point[: first - 1])
     assert all(type(c) is decimal.Decimal for c in point[first - 1 :])
+
+
+def whole_walk(u, first, second):
+    """The walk in one piece, as _walk computes each of its pieces."""
+    with decimal.localcontext(cli._EXACT):
+        return _u_walk(u, first, second, decimal.Decimal, cli._DECIMAL_BITS)
+
+
+def typed(entries):
+    return [(type(c), str(c)) for c in entries]
+
+
+@given(
+    st.lists(st.integers(1, 10**6), max_size=40),
+    st.integers(1, 10**9),
+    st.integers(1, 200),
+    st.lists(st.integers(1, 6), min_size=1, max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_walk_pieces_join_into_the_whole_walk(u, s1, bits, sizes):
+    # cut anywhere, the pieces hold the whole walk's entries, of the whole
+    # walk's types: the switch to Decimal is carried from piece to piece
+    sizes = iter(sizes)
+    u = [ui + 1 for ui in u]  # u_i >= 2 keeps the terms positive
+    with mock.patch.object(cli, "_DECIMAL_BITS", bits), \
+            mock.patch.object(cli, "_piece_len", lambda k, x: next(sizes, k)):
+        for first, second in ((0, 1), (1, s1)):
+            pieces = list(cli._walk(u, first, second))
+            assert typed(chain.from_iterable(pieces)) == typed(whole_walk(u, first, second))
+            assert all(pieces)
+
+
+def test_walk_switches_to_decimal_at_every_place_in_a_piece():
+    # ell:3's point passes _DECIMAL_BITS at entry 720; in pieces of K
+    # entries, that falls at every place of a piece
+    u = parse_sequence_spec("ell:3").multipliers(800)
+    whole = typed(whole_walk(u, 0, 1))
+    for size in range(1, 12):
+        with mock.patch.object(cli, "_piece_len", lambda k, x: size):
+            pieces = list(cli._walk(u, 0, 1))
+        assert [len(p) for p in pieces[:-1]] == [size] * (len(pieces) - 1) and len(pieces[-1]) <= size + 1
+        assert typed(chain.from_iterable(pieces)) == whole
+
+
+def test_walk_leaves_the_callers_decimal_context():
+    # _EXACT is entered and left within each piece: between pieces and after
+    # the walk the caller's context is current and rounds at its precision
+    third = decimal.Decimal(1) / 3
+    for prec in (None, 10):
+        with decimal.localcontext() as ctx:
+            if prec is not None:
+                ctx.prec = prec
+            walk = cli._walk(parse_sequence_spec("ell:3").multipliers(2000), 0, 1)
+            taken = list(chain.from_iterable(islice(walk, 12)))
+            assert any(isinstance(c, decimal.Decimal) for c in taken)
+            assert decimal.getcontext() is ctx
+            assert decimal.Decimal(1) / 3 == round(third, prec or 28)
+            assert len(str(decimal.Decimal(1) / 3)) == 2 + (prec or 28)
+            rest = list(chain.from_iterable(walk))
+            assert len(taken) + len(rest) == 2000
+            assert decimal.getcontext() is ctx and decimal.getcontext().prec == (prec or 28)
+            assert decimal.Decimal(1) / 3 == round(third, prec or 28)
+
+
+def test_piece_len_fills_the_piece_chars():
+    # an entry counts its digits and a json separator's 8 characters; a piece
+    # at most doubles the one before it and holds one entry at least
+    assert cli._PIECE_CHARS == 1 << 15
+    assert [len(p) for p in cli._cut(range(200))] == [64, 128, 8]
+    assert [len(p) for p in cli._cut([10**2000] * 60)] == [16] * 3 + [12]
+    for x in (7, 10**300, -(10**300), decimal.Decimal(10**300), "1,2\n" + "9" * 300):
+        chars = len(str(x).lstrip("-"))
+        assert cli._PIECE_CHARS // (chars + 9) <= cli._piece_len(10**6, x) <= cli._PIECE_CHARS // (chars + 7)
+    assert cli._piece_len(3, 7) == 6
+    assert cli._piece_len(10**6, 10**40000) == 1 == cli._piece_len(10**6, decimal.Decimal(10**40000))
+
+
+@pytest.mark.parametrize("argv", [["gor", "--seq", "ell:9", "--n", "800"], ["series", "--seq", "list:1,2", "--m", "5000"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_writes_stay_near_the_piece_chars(argv, fmt):
+    # no write holds more than twice _PIECE_CHARS characters: a piece is at
+    # most twice as long as the one before it, so the growing entries of a
+    # walk overfill it only so far past the count its first entry gave
+    argv = [*argv, "--format", fmt]
+    pieces = Pieces()
+    with mock.patch.object(cli, "_PIECE_CHARS", 4000), redirect_stdout(pieces):
+        assert main(argv) == 0
+    assert "".join(pieces) == run(argv)[1]
+    assert len(pieces) > 10 and max(map(len, pieces)) <= 2 * 4000
+
+
+class Count:
+    """A stdout that keeps only the number of characters written."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+@pytest.mark.parametrize("cmd", ["gor", "classify"])
+def test_long_family_answers_are_never_held_whole(cmd):
+    # 5.3 MB of json for gor, 10.6 MB for classify, written while the walk
+    # goes: 0.4 and 0.2 MB are allocated at the peak, where the whole point
+    # took 13.7 MB and the terms and the point 16.3 MB
+    argv = [cmd, "--seq", "ell:3", "--n", "5000"]
+    sink = Count()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 5_000_000 and peak < 1_500_000
 
 
 @pytest.mark.parametrize("spec", FAMILY_SPECS)
@@ -1012,9 +1136,9 @@ def test_classify_prints_and_checks_the_walked_terms(index):
     real = cli._walk
 
     def one_term_off(u, first, second):
-        x = real(u, first, second)
+        x = list(chain.from_iterable(real(u, first, second)))
         x[index] += first  # the terms (seeds 1, s1) only
-        return x
+        return iter([x])
 
     with mock.patch.object(cli, "_walk", one_term_off):
         assert run(["gor", "--seq", "u:3,3;2"])[0] == 0
@@ -1256,9 +1380,9 @@ def test_writer_is_json_dumps_with_indent(value):
 @given(json_values)
 @settings(max_examples=100, deadline=None)
 def test_streamed_writer_writes_json_dumps_with_indent(value):
-    # bodies of two entries, so the lists drawn here span several
+    # pieces of one or two entries, so the lists drawn here span several
     out = io.StringIO()
-    with mock.patch("lhcone.cli._BODY_ITEMS", 2), redirect_stdout(out):
+    with mock.patch("lhcone.cli._PIECE_CHARS", 24), redirect_stdout(out):
         _write_json(value)
     assert out.getvalue() == json.dumps(as_strings(value), indent=2) + "\n"
 
@@ -1315,12 +1439,27 @@ def test_csv_output_is_csv(argv, tmp_path):
         assert [f"{k}: {v}" for k, v in rows] == run([*argv, "--format", "text"])[1].splitlines()
 
 
+# the walk switches to Decimal at entry j (0-based) of ell:3's point (720)
+# and terms (721), and of kl:7,3's (472), making entries j - 1 and j
+# Decimal; in pieces of K entries, j - 1 is a piece's first entry where
+# j % K is 1, its last where j % K is 0, and else inside it, as in pieces
+# of 5 on kl:7,3; at n = j + 1, j is the walk's last entry
+WALK_BOUNDARIES = [
+    ["gor", "--seq", "ell:3", "--n", "800"],
+    ["gor", "--seq", "ell:3", "--n", "721"],
+    ["classify", "--seq", "ell:3", "--n", "800"],
+    ["classify", "--seq", "kl:7,3", "--n", "600"],
+    ["classify", "--seq", "kl:7,3", "--n", "473"],
+]
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=" ".join)
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND + WALK_BOUNDARIES, ids=" ".join)
 def test_output_does_not_depend_on_the_piece_size(argv, fmt):
     want = run([*argv, "--format", fmt])
-    with mock.patch("lhcone.cli._BODY_ITEMS", 2):
-        assert run([*argv, "--format", fmt]) == want
+    for size in (1, 2, 5):
+        with mock.patch.object(cli, "_piece_len", lambda k, x: size):
+            assert run([*argv, "--format", fmt]) == want
 
 
 class Pieces(list):
@@ -1339,10 +1478,10 @@ ENTRY_SEPARATOR = {"json": r'(?<=\d)",\n +"(?=\d)', "csv": r"(?<=\d)\n(?=\d)", "
 )
 def test_long_lists_go_out_two_entries_a_piece(argv, fmt):
     # the memory bound, seen without measuring memory: no write holds more
-    # than _BODY_ITEMS entries of a list
+    # entries of a list than _piece_len gives
     argv = [*argv, "--format", fmt]
     pieces = Pieces()
-    with mock.patch("lhcone.cli._BODY_ITEMS", 2), redirect_stdout(pieces):
+    with mock.patch.object(cli, "_piece_len", lambda k, x: 2), redirect_stdout(pieces):
         assert main(argv) == 0
     assert "".join(pieces) == run(argv)[1]
     assert max(len(re.findall(ENTRY_SEPARATOR[fmt], piece)) for piece in pieces) == 1
