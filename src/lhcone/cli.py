@@ -49,6 +49,7 @@ from .gcd_structure import (
 )
 from .gorenstein import (
     GorensteinResult,
+    _index_recursion,
     gorenstein_fail_index,
     lecture_hall_gorenstein,
     parse_matrix,
@@ -61,6 +62,7 @@ from .sequences import (
     _u_walk,
     parse_sequence_spec,
     recognize_u_generated,
+    recurrence_terms,
 )
 
 SCHEMA = 2
@@ -257,20 +259,6 @@ def _realized(args):
     return spec, spec.realize(n)
 
 
-def _resolve(spec, n):
-    """The terms of spec at n (None for a family: its kind fixes u) and their
-    multipliers u if every step is a u-step from s_0 = 1, else None: a u:
-    spec's own once its terms are positive, or else their u-steps' u."""
-    u = spec.multipliers(n)
-    if u is not None:
-        return None, u
-    terms = spec.realize(n)
-    if spec.kind == "u":
-        return terms, spec.params[0][: len(terms) - 1]
-    u = _u_steps(terms)
-    return terms, u if len(u) == len(terms) - 1 else None
-
-
 # integers computed exactly: every digit kept, and any rounding an error
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
@@ -278,30 +266,33 @@ _EXACT = decimal.Context(
     Emin=decimal.MIN_EMIN,
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
 )
-# from about 300 digits on, str(int)'s quadratic cost outweighs what a
-# Decimal step costs more than an int step (measured on ell and kl points)
-_DECIMAL_BITS = 1000
+# _walk turns a piece into Decimal when its first entry passes this many
+# bits.  Walked and printed, a 64-entry piece of ell:3's or ell:7's point
+# costs 3-17% more per entry in Decimal than in int at 300-400 bits, and
+# 13-15% less at 600, 39-42% at 1000: str(int) is quadratic, str(Decimal)
+# linear.  recurrence_cli's op_p90_ms read 4.41 ms at 600 bits, 4.46 at 700
+# and 4.44 at 1000 (6 runs each, seeds 91-96, shared 2-core Xeon)
+_DECIMAL_BITS = 600
 
 
 def _walk(u, first, second):
     """The walk over multipliers u, in the pieces _join writes: the
     Gorenstein point from the seeds (0, 1) (see `u_generated_point`), the
-    terms from (1, s_1).  Entries are ints until one passes _DECIMAL_BITS,
-    then Decimal under _EXACT from the entry before it on, whose str() is
-    linear in the digits where str(int) is quadratic.  This is the one place
-    a point or a term becomes Decimal.
+    terms from (1, s_1).  Each piece is one `_u_walk` from two seeds, the
+    last entry of the piece before, held back, and the one before it; once
+    a piece's first entry passes _DECIMAL_BITS its seeds become Decimal, and
+    so every entry from there on.  This is the one place a point or a term
+    becomes Decimal, whose str() is linear where str(int) is quadratic.
 
     The walk is lazy: each piece is computed only when the writer asks for
     it, under _EXACT entered and left within the piece, so the caller's
-    decimal context holds between pieces; its last entry is held back as
-    the seed of the next piece, so the switch to Decimal, carried from
-    piece to piece, turns the entry before a long one into Decimal wherever
-    the pieces fall.  No more than a piece of the list is ever held."""
+    decimal context holds between pieces.  No more than a piece is held."""
     a, b, i, k = first, second, 0, _piece_len(32, second)
     while True:
-        number = int if isinstance(b, decimal.Decimal) else decimal.Decimal
+        if isinstance(b, int) and b.bit_length() > _DECIMAL_BITS:
+            a, b = decimal.Decimal(a), decimal.Decimal(b)
         with decimal.localcontext(_EXACT):
-            x = _u_walk(u[i : i + k], a, b, number, _DECIMAL_BITS)
+            x = _u_walk(u[i : i + k], a, b)
         i += k
         if i >= len(u):
             yield x
@@ -312,15 +303,23 @@ def _walk(u, first, second):
         k = _piece_len(k, b)
 
 
-def _decide(terms, u):
-    """The Gorenstein decision on terms.  With their multipliers u, the point
-    walked from u, which is the recursion's point since every step is a
-    u-step (see `_index_recursion`): a lazy `_walk`, whose pieces the writer
-    computes one at a time and drops, so the point is never held whole;
-    with u None, the recursion's answer."""
+def _answer(spec, n):
+    """The terms of spec at n, their multipliers u and the Gorenstein
+    decision.  terms is None where the answer needs none: for a family,
+    whose kind fixes u, and for rec:l,b with b != -1, whose recursion draws
+    them up to its first failure.  u is a u: spec's own, or the terms' u if
+    every step is a u-step, else None.  With u the decision is the point's
+    lazy `_walk`, the recursion's point (see `_index_recursion`), never held
+    whole; without u it is the recursion's answer."""
+    u, terms = spec.multipliers(n), None
     if u is None:
-        return lecture_hall_gorenstein(terms)
-    return GorensteinResult(_walk(u, 0, 1), None, None)
+        if spec.kind == "recurrence":
+            return None, None, _index_recursion(islice(recurrence_terms(*spec.params), n))
+        terms = spec.realize(n)
+        u = spec.params[0][: len(terms) - 1] if spec.kind == "u" else _u_steps(terms)
+        if len(u) < len(terms) - 1:
+            return terms, None, lecture_hall_gorenstein(terms)
+    return terms, u, GorensteinResult(_walk(u, 0, 1), None, None)
 
 
 def _gor_fields(result):
@@ -345,8 +344,7 @@ def cmd_gor(args):
         if args.seq is None:
             raise ValueError("one of --seq or --matrix is required")
         spec, n = _spec(args)
-        terms, u = _resolve(spec, n)
-        result = _decide(terms, u)
+        terms, _, result = _answer(spec, n)
         source = {"seq": args.seq, "n": n if terms is None else len(terms)}
     _emit(args, {**source, **_gor_fields(result)})
     return 0 if result.gorenstein else 1
@@ -469,23 +467,24 @@ def cmd_n0(args):
 def cmd_classify(args):
     """u-generation, the Gorenstein decision and, for rec:l,b, the profile.
 
-    Where `_resolve` gives u, the terms and the point are walked from it;
-    else the index recursion decides, and `recognize_u_generated`'s sweep
-    tells hypothesis-violated from not-u-generated.
+    Where `_answer` gives u, the terms are walked from it; else
+    `recognize_u_generated`'s sweep tells hypothesis-violated from
+    not-u-generated, or finds u on the rec:l,b terms `_answer` never drew.
     """
     spec, n = _spec(args)
-    terms, u = _resolve(spec, n)
-    family = terms is None
+    terms, u, result = _answer(spec, n)
+    family = terms is None and u is not None
     if not family:
+        if terms is None:
+            terms = spec.realize(n)
         n = len(terms)
+    u_generation = {"status": "not-u-generated"}
     if u is None:
         try:
-            recognize_u_generated(terms)
+            u = recognize_u_generated(terms)
         except CoprimalityError as exc:
             u_generation = {"status": "hypothesis-violated", "detail": str(exc)}
-        else:
-            u_generation = {"status": "not-u-generated"}
-    else:
+    if u is not None:
         u_generation = {"status": "recognized", "u": _Decimals(u)}
         # the same terms, with long ones in Decimal for printing: a family's
         # walked lazily, realized ones walked whole and checked before any
@@ -503,7 +502,6 @@ def cmd_classify(args):
         "terms": _Decimals(terms),
         "u_generation": u_generation,
     }
-    result = _decide(terms, u)
     payload.update(_gor_fields(result))
     if spec.kind == "recurrence":
         l, b = spec.params

@@ -6,7 +6,8 @@ point c satisfies c_1 = 1 and c_j*s_{j-1} = c_{j-1}*s_j + gcd(s_j, s_{j-1})
 for 2 <= j <= n.  The decision runs that recursion and reports either the
 point or the first index where integrality breaks, with the rational value
 that was forced there.  It draws the terms one at a time and stops at the
-first failure, so it also runs on the unending terms of an (l, b) family.
+first failure, so it also runs on the unending terms of an (l, b) family,
+as `lhcone gor` runs it on rec:l,b with b != -1, n terms at most.
 
 Each step takes the greedy interior value c_j = floor(c_{j-1}*s_j/s_{j-1}) + 1
 and certifies it without a gcd: g = c_j*s_{j-1} - c_{j-1}*s_j is a Bezout
@@ -18,9 +19,10 @@ integral and takes c_j = u*c_{j-1} - c_{j-2}, in O(digits).
 A point has one walk wherever the multipliers u of the terms are known: of
 ell, kl, onemodk and rec:l,-1, whose kind fixes u (Gorenstein for every n by
 the source paper's theorem), of a u: spec, or of terms whose every step is a
-u-step.  The point is `_u_walk` from the seeds (0, 1), which walks the
-terms from (1, s_1); `kl_product_exponents` is the same walk.  The index
-recursion decides every other sequence; `u_generated_point` checks the two agree.
+u-step.  The point is `_u_walk` from the seeds (0, 1), in ints, which walks
+the terms from (1, s_1); `kl_product_exponents` is the same walk.  The
+index recursion decides every other sequence; `u_generated_point` checks
+the two agree.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def u_generated_point(u, n, s1=1):
       s_{i+1} - s_i = (u_i - 2)*s_i + (s_i - s_{i-1}) >= s_i - s_{i-1}, and
       from s_2 - s_1 = u_1 - 2 >= 1 on the terms increase from s_1 = 1.  The
       same argument from c_1 - c_0 = 1 makes the entries increase.
-    `lhcone.cli._walk` runs the same walk in Decimal.
+    `lhcone.cli._walk` runs the same walk for printing, a piece at a time.
     """
     s = generate_from_u(u, s1, n)
     point = tuple(_u_walk(u[: n - 1], 0, 1))

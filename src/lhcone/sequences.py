@@ -89,22 +89,17 @@ def kl_product_exponents(k, l, n):
     return _u_walk(SequenceSpec("kl", (k, l) if n % 2 == 0 else (l, k)).multipliers(n), 0, 1)
 
 
-def _u_walk(u, first, second, number=int, bits=0):
+def _u_walk(u, first, second):
     """x_1..x_n of x_{i+1} = u_i*x_i - x_{i-1} over u = (u_1, ..., u_{n-1})
     from x_0 = first, x_1 = second: terms from (1, 1), the Gorenstein point
-    from (0, 1) (`lhcone.gorenstein.u_generated_point`).  Entries are ints until one
-    passes bits bits; it and the entry before it become number, and the
-    arithmetic carries number on (`lhcone.cli._walk` passes decimal.Decimal).
+    from (0, 1) (`lhcone.gorenstein.u_generated_point`).  The entries are of
+    the seeds' number type: ints from int seeds, and whatever type the
+    caller seeds it with (`lhcone.cli._walk` chooses, piece by piece).
     """
     a, b = first, second
     x = [b]
-    switch = number is not int
     for ui in u:
         a, b = b, ui * b - a
-        if switch and b.bit_length() > bits:
-            switch = False
-            a = x[-1] = number(a)
-            b = number(b)
         x.append(b)
     return x
 
@@ -205,7 +200,7 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind params")):
         are l+1, l, l, ... for ell:l and rec:l,-1, l+1, k, l, k, ... for
         kl:k,l and k+2, 2, 2, ... for onemodk:k.  None for every other spec:
         a list, a u: spec, whose terms must be checked for positivity, or
-        rec:l,b with b != -1.  A family's parameters are checked first."""
+        rec:l,b with b != -1.  A family's parameters are checked, then n."""
         if self.kind not in _KINDS:
             return None
         _, word, least, _, rule = _KINDS[self.kind]
@@ -213,12 +208,10 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind params")):
             raise ValueError("recurrence l={}, b={} does not stay positive".format(*self.params))
         if least is not None and min(self.params) < least:
             raise ValueError(f"{word} must be >= {least}, got {min(self.params)}")
-        u = rule(*self.params)
-        if u is None:
-            return None
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        return list(islice(u, n - 1))
+        u = rule(*self.params)
+        return None if u is None else list(islice(u, n - 1))
 
     def realize(self, n=None):
         """The terms s_1..s_n; n defaults to the natural length where one exists."""

@@ -833,26 +833,27 @@ def walked(u, first, second):
     return list(chain.from_iterable(cli._walk(u, first, second)))
 
 
+def assert_decimal_from_the_first_long_piece(pieces, ints, bits):
+    """The pieces of a walk hold the plain int walk's entries, each piece of
+    one type: int up to the first piece whose first entry passes bits, and
+    Decimal from that piece on."""
+    assert all(pieces)
+    assert [str(c) for c in chain.from_iterable(pieces)] == [str(c) for c in ints]
+    first = next((j for j, p in enumerate(pieces) if int(p[0]).bit_length() > bits), len(pieces))
+    assert [{type(c) for c in p} for p in pieces] == [{int}] * first + [{decimal.Decimal}] * (len(pieces) - first)
+
+
 def test_family_points_are_ints_until_an_entry_is_long():
     # ell:2's entries, 1, 3, 5, ..., never pass four digits
     point = tuple(walked(parse_sequence_spec("ell:2").multipliers(2000), 0, 1))
     assert point == tuple(range(1, 4000, 2)) and all(type(c) is int for c in point)
-    # ell:3's pass _DECIMAL_BITS near 720; from the entry before that on
-    # they are Decimal
-    point = tuple(walked(parse_sequence_spec("ell:3").multipliers(2000), 0, 1))
-    first = next(j for j, c in enumerate(point) if int(c).bit_length() > cli._DECIMAL_BITS)
-    assert all(type(c) is int for c in point[: first - 1])
-    assert all(type(c) is decimal.Decimal for c in point[first - 1 :])
-
-
-def whole_walk(u, first, second):
-    """The walk in one piece, as _walk computes each of its pieces."""
-    with decimal.localcontext(cli._EXACT):
-        return _u_walk(u, first, second, decimal.Decimal, cli._DECIMAL_BITS)
-
-
-def typed(entries):
-    return [(type(c), str(c)) for c in entries]
+    # ell:3's pass _DECIMAL_BITS from entry 432 on; they are Decimal from the
+    # first piece whose first entry passes it on, in the point and the terms
+    u = parse_sequence_spec("ell:3").multipliers(2000)
+    for seeds in ((0, 1), (1, 1)):
+        pieces = list(cli._walk(u, *seeds))
+        assert_decimal_from_the_first_long_piece(pieces, _u_walk(u, *seeds), cli._DECIMAL_BITS)
+        assert isinstance(pieces[-1][0], decimal.Decimal)
 
 
 @given(
@@ -863,28 +864,28 @@ def typed(entries):
 )
 @settings(max_examples=300, deadline=None)
 def test_walk_pieces_join_into_the_whole_walk(u, s1, bits, sizes):
-    # cut anywhere, the pieces hold the whole walk's entries, of the whole
-    # walk's types: the switch to Decimal is carried from piece to piece
+    # cut anywhere, the pieces hold the plain int walk's entries, each piece
+    # of one type, Decimal from the first piece that starts with a long entry
     sizes = iter(sizes)
     u = [ui + 1 for ui in u]  # u_i >= 2 keeps the terms positive
     with mock.patch.object(cli, "_DECIMAL_BITS", bits), \
             mock.patch.object(cli, "_piece_len", lambda k, x: next(sizes, k)):
         for first, second in ((0, 1), (1, s1)):
             pieces = list(cli._walk(u, first, second))
-            assert typed(chain.from_iterable(pieces)) == typed(whole_walk(u, first, second))
-            assert all(pieces)
+            assert_decimal_from_the_first_long_piece(pieces, _u_walk(u, first, second), bits)
 
 
 def test_walk_switches_to_decimal_at_every_place_in_a_piece():
-    # ell:3's point passes _DECIMAL_BITS at entry 720; in pieces of K
-    # entries, that falls at every place of a piece
+    # ell:3's point passes _DECIMAL_BITS at entry 432; in pieces of K
+    # entries, that first long entry falls at every place of a piece, and
+    # the walk turns Decimal at the start of the next piece
     u = parse_sequence_spec("ell:3").multipliers(800)
-    whole = typed(whole_walk(u, 0, 1))
+    ints = _u_walk(u, 0, 1)
     for size in range(1, 12):
         with mock.patch.object(cli, "_piece_len", lambda k, x: size):
             pieces = list(cli._walk(u, 0, 1))
         assert [len(p) for p in pieces[:-1]] == [size] * (len(pieces) - 1) and len(pieces[-1]) <= size + 1
-        assert typed(chain.from_iterable(pieces)) == whole
+        assert_decimal_from_the_first_long_piece(pieces, ints, cli._DECIMAL_BITS)
 
 
 def test_walk_leaves_the_callers_decimal_context():
@@ -1045,8 +1046,9 @@ def test_u_specs_walk_what_the_recursion_answers(spec, n):
             with mock.patch("lhcone.cli.lecture_hall_gorenstein", side_effect=AssertionError("recursion run")), \
                     mock.patch.object(cli, "_walk", walk):
                 assert run([cmd, *argv, "--format", fmt]) == (0, want.getvalue(), "")
-            seeds = [c.args[1:] for c in walk.call_args_list]
-            assert seeds == ([(0, 1)] if cmd == "gor" else [(1, terms[0]), (0, 1)])
+            # each walk once: the point's, and classify's of the terms
+            seeds = sorted(c.args[1:] for c in walk.call_args_list)
+            assert seeds == ([(0, 1)] if cmd == "gor" else sorted([(0, 1), (1, terms[0])]))
 
 
 def emitted(payload, fmt):
@@ -1085,6 +1087,33 @@ def test_gor_runs_no_coprimality_sweep(spec, n, fmt):
     assert got == (0 if result.gorenstein else 1, emitted(payload, fmt), "")
 
 
+def test_gor_draws_only_the_recurrence_terms_the_recursion_reads():
+    # rec:9,6 fails at index 4: gor draws its terms one at a time and stops
+    # there; realizing all 20,000 first allocated 88 MB at the peak
+    sink = Count()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            assert main(["gor", "--seq", "rec:9,6", "--n", "20000"]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 0 and peak < 2_000_000
+    # rec:1,0, whose every step is a u-step, gets its point 1..n from the
+    # recursion too, without realized terms
+    with mock.patch.object(SequenceSpec, "realize", side_effect=AssertionError("terms realized")):
+        code, doc, err = run_json(["gor", "--seq", "rec:1,0", "--n", "300"])
+    assert (code, err) == (0, "") and doc["point"] == [str(j) for j in range(1, 301)]
+
+
+@pytest.mark.parametrize("cmd", ["gor", "classify"])
+def test_recurrence_specs_reject_n_below_one(cmd):
+    # drawn lazily, an empty slice of the terms must not reach the recursion
+    for spec in ("rec:9,6", "rec:1,0", "rec:3,-1"):
+        for n in (0, -1, -40000):
+            assert run([cmd, "--seq", spec, "--n", str(n)]) == (2, "", f"error: need n >= 1, got {n}\n")
+
+
 @pytest.mark.parametrize("spec, n", [("u:3,3,2,3;5", None), (LONG_U, 1200), ("u:1;2", None), ("u:2;5", 1)])
 def test_classify_takes_the_multipliers_of_a_u_spec_from_the_spec(spec, n):
     # neither recognition nor a search of the terms' u-steps: the spec holds u
@@ -1112,6 +1141,18 @@ def test_classify_sweeps_terms_that_are_not_u_generated(spec, status):
         with pytest.raises(CoprimalityError) as exc:
             recognize_u_generated(parse_sequence_spec(spec).realize(3))
         assert doc["u_generation"]["detail"] == str(exc.value)
+
+
+@pytest.mark.parametrize("spec, n", [("rec:1,0", 50), ("rec:3,5", 2), ("rec:9,6", 1)])
+def test_classify_recognizes_recurrence_terms_that_are_u_generated(spec, n):
+    # rec:l,b with b != -1 is decided without its terms; classify realizes
+    # them, and the sweep finds u where every step is a u-step
+    code, doc, err = run_json(["classify", "--seq", spec, "--n", str(n)])
+    terms = parse_sequence_spec(spec).realize(n)
+    assert (code, err) == (0, "")
+    assert doc["u_generation"] == {"status": "recognized", "u": [str(u) for u in recognize_u_generated(terms)]}
+    assert doc["terms"] == [str(x) for x in terms]
+    assert doc["point"] == [str(c) for c in lecture_hall_gorenstein(terms).point]
 
 
 @pytest.mark.parametrize("cmd", ["series", "numerator", "hstar"])
@@ -1439,17 +1480,19 @@ def test_csv_output_is_csv(argv, tmp_path):
         assert [f"{k}: {v}" for k, v in rows] == run([*argv, "--format", "text"])[1].splitlines()
 
 
-# the walk switches to Decimal at entry j (0-based) of ell:3's point (720)
-# and terms (721), and of kl:7,3's (472), making entries j - 1 and j
-# Decimal; in pieces of K entries, j - 1 is a piece's first entry where
-# j % K is 1, its last where j % K is 0, and else inside it, as in pieces
-# of 5 on kl:7,3; at n = j + 1, j is the walk's last entry
+# the first entry past _DECIMAL_BITS is entry j (0-based) of ell:3's point
+# and terms (432) and of kl:7,3's point (283) and terms (284); the walk
+# turns Decimal at the first piece that starts at or after it.  In pieces
+# of 1, 2 or 5 entries, j falls on a piece's first entry, inside a piece
+# or on its last; at n = j + 1, j is the walk's last entry
 WALK_BOUNDARIES = [
     ["gor", "--seq", "ell:3", "--n", "800"],
     ["gor", "--seq", "ell:3", "--n", "721"],
+    ["gor", "--seq", "ell:3", "--n", "433"],
     ["classify", "--seq", "ell:3", "--n", "800"],
     ["classify", "--seq", "kl:7,3", "--n", "600"],
     ["classify", "--seq", "kl:7,3", "--n", "473"],
+    ["classify", "--seq", "kl:7,3", "--n", "285"],
 ]
 
 

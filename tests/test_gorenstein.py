@@ -236,25 +236,25 @@ EXACT = decimal.Context(
 )
 
 
-@given(st.lists(st.integers(2, 10**6), max_size=60), st.integers(1, 400))
+@given(st.lists(st.integers(2, 10**6), max_size=60), st.sampled_from([1, 2, 10**400 + 1]))
 @settings(max_examples=200, deadline=None)
-def test_u_point_switches_to_decimal_at_the_first_long_entry(u, bits):
+def test_u_point_is_walked_in_its_seeds_number_type(u, s1):
     # the point of the multipliers is the recursion's point on the terms
-    # they generate, and the walk from the seeds (1, 1) gives those terms;
-    # walked with Decimal, from the seeds (0, 1) and (1, 1), both are ints
-    # up to the first entry past bits bits, then Decimal from the entry
-    # before it on
-    s = generate_from_u(u, 1, len(u) + 1)
+    # they generate, and the walk from the seeds (1, s1) gives those terms;
+    # from Decimal seeds the walk gives the same entries, all Decimal
+    # (the CLI's printer chooses the seeds' type: see test_cli)
+    s = generate_from_u(u, s1, len(u) + 1)
     point = tuple(_u_walk(u, 0, 1))
     assert point == lecture_hall_gorenstein(s).point
-    assert _u_walk(u, 1, 1) == s
+    assert _u_walk(u, 1, s1) == s
     with decimal.localcontext(EXACT):
-        built = ((_u_walk(u, 0, 1, decimal.Decimal, bits), point), (_u_walk(u, 1, 1, decimal.Decimal, bits), s))
+        built = (
+            (_u_walk(u, decimal.Decimal(0), decimal.Decimal(1)), point),
+            (_u_walk(u, decimal.Decimal(1), decimal.Decimal(s1)), s),
+        )
     for got, want in built:
         assert [str(c) for c in got] == [str(c) for c in want]
-        first = next((j for j, c in enumerate(want) if c.bit_length() > bits), len(want) + 1)
-        assert all(type(c) is int for c in got[: first - 1])
-        assert all(type(c) is decimal.Decimal for c in got[first - 1 :])
+        assert all(type(c) is decimal.Decimal for c in got)
 
 
 def test_ell_sequence_point_at_two_thousand_terms():

@@ -349,8 +349,10 @@ def test_multipliers_only_where_the_kind_fixes_them(text):
 
 @pytest.mark.parametrize("n", [0, -4])
 def test_multipliers_reject_n_below_one(n):
-    with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
-        parse_sequence_spec("kl:2,3").multipliers(n)
+    # rec:l,b with b != -1 too, though it has no multipliers to give
+    for text in ("kl:2,3", "rec:3,9"):
+        with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+            parse_sequence_spec(text).multipliers(n)
 
 
 def test_family_realization_needs_length():
