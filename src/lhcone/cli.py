@@ -244,19 +244,20 @@ def _charge_terms(n):
 
 
 def _spec(args):
-    """The parsed --seq and --n, with n charged against the budget."""
+    """The parsed --seq and its n: --n, charged against the budget, or else
+    the spec's own length."""
     spec = parse_sequence_spec(args.seq)
     n = args.n
-    if n is None and spec.needs_length():
-        raise ValueError(f"--n is required for '{args.seq}'")
     if n is not None:
         _charge_terms(n)
-    return spec, n
+    elif spec.needs_length():
+        raise ValueError(f"--n is required for '{args.seq}'")
+    return spec, spec.default_length() if n is None else n
 
 
 def _realized(args):
     spec, n = _spec(args)
-    return spec, spec.realize(n)
+    return spec.realize(n)
 
 
 # integers computed exactly: every digit kept, and any rounding an error
@@ -305,18 +306,20 @@ def _walk(u, first, second):
 
 def _answer(spec, n):
     """The terms of spec at n, their multipliers u and the Gorenstein
-    decision.  terms is None where the answer needs none: for a family,
-    whose kind fixes u, and for rec:l,b with b != -1, whose recursion draws
-    them up to its first failure.  u is a u: spec's own, or the terms' u if
-    every step is a u-step, else None.  With u the decision is the point's
-    lazy `_walk`, the recursion's point (see `_index_recursion`), never held
-    whole; without u it is the recursion's answer."""
+    decision.  terms is None where the answer needs none: for a spec that
+    fixes u (`SequenceSpec.multipliers`: a family or a u: spec, whose terms
+    are checked for positivity without being held), and for rec:l,b with
+    b != -1, whose recursion draws them up to its first failure.  u is the
+    spec's, or the realized terms' u if every step is a u-step, else None.
+    With u the decision is the point's lazy `_walk`, the recursion's point
+    (see `_index_recursion`), never held whole; without u it is the
+    recursion's answer."""
     u, terms = spec.multipliers(n), None
     if u is None:
         if spec.kind == "recurrence":
             return None, None, _index_recursion(islice(recurrence_terms(*spec.params), n))
         terms = spec.realize(n)
-        u = spec.params[0][: len(terms) - 1] if spec.kind == "u" else _u_steps(terms)
+        u = _u_steps(terms)
         if len(u) < len(terms) - 1:
             return terms, None, lecture_hall_gorenstein(terms)
     return terms, u, GorensteinResult(_walk(u, 0, 1), None, None)
@@ -344,8 +347,8 @@ def cmd_gor(args):
         if args.seq is None:
             raise ValueError("one of --seq or --matrix is required")
         spec, n = _spec(args)
-        terms, _, result = _answer(spec, n)
-        source = {"seq": args.seq, "n": n if terms is None else len(terms)}
+        _, _, result = _answer(spec, n)
+        source = {"seq": args.seq, "n": n}
     _emit(args, {**source, **_gor_fields(result)})
     return 0 if result.gorenstein else 1
 
@@ -355,7 +358,7 @@ def _coefficient_table(coeffs):
 
 
 def cmd_series(args):
-    _, terms = _realized(args)
+    terms = _realized(args)
     f = weight_series(terms, args.m)
     _emit(
         args,
@@ -371,7 +374,7 @@ def cmd_series(args):
 
 
 def cmd_numerator(args):
-    _, terms = _realized(args)
+    terms = _realized(args)
     H = numerator_H(terms)
     _emit(
         args,
@@ -388,7 +391,7 @@ def cmd_numerator(args):
 
 
 def cmd_hstar(args):
-    _, terms = _realized(args)
+    terms = _realized(args)
     # charged first: a --t past the budget is refused before the h*-vector
     counts = None if args.t is None else ehrhart_counts(terms, args.t)
     hs = h_star(terms)
@@ -409,7 +412,7 @@ def cmd_hstar(args):
 
 
 def cmd_product(args):
-    _, terms = _realized(args)
+    terms = _realized(args)
     exponents = product_form(terms)
     payload = {
         "seq": args.seq,
@@ -467,17 +470,16 @@ def cmd_n0(args):
 def cmd_classify(args):
     """u-generation, the Gorenstein decision and, for rec:l,b, the profile.
 
-    Where `_answer` gives u, the terms are walked from it; else
+    Where the spec fixes u, the terms are its walk from (1, s_1), drawn
+    lazily as they are written; realized terms, of list: and rec:l,b specs,
+    are printed as they are.  Where u is not known,
     `recognize_u_generated`'s sweep tells hypothesis-violated from
     not-u-generated, or finds u on the rec:l,b terms `_answer` never drew.
     """
     spec, n = _spec(args)
     terms, u, result = _answer(spec, n)
-    family = terms is None and u is not None
-    if not family:
-        if terms is None:
-            terms = spec.realize(n)
-        n = len(terms)
+    if terms is None:
+        terms = spec.realize(n) if u is None else _walk(u, 1, spec.first_term)
     u_generation = {"status": "not-u-generated"}
     if u is None:
         try:
@@ -486,15 +488,6 @@ def cmd_classify(args):
             u_generation = {"status": "hypothesis-violated", "detail": str(exc)}
     if u is not None:
         u_generation = {"status": "recognized", "u": _Decimals(u)}
-        # the same terms, with long ones in Decimal for printing: a family's
-        # walked lazily, realized ones walked whole and checked before any
-        # byte is written
-        walked = _walk(u, 1, 1 if family else terms[0])
-        if not family:
-            walked = list(chain.from_iterable(walked))
-            if walked[-1] != terms[-1]:
-                raise InvariantViolation("terms walked from the recognized u differ from the realized ones")
-        terms = walked
     payload = {
         "seq": args.seq,
         "kind": spec.kind,
@@ -514,15 +507,16 @@ def cmd_classify(args):
         payload["fail_index"] = fail_index
         if b not in (0, -1):
             payload["threshold_check"] = failure_threshold_check(l, b)._asdict()
-    elif family:
-        # every step is a u-step: Gorenstein for every n (see u_generated_point)
+    elif spec.needs_length():
+        # a family whose every step is a u-step: Gorenstein for every n (see
+        # u_generated_point)
         payload["fail_index"] = None
     _emit(args, payload)
     return 0
 
 
 def cmd_crosscheck(args):
-    _, terms = _realized(args)
+    terms = _realized(args)
     report = cross_check_gorenstein(terms)
     _emit(
         args,

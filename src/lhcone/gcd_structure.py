@@ -6,11 +6,11 @@ f-sequence, and the stable-growth index used by the failure threshold test.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import islice
+from itertools import islice, pairwise
 from math import gcd
 
 from .gorenstein import gorenstein_fail_index
-from .sequences import InvariantViolation, generate_recurrence, recurrence_terms, validate_positivity
+from .sequences import InvariantViolation, recurrence_terms, validate_positivity
 
 
 class HorizonTooSmallError(ValueError):
@@ -60,32 +60,37 @@ def ratio_table(l, b, N):
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     prof = gcd_profile(l, b)
-    s = generate_recurrence(l, b, N + 1)
-    rows = []
-    for n in range(1, N + 1):
-        g = gcd(s[n], s[n - 1])
-        norm = prof.t ** (n - 1) * prof.sigma ** (n // 2)
+    rows, norm = [], 1  # t^{n-1}*sigma^{floor(n/2)}, carried from row to row
+    for n, (prev, cur) in enumerate(islice(pairwise(recurrence_terms(l, b)), N), start=1):
+        g = gcd(cur, prev)
         u, rem = divmod(g, norm)
         if rem or u < 1 or prof.t % u:
             raise InvariantViolation(f"u_{n} = gcd/normalizer is not a positive divisor of t")
         rows.append((n, g, norm, u))
+        norm *= prof.t * prof.sigma if n % 2 else prof.t
     return RatioTable(tuple(rows))
 
 
 def f_sequence(l, b, n):
-    """f_1..f_n with f_j = (l/t)f_{j-1} + (b/t^2)f_{j-2}, so s_j = t^{j-1}*f_j."""
+    """f_1..f_n with f_j = (l/t)f_{j-1} + (b/t^2)f_{j-2}, so s_j = t^{j-1}*f_j.
+
+    Checked through f_{n+1} as the terms are drawn, with the powers carried
+    from term to term: s_j = t^{j-1}*f_j and gcd(f_j, f_{j-1}) =
+    sigma^{floor((j-1)/2)}."""
     _check_pair(l, b)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     prof = gcd_profile(l, b)
-    f = list(islice(recurrence_terms(l // prof.t, b // (prof.t * prof.t)), n + 1))
-    s = generate_recurrence(l, b, n + 1)
-    for j in range(1, n + 2):
-        if s[j - 1] != prof.t ** (j - 1) * f[j - 1]:
+    t, sigma = prof.t, prof.sigma
+    terms = zip(recurrence_terms(l, b), recurrence_terms(l // t, b // (t * t)))
+    f, power, shared = [], 1, 1  # t^{j-1} and sigma^{floor((j-1)/2)} at term j
+    for j, (s_j, f_j) in enumerate(islice(terms, n + 1), start=1):
+        if s_j != power * f_j:
             raise InvariantViolation(f"s_{j} != t^{j - 1}*f_{j}")
-    for j in range(1, n + 1):
-        if gcd(f[j], f[j - 1]) != prof.sigma ** (j // 2):
-            raise InvariantViolation(f"gcd(f_{j + 1}, f_{j}) != sigma^{j // 2}")
+        if f and gcd(f_j, f[-1]) != shared:
+            raise InvariantViolation(f"gcd(f_{j}, f_{j - 1}) != sigma^{(j - 1) // 2}")
+        f.append(f_j)
+        power, shared = power * t, shared * (sigma if j % 2 == 0 else 1)
     return f[:n]
 
 

@@ -17,12 +17,13 @@ A step with s_j = u*s_{j-1} - s_{j-2}, as on ell-sequences, is always
 integral and takes c_j = u*c_{j-1} - c_{j-2}, in O(digits).
 
 A point has one walk wherever the multipliers u of the terms are known: of
-ell, kl, onemodk and rec:l,-1, whose kind fixes u (Gorenstein for every n by
-the source paper's theorem), of a u: spec, or of terms whose every step is a
-u-step.  The point is `_u_walk` from the seeds (0, 1), in ints, which walks
-the terms from (1, s_1); `kl_product_exponents` is the same walk.  The
-index recursion decides every other sequence; `u_generated_point` checks
-the two agree.
+a spec that fixes them (`SequenceSpec.multipliers`), ell, kl, onemodk and
+rec:l,-1 (Gorenstein for every n by the source paper's theorem) and u:
+specs, whose terms a scan of two terms at a time checks for positivity, or
+of terms whose every step is a u-step.  The point is `_u_walk` from the
+seeds (0, 1), in ints, which walks the terms from (1, s_1);
+`kl_product_exponents` is the same walk.  The index recursion decides every
+other sequence; `u_generated_point` checks the two agree.
 """
 
 from __future__ import annotations
@@ -130,9 +131,10 @@ def u_generated_point(u, n, s1=1):
     """Gorenstein point of a u-generated sequence: c_1 = 1, c_2 = u_1,
     c_{i+1} = u_i*c_i - c_{i-1}, which is `_u_walk` from c_0 = 0, c_1 = 1.
 
-    The sequence itself must exist and stay positive through n (validated by
-    generating it, first term s1); the resulting point is checked against
-    the point of the index recursion; a mismatch raises InvariantViolation.
+    The sequence itself must exist and stay positive through n, first term
+    s1 (`generate_from_u`, the checks of `SequenceSpec.multipliers` and the
+    walk of the terms); the resulting point is checked against the point of
+    the index recursion on those terms; a mismatch raises InvariantViolation.
 
     By `_index_recursion`'s docstring the walk is the Gorenstein point of any
     positive terms whose every step, from s_0 = 1 on, is a u-step with these
@@ -148,6 +150,8 @@ def u_generated_point(u, n, s1=1):
       s_{i+1} - s_i = (u_i - 2)*s_i + (s_i - s_{i-1}) >= s_i - s_{i-1}, and
       from s_2 - s_1 = u_1 - 2 >= 1 on the terms increase from s_1 = 1.  The
       same argument from c_1 - c_0 = 1 makes the entries increase.
+    A u: spec is such terms too once its scan finds them positive: `lhcone
+    gor` walks its point from its own u and holds no term.
     `lhcone.cli._walk` runs the same walk for printing, a piece at a time.
     """
     s = generate_from_u(u, s1, n)

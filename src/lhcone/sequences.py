@@ -108,24 +108,10 @@ def generate_from_u(u, s1, n):
     """The u-generated sequence: s_2 = u_1*s_1 - 1, s_{i+1} = u_i*s_i - s_{i-1}.
 
     Rejects (with the offending 1-based index) as soon as a term fails to be
-    positive.
+    positive: the checks of `SequenceSpec.multipliers`, then the walk of
+    `SequenceSpec.realize`.
     """
-    if s1 < 1:
-        raise ValueError(f"first term must be positive, got {s1}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if len(u) < n - 1:
-        raise ValueError(f"need {n - 1} multipliers for n={n}, got {len(u)}")
-    for i, ui in enumerate(u[: n - 1], start=1):
-        if ui < 1:
-            raise ValueError(f"multiplier u_{i} must be positive, got {ui}")
-    terms = [1, s1]  # s_0 = 1 makes s_2 = u_1*s_1 - 1 an instance of the rule
-    for i, ui in enumerate(u[: n - 1], start=2):
-        nxt = ui * terms[-1] - terms[-2]
-        if nxt < 1:
-            raise ValueError(f"term {i} of the u-generated sequence is {nxt}, not positive")
-        terms.append(nxt)
-    return terms[1:]
+    return SequenceSpec("u", (u, s1)).realize(n)
 
 
 def _u_steps(s):
@@ -194,13 +180,37 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind params")):
             return len(u) + 1
         return None
 
-    def multipliers(self, n):
-        """u_1..u_{n-1} where the kind fixes them: the rule that defines the
-        family's terms, s_{i+1} = u_i*s_i - s_{i-1} from s_0 = s_1 = 1.  They
-        are l+1, l, l, ... for ell:l and rec:l,-1, l+1, k, l, k, ... for
-        kl:k,l and k+2, 2, 2, ... for onemodk:k.  None for every other spec:
-        a list, a u: spec, whose terms must be checked for positivity, or
-        rec:l,b with b != -1.  A family's parameters are checked, then n."""
+    def multipliers(self, n=None):
+        """u_1..u_{n-1} where the spec fixes them: the rule that defines its
+        terms, s_{i+1} = u_i*s_i - s_{i-1} from s_0 = 1 and s_1 (see
+        `first_term`).  They are a u: spec's own, l+1, l, l, ... for ell:l and
+        rec:l,-1, l+1, k, l, k, ... for kl:k,l and k+2, 2, 2, ... for
+        onemodk:k.  None for a list and for rec:l,b with b != -1.  n defaults
+        to the natural length where one exists.
+
+        A family's parameters are checked, then n.  A u: spec is checked as
+        `generate_from_u` documents, by one scan that holds only the last two
+        terms: s_1, n, the count of u, each u_i >= 1, then every term
+        positive, each error at its first bad index."""
+        n = self._length(n)
+        if self.kind == "u":
+            u, s1 = self.params
+            if s1 < 1:
+                raise ValueError(f"first term must be positive, got {s1}")
+            if n < 1:
+                raise ValueError(f"need n >= 1, got {n}")
+            if len(u) < n - 1:
+                raise ValueError(f"need {n - 1} multipliers for n={n}, got {len(u)}")
+            u = list(u[: n - 1])
+            for i, ui in enumerate(u, start=1):
+                if ui < 1:
+                    raise ValueError(f"multiplier u_{i} must be positive, got {ui}")
+            a, b = 1, s1  # s_0 = 1 makes s_2 = u_1*s_1 - 1 an instance of the rule
+            for i, ui in enumerate(u, start=2):
+                a, b = b, ui * b - a
+                if b < 1:
+                    raise ValueError(f"term {i} of the u-generated sequence is {b}, not positive")
+            return u
         if self.kind not in _KINDS:
             return None
         _, word, least, _, rule = _KINDS[self.kind]
@@ -213,27 +223,34 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind params")):
         u = rule(*self.params)
         return None if u is None else list(islice(u, n - 1))
 
+    @property
+    def first_term(self):
+        """s_1 of a spec whose multipliers are known: a u: spec's own, 1 for a
+        family.  Its terms are the walk from (1, s_1) over them."""
+        return self.params[1] if self.kind == "u" else 1
+
     def realize(self, n=None):
-        """The terms s_1..s_n; n defaults to the natural length where one exists."""
-        if n is None:
-            n = self.default_length()
-            if n is None:
-                raise ValueError(f"a length n is required for kind '{self.kind}'")
+        """The terms s_1..s_n; n defaults to the natural length where one
+        exists.  A spec with multipliers is walked from (1, s_1) over them."""
+        n = self._length(n)
         if self.kind == "explicit":
             if n < 1:
                 raise ValueError(f"need n >= 1, got {n}")
             if n > len(self.params):
                 raise ValueError(f"list has {len(self.params)} terms, asked for {n}")
             return list(self.params[:n])
-        if self.kind == "u":
-            u, s1 = self.params
-            return generate_from_u(u, s1, n)
         u = self.multipliers(n)
         if u is not None:
-            return _u_walk(u, 1, 1)
+            return _u_walk(u, 1, self.first_term)
         if self.kind != "recurrence":
             raise ValueError(f"unknown kind '{self.kind}'")
         return generate_recurrence(*self.params, n)
+
+    def _length(self, n):
+        n = self.default_length() if n is None else n
+        if n is None:
+            raise ValueError(f"a length n is required for kind '{self.kind}'")
+        return n
 
 
 def _parse_int_list(text, offset, what, minimum=None):

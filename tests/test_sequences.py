@@ -342,9 +342,23 @@ def test_specs_built_directly_check_their_parameters(kind, params, message):
             build(4)
 
 
-@pytest.mark.parametrize("text", ["list:1,3,5", "u:3,3,2;1", "rec:3,9", "rec:4,0", "rec:1,1"])
+@pytest.mark.parametrize("text", ["list:1,3,5", "rec:3,9", "rec:4,0", "rec:1,1"])
 def test_multipliers_only_where_the_kind_fixes_them(text):
     assert parse_sequence_spec(text).multipliers(3) is None
+
+
+def test_u_spec_multipliers_are_its_own_once_its_terms_are_positive():
+    spec = parse_sequence_spec("u:3,3,2;1")
+    assert spec.multipliers(3) == [3, 3] and spec.multipliers() == [3, 3, 2]
+    # 1, 2, 1, -1: term 4 is the first that is not positive, and n = 3 stops short of it
+    bad = SequenceSpec("u", ((3, 1, 1), 1))
+    assert bad.multipliers(3) == [3, 1]
+    with pytest.raises(ValueError) as want:
+        generate_from_u((3, 1, 1), 1, 4)
+    assert str(want.value) == "term 4 of the u-generated sequence is -1, not positive"
+    for multipliers in (bad.multipliers, parse_sequence_spec("u:3,1,1;1").multipliers):
+        with pytest.raises(ValueError, match=f"^{want.value}$"):
+            multipliers()
 
 
 @pytest.mark.parametrize("n", [0, -4])
