@@ -26,7 +26,7 @@ import functools
 import sys
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from math import prod
+from math import gcd, prod
 
 from .enumeration import (
     BudgetExceeded,
@@ -58,6 +58,7 @@ from .gorenstein import (
 from .sequences import (
     CoprimalityError,
     InvariantViolation,
+    _shared_factor,
     _u_steps,
     _u_walk,
     parse_sequence_spec,
@@ -71,8 +72,8 @@ SCHEMA = 2
 def _emit(args, payload, table=None):
     """Render one result object in the chosen format, byte-deterministically.
 
-    JSON puts "schema" first.  table, when given, is the command's csv: a
-    header line and row lines, of fields that need no quoting.  Other csv is
+    JSON puts "schema" first.  table, when given, is the command's csv, a
+    `_Rows`: a header line of its names and a line per row.  Other csv is
     key,value rows, a value quoted (RFC 4180) when it holds a comma, a quote
     or a line break.  Text is "key: value" lines, a value escaped as the
     module docstring says.  Long lists and rows go out through _join.
@@ -81,13 +82,15 @@ def _emit(args, payload, table=None):
     if args.format == "json":
         _write_json({"schema": SCHEMA, **payload})
     elif csv and table:
-        _join([table[0]], "", _cut(table[1]))  # a table has rows, so the header goes too
+        _join([",".join(table.names) + "\n"], "", table.pieces("csv"))
     else:
         parts = ["key,value\n"] if csv else []
         for key, value in payload.items():
             parts.append(f"{key}," if csv else f"{key}: ")
             if isinstance(value, _Decimals):
                 _join(parts, " ", value.pieces())
+            elif isinstance(value, _Rows):  # in text: a payload with rows gives csv a table
+                _join(parts, " ", value.pieces("text"))
             else:
                 field = _flat(value)
                 if not csv:
@@ -123,15 +126,44 @@ class _Decimals:
         return bool(self.items)
 
 
+class _Rows:
+    """A table: rows, tuples of ints, under names.  Each row is written from
+    one format string, only as it comes, in the pieces _join writes: a csv
+    line, a text {name=value, ...}, or a JSON object whose first entry, an
+    index, is a number and whose others, unbounded, are decimal strings (see
+    the module docstring).  rows may be an iterator, then written once."""
+
+    __slots__ = ("names", "rows")
+
+    def __init__(self, names, rows):
+        self.names, self.rows = names, rows
+
+    def pieces(self, fmt, indent=""):
+        """The rows as csv lines, text or JSON objects at indent, formatted
+        as _join writes them."""
+        names = [name.replace("%", "%%") for name in self.names]
+        if fmt == "csv":
+            template = ",".join(["%d"] * len(names)) + "\n"
+        elif fmt == "text":
+            template = "{" + ", ".join(f"{name}=%d" for name in names) + "}"
+        else:
+            inner = indent + "  "
+            first, *rest = (inner + encode_basestring_ascii(name) + ": " for name in names)
+            template = "{" + first + "%d" + "".join(f',{key}"%d"' for key in rest) + indent + "}"
+        return _cut(map(template.__mod__, self.rows))
+
+
 def _write_json(value):
     """Write json.dumps(value, indent=2) and a newline to stdout, byte for
     byte, for the types payloads hold: dicts with str keys, lists, str, int,
-    bool and None, with a _Decimals list's entries as strings.
+    bool and None, with a _Decimals list's entries as strings and a _Rows
+    table's rows as objects.
 
     json.dumps cannot use its C encoder when indenting, and escape-scans
-    every string; a _Decimals list goes through _join instead.  The short
-    parts between such lists are joined, one write per run, since on
-    answers of many small parts a write each costs more than the join.
+    every string; a _Decimals list and a _Rows table go through _join
+    instead.  The short parts between such lists are joined, one write per
+    run, since on answers of many small parts a write each costs more than
+    the join.
     """
     parts = []
     _json_parts(value, parts, "\n")
@@ -188,8 +220,8 @@ def _join(parts, sep, pieces):
 
 
 def _json_parts(value, parts, indent):
-    """Append the pieces of value's text to parts; a _Decimals list is
-    written through _join."""
+    """Append the pieces of value's text to parts; a _Decimals list and a
+    _Rows table are written through _join."""
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
         return
@@ -198,6 +230,10 @@ def _json_parts(value, parts, indent):
         parts += ("[", inner, '"')
         _join(parts, '",' + inner + '"', value.pieces())
         parts += ('"', indent, "]")
+    elif isinstance(value, _Rows) and value.rows:
+        parts += ("[", inner)
+        _join(parts, "," + inner, value.pieces("json", inner))
+        parts += (indent, "]")
     elif isinstance(value, list) and value:
         sep = "[" + inner
         for item in value:
@@ -212,7 +248,7 @@ def _json_parts(value, parts, indent):
             _json_parts(item, parts, inner)
             sep = "," + inner
         parts += (indent, "}")
-    elif isinstance(value, (list, dict, _Decimals)):
+    elif isinstance(value, (list, dict, _Decimals, _Rows)):
         parts.append("{}" if isinstance(value, dict) else "[]")
     elif value is None or isinstance(value, bool):
         parts.append("null" if value is None else "true" if value else "false")
@@ -354,7 +390,7 @@ def cmd_gor(args):
 
 
 def _coefficient_table(coeffs):
-    return "degree,coefficient\n", (f"{d},{c}\n" for d, c in enumerate(coeffs))
+    return _Rows(("degree", "coefficient"), enumerate(coeffs))
 
 
 def cmd_series(args):
@@ -426,17 +462,14 @@ def cmd_product(args):
 
 def cmd_gcd_table(args):
     _charge_terms(args.n + 1)
-    table = ratio_table(args.l, args.b, args.n)
+    rows = ratio_table(args.l, args.b, args.n).rows
     payload = {
         "l": str(args.l),
         "b": str(args.b),
         "n": args.n,
-        "rows": [
-            {"n": n, "gcd": str(g), "normalizer": str(norm), "u": str(u)}
-            for (n, g, norm, u) in table.rows
-        ],
+        "rows": _Rows(("n", "gcd", "normalizer", "u"), rows),
     }
-    _emit(args, payload, ("n,gcd,normalizer,u_n\n", (f"{n},{g},{m},{u}\n" for n, g, m, u in table.rows)))
+    _emit(args, payload, _Rows(("n", "gcd", "normalizer", "u_n"), rows))
     return 0
 
 
@@ -470,24 +503,46 @@ def cmd_n0(args):
 def cmd_classify(args):
     """u-generation, the Gorenstein decision and, for rec:l,b, the profile.
 
-    Where the spec fixes u, the terms are its walk from (1, s_1), drawn
-    lazily as they are written; realized terms, of list: and rec:l,b specs,
-    are printed as they are.  Where u is not known,
-    `recognize_u_generated`'s sweep tells hypothesis-violated from
-    not-u-generated, or finds u on the rec:l,b terms `_answer` never drew.
+    Wherever u is known, the spec's or the realized terms' own, the terms
+    printed are its walk from (1, s_1) (`SequenceSpec.first_term`), drawn
+    lazily as they are written, with the digits of the realized terms.
+    Other terms are printed as realized, and the status tells
+    hypothesis-violated from not-u-generated: on a list by
+    `recognize_u_generated`'s gcd sweep, on rec:l,b with b != -1 (terms
+    `_answer` never drew) by a rule with no sweep.  Let k be the number of
+    leading u-steps s_{i+1} = u_i*s_i - s_{i-1} (s_0 = 1, `_u_steps`).  The
+    status is recognized if k = n - 1, else hypothesis-violated if
+    gcd(l, b) > 1, with the sweep's detail at terms 2 and 3, else
+    not-u-generated.
+
+    Proof.  If gcd(l, b) = 1, consecutive terms are coprime, the Lucas
+    sequence fact gcd(U_j, U_{j+1}) = 1 for gcd(P, Q) = 1: s_j = l^{j-1}
+    mod b is prime to b, so the lemma of `lhcone.gcd_structure` gives
+    gcd(s_{j+1}, s_j) = gcd(b, s_j) = 1 in turn, and the sweep finds no
+    shared factor.  If d = gcd(l, b) > 1, step 2 is never a u-step:
+    s_2 = l dividing s_3 + s_1 = l^2 + b + 1 makes l | b + 1, so d | 1.
+    Step 1 always is one (u_1 = l + 1), so k = 1 for n >= 3, the sweep
+    starts at (s_2, s_3), and gcd(s_2, s_3) = gcd(l, l^2 + b) = d.
     """
     spec, n = _spec(args)
     terms, u, result = _answer(spec, n)
-    if terms is None:
-        terms = spec.realize(n) if u is None else _walk(u, 1, spec.first_term)
     u_generation = {"status": "not-u-generated"}
-    if u is None:
+    if terms is None and u is None:
+        terms = spec.realize(n)
+        steps = _u_steps(terms)
+        if len(steps) == n - 1:
+            u = steps
+        elif gcd(*spec.params) > 1:
+            detail = _shared_factor(2, terms[1], terms[2])
+            u_generation = {"status": "hypothesis-violated", "detail": detail}
+    elif u is None:
         try:
-            u = recognize_u_generated(terms)
+            recognize_u_generated(terms)  # None: _answer found a step that is not a u-step
         except CoprimalityError as exc:
             u_generation = {"status": "hypothesis-violated", "detail": str(exc)}
     if u is not None:
         u_generation = {"status": "recognized", "u": _Decimals(u)}
+        terms = _walk(u, 1, spec.first_term)
     payload = {
         "seq": args.seq,
         "kind": spec.kind,

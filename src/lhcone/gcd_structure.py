@@ -1,12 +1,30 @@
 """Arithmetic invariants of the (l, b) recurrence: the gcd profile
 (r, t, sigma, gamma, beta), the normalized gcd ratio table, the reduced
 f-sequence, and the stable-growth index used by the failure threshold test.
+
+Consecutive gcds come from a lemma, never from a gcd of two long terms.
+For any s_j = l*s_{j-1} + b*s_{j-2} with s_0 = 0, s_1 = 1 (the f-sequence is
+one, with l/t and b/t^2), let g_j = gcd(s_{j+1}, s_j), so g_0 = gcd(1, 0) = 1.
+Then
+
+    g_j = g_{j-1} * gcd(b, s_j/g_{j-1}).
+
+Proof: s_{j+1} = l*s_j + b*s_{j-1}, so g_j = gcd(b*s_{j-1}, s_j).  Write
+s_j = g*x and s_{j-1} = g*y with g = g_{j-1}, so that gcd(x, y) = 1.  Then
+g_j = g*gcd(b*y, x) = g*gcd(b, x), since y shares no factor with x.
+
+A step costs the gcd of the small b with one term, linear in its digits,
+and one exact division, against Lehmer's gcd on two long terms; the
+pairwise gcd stays in the tests as the oracle.  Each g_j is still checked
+on the terms drawn: it divides s_j by its making, as gcd(b, s_j/g_{j-1})
+divides s_j/g_{j-1}, and s_{j+1} by the exact division whose quotient
+s_{j+1}/g_j the next step takes.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import islice, pairwise
+from itertools import islice
 from math import gcd
 
 from .gorenstein import gorenstein_fail_index
@@ -56,18 +74,30 @@ class RatioTable(namedtuple("RatioTable", "rows")):
 
 
 def ratio_table(l, b, N):
+    """Rows (n, g_n, normalizer, u_n) for n = 1..N: g_n = gcd(s_{n+1}, s_n),
+    the normalizer t^{n-1}*sigma^{floor(n/2)} and u_n = g_n/normalizer,
+    a positive divisor of t by theorem, checked on every row.
+
+    g_n is carried from row to row by the lemma of the module docstring,
+    g_n = g_{n-1}*gcd(b, s_n/g_{n-1}), and checked to divide s_{n+1} by the
+    exact division that gives the next row its s_{n+1}/g_n; the normalizer
+    is carried too."""
     _check_pair(l, b)
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     prof = gcd_profile(l, b)
-    rows, norm = [], 1  # t^{n-1}*sigma^{floor(n/2)}, carried from row to row
-    for n, (prev, cur) in enumerate(islice(pairwise(recurrence_terms(l, b)), N), start=1):
-        g = gcd(cur, prev)
-        u, rem = divmod(g, norm)
-        if rem or u < 1 or prof.t % u:
+    t, steps = prof.t, (prof.t, prof.t * prof.sigma)  # norm's factor after an even, odd row
+    terms = recurrence_terms(l, b)
+    # g_{n-1}, s_n/g_{n-1} and t^{n-1}*sigma^{floor(n/2)} at row n
+    rows, g, q, norm = [], 1, next(terms), 1
+    for n, s_next in enumerate(islice(terms, N), start=1):
+        g *= gcd(b, q)
+        q, rem = divmod(s_next, g)
+        u, rem_u = divmod(g, norm)
+        if rem or rem_u or u < 1 or t % u:
             raise InvariantViolation(f"u_{n} = gcd/normalizer is not a positive divisor of t")
         rows.append((n, g, norm, u))
-        norm *= prof.t * prof.sigma if n % 2 else prof.t
+        norm *= steps[n % 2]
     return RatioTable(tuple(rows))
 
 
@@ -76,21 +106,30 @@ def f_sequence(l, b, n):
 
     Checked through f_{n+1} as the terms are drawn, with the powers carried
     from term to term: s_j = t^{j-1}*f_j and gcd(f_j, f_{j-1}) =
-    sigma^{floor((j-1)/2)}."""
+    sigma^{floor((j-1)/2)}.  That gcd, g_j here, is carried by the lemma of
+    the module docstring on f, an (l/t, b/t^2) recurrence from 0, 1: g_j =
+    g_{j-1}*gcd(b/t^2, f_{j-1}/g_{j-1}).  It is checked to divide f_j by the
+    exact division that gives the next term its f_j/g_j."""
     _check_pair(l, b)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     prof = gcd_profile(l, b)
-    t, sigma = prof.t, prof.sigma
-    terms = zip(recurrence_terms(l, b), recurrence_terms(l // t, b // (t * t)))
-    f, power, shared = [], 1, 1  # t^{j-1} and sigma^{floor((j-1)/2)} at term j
+    t, c = prof.t, b // (prof.t * prof.t)
+    steps = (prof.sigma, 1)  # shared's factor after an even, odd term
+    terms = zip(recurrence_terms(l, b), recurrence_terms(l // t, c))
+    # t^{j-1}, sigma^{floor((j-1)/2)}, g_{j-1} and f_{j-1}/g_{j-1} at term j,
+    # the last seeded so that g_1 = 1 = gcd(f_1, f_0)
+    f, power, shared, g, q = [], 1, 1, 1, 1
     for j, (s_j, f_j) in enumerate(islice(terms, n + 1), start=1):
         if s_j != power * f_j:
             raise InvariantViolation(f"s_{j} != t^{j - 1}*f_{j}")
-        if f and gcd(f_j, f[-1]) != shared:
+        g *= gcd(c, q)
+        q, rem = divmod(f_j, g)
+        if rem or g != shared:
             raise InvariantViolation(f"gcd(f_{j}, f_{j - 1}) != sigma^{(j - 1) // 2}")
         f.append(f_j)
-        power, shared = power * t, shared * (sigma if j % 2 == 0 else 1)
+        power *= t
+        shared *= steps[j % 2]
     return f[:n]
 
 

@@ -126,6 +126,11 @@ def _u_steps(s):
     return u
 
 
+def _shared_factor(j, s_j, s_next):
+    """The message of the CoprimalityError for terms j and j + 1."""
+    return f"terms {j} and {j + 1} share a factor: gcd({s_j}, {s_next}) != 1"
+
+
 def recognize_u_generated(s):
     """Recover the multiplier list u from s, or None when no such u exists.
 
@@ -143,7 +148,7 @@ def recognize_u_generated(s):
     t = [1, *s]  # t[i] = s_i; t[len(u) + 2], if any, is the first term no u-step reaches
     for j in range(len(u) + 1, len(t) - 1):
         if gcd(t[j], t[j + 1]) != 1:
-            raise CoprimalityError(f"terms {j} and {j + 1} share a factor: gcd({t[j]}, {t[j + 1]}) != 1")
+            raise CoprimalityError(_shared_factor(j, t[j], t[j + 1]))
     return u if len(u) == len(s) - 1 else None
 
 
@@ -225,8 +230,11 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind params")):
 
     @property
     def first_term(self):
-        """s_1 of a spec whose multipliers are known: a u: spec's own, 1 for a
-        family.  Its terms are the walk from (1, s_1) over them."""
+        """s_1: a u: spec's own, a list's first term and 1 for a family.  The
+        terms of a spec with multipliers are the walk from (1, s_1) over them,
+        and so are a list's, if its every step is a u-step."""
+        if self.kind == "explicit":
+            return self.params[0]
         return self.params[1] if self.kind == "u" else 1
 
     def realize(self, n=None):

@@ -26,6 +26,7 @@ from lhcone.sequences import (
     CoprimalityError,
     SequenceSpec,
     _u_walk,
+    generate_from_u,
     generate_recurrence,
     parse_sequence_spec,
     recognize_u_generated,
@@ -188,6 +189,21 @@ def test_gcd_table_csv():
     u = [line.split(",")[3] for line in lines[1:]]
     assert u == [str(x) for x in [1, 1, 2, 3, 1, 2, 1, 3, 2, 1, 1, 6] * 2]
     assert lines[1:] == [",".join(map(str, row)) for row in ratio_table(6, 36, 24).rows]
+
+
+@pytest.mark.parametrize("l, b, n", [(6, 36, 24), (9, 6, 300), (1, 3, 1), (2, -1, 70)])
+def test_gcd_table_writes_the_rows_of_ratio_table(l, b, n):
+    # one format string per row gives json.dumps's bytes, the text value of
+    # the rows as dicts and the csv table, over several pieces at n = 300
+    rows = ratio_table(l, b, n).rows
+    dicts = [{"n": k, "gcd": str(g), "normalizer": str(norm), "u": str(u)} for k, g, norm, u in rows]
+    argv = ["gcd-table", "--l", str(l), "--b", str(b), "--n", str(n), "--format"]
+    payload = {"schema": 2, "l": str(l), "b": str(b), "n": n, "rows": dicts}
+    assert run(argv + ["json"]) == (0, json.dumps(payload, indent=2) + "\n", "")
+    text = " ".join("{" + ", ".join(f"{k}={v}" for k, v in d.items()) + "}" for d in dicts)
+    assert run(argv + ["text"]) == (0, f"l: {l}\nb: {b}\nn: {n}\nrows: {text}\n", "")
+    csv_rows = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    assert run(argv + ["csv"]) == (0, "n,gcd,normalizer,u_n\n" + csv_rows, "")
 
 
 def test_profile_fields():
@@ -697,6 +713,9 @@ sys.exit(main(sys.argv[2:]))
         ("doubling-gcd", ["profile", "--l", "3", "--b", "9"], "sigma*t does not divide"),
         ("-", ["profile", "--l", "3", "--b", "9", "--n", "5"], "s_6 != t^5*f_6"),
         ("-", ["gcd-table", "--l", "6", "--b", "36", "--n", "5"], "u_5 = gcd/normalizer"),
+        # the lemma's gcd is checked against the faulty sixth term it never reads
+        ("-", ["gcd-table", "--l", "9", "--b", "6", "--n", "5"], "u_5 = gcd/normalizer"),
+        ("-", ["profile", "--l", "9", "--b", "6", "--n", "5"], "gcd(f_6, f_5) != sigma^2"),
     ],
 )
 def test_gcd_invariants_survive_optimize(fault, argv, check):
@@ -1199,6 +1218,49 @@ def test_classify_sweeps_terms_that_are_not_u_generated(spec, status):
         assert doc["u_generation"]["detail"] == str(exc.value)
 
 
+def test_classify_decides_recurrence_u_generation_without_a_sweep():
+    # the status of rec:l,b comes from its u-step prefix and gcd(l, b)
+    # (cmd_classify's docstring), as recognize_u_generated's sweep finds it
+    wrong = []
+    with mock.patch("lhcone.cli.recognize_u_generated", side_effect=AssertionError("terms swept")):
+        for l in range(1, 13):
+            for b in range(-40, 41):
+                if l * l + 4 * b < 0:
+                    continue
+                for n in (1, 2, 3, 4, 5, 7, 40):
+                    terms = generate_recurrence(l, b, n)
+                    try:
+                        u = recognize_u_generated(terms)
+                        want = {"status": "not-u-generated"} if u is None else {
+                            "status": "recognized", "u": [str(x) for x in u]
+                        }
+                    except CoprimalityError as exc:
+                        want = {"status": "hypothesis-violated", "detail": str(exc)}
+                    code, doc, err = run_json(["classify", "--seq", f"rec:{l},{b}", "--n", str(n)])
+                    if (code, err, doc["u_generation"]) != (0, "", want):
+                        wrong.append((l, b, n))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("s1, k", [(1, 1999), (2, 40), (10**700 + 1, 30)], ids=["ell:3", "s1=2", "s1=10^700+1"])
+def test_classify_prints_a_u_generated_list_as_its_walk(s1, k):
+    # the terms of a list whose every step is a u-step are printed as the walk
+    # from (1, s_1) over the recognized u, with the realized terms' digits
+    terms = generate_from_u([4] + [3] * (k - 1), s1, k + 1)
+    spec = "list:" + ",".join(map(str, terms))
+    seeds, real = [], cli._walk
+
+    def walk(u, first, second):
+        seeds.append((first, second))
+        return real(u, first, second)
+
+    for fmt in ("json", "csv", "text"):
+        with mock.patch.object(cli, "_walk", walk):
+            code, out, err = run(["classify", "--seq", spec, "--format", fmt])
+        assert (code, err) == (0, "") and printed_terms(out, fmt) == [str(x) for x in terms]
+    assert seeds == [(0, 1), (1, s1)] * 3
+
+
 @pytest.mark.parametrize("spec, n", [("rec:1,0", 50), ("rec:3,5", 2), ("rec:9,6", 1)])
 def test_classify_recognizes_recurrence_terms_that_are_u_generated(spec, n):
     # rec:l,b with b != -1 is decided without its terms; classify realizes
@@ -1444,17 +1506,25 @@ decimal_lists = st.lists(
     ).flatmap(lambda i: st.sampled_from([i, decimal.Decimal(i)])),
     max_size=4,
 ).map(_Decimals)
+row_tables = st.lists(json_text, min_size=1, max_size=4, unique=True).flatmap(
+    lambda names: st.lists(
+        st.tuples(*[st.one_of(st.integers(), st.integers(10**999, 10**1000 - 1))] * len(names)), max_size=4
+    ).map(lambda rows: cli._Rows(tuple(names), rows))
+)
 json_values = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), json_text, decimal_lists),
+    st.one_of(st.none(), st.booleans(), st.integers(), json_text, decimal_lists, row_tables),
     lambda kids: st.one_of(st.lists(kids, max_size=4), st.dictionaries(json_text, kids, max_size=4)),
     max_leaves=20,
 )
 
 
 def as_strings(value):
-    """value with each _Decimals list as the decimal strings the writer prints."""
+    """value with each _Decimals list as the decimal strings the writer prints,
+    and each _Rows table as the objects, its first entries numbers."""
     if isinstance(value, _Decimals):
         return [str(v) for v in value]
+    if isinstance(value, cli._Rows):
+        return [dict(zip(value.names, (row[0], *map(str, row[1:])))) for row in value.rows]
     if isinstance(value, list):
         return [as_strings(v) for v in value]
     if isinstance(value, dict):

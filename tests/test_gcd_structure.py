@@ -97,6 +97,67 @@ def test_f_sequence_identities(pair, n):
         assert gcd(f[j], f[j - 1]) == p.sigma ** (j // 2)
 
 
+def sweep_ratio_rows(l, b, N):
+    """ratio_table's rows by their definition: a gcd of each consecutive
+    pair, the normalizer recomputed as a power on every row."""
+    p = gcd_profile(l, b)
+    s = generate_recurrence(l, b, N + 1)
+    rows = []
+    for n in range(1, N + 1):
+        g, norm = gcd(s[n], s[n - 1]), p.t ** (n - 1) * p.sigma ** (n // 2)
+        rows.append((n, g, norm, g // norm))
+    return rows
+
+
+def sweep_f_sequence(l, b, n):
+    """f_j = s_j/t^{j-1}, with gcd(f_j, f_{j-1}) = sigma^{floor((j-1)/2)}
+    checked by a gcd of each consecutive pair through f_{n+1}."""
+    p = gcd_profile(l, b)
+    f = [s_j // p.t ** j for j, s_j in enumerate(generate_recurrence(l, b, n + 1))]
+    if any(gcd(f[j], f[j - 1]) != p.sigma ** (j // 2) for j in range(1, n + 1)):
+        raise AssertionError(f"the sweep finds gcd(f_j, f_(j-1)) != sigma^floor((j-1)/2) on ({l}, {b})")
+    return f[:n]
+
+
+def agree_with_the_sweep(l, b, Ns):
+    """Whether ratio_table and f_sequence equal the sweep at each N of Ns,
+    or raise ValueError where the sweep does on the pair."""
+    try:
+        rows, f = sweep_ratio_rows(l, b, max(Ns)), sweep_f_sequence(l, b, max(Ns))
+    except ValueError:
+        rows = f = None
+    for N in Ns:
+        for fn, want in ((ratio_table, rows), (f_sequence, f)):
+            try:
+                got = fn(l, b, N)
+            except ValueError:
+                if want is not None:
+                    return False
+                continue
+            got = list(got.rows) if fn is ratio_table else got
+            if want is None or got != want[:N]:
+                return False
+    return True
+
+
+def test_lemma_tables_match_the_sweep_on_the_grid():
+    # invalid pairs (l <= 0, b = 0, terms that turn nonpositive) included
+    wrong = [(l, b) for l in range(-3, 30) for b in range(-60, 60) if not agree_with_the_sweep(l, b, (1, 3, 40))]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 9, 12, 30, 64])
+def test_lemma_tables_match_the_sweep_on_double_roots(m):
+    # s_n = n*m^(n-1): g takes nearly every digit of the terms
+    assert agree_with_the_sweep(2 * m, -m * m, (300,))
+
+
+@given(positive_pairs(), st.integers(1, 120))
+@settings(max_examples=60)
+def test_lemma_tables_match_the_sweep(pair, N):
+    assert agree_with_the_sweep(*pair, (N,))
+
+
 def test_find_n0_known_values():
     assert find_n0(3, 9) == 7
     assert find_n0(2, 1) == 3
