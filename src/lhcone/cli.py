@@ -51,18 +51,17 @@ from .gorenstein import (
     GorensteinResult,
     _index_recursion,
     gorenstein_fail_index,
-    lecture_hall_gorenstein,
     parse_matrix,
     simple_cone_gorenstein,
 )
 from .sequences import (
     CoprimalityError,
     InvariantViolation,
+    _coprimality_sweep,
     _shared_factor,
     _u_steps,
     _u_walk,
     parse_sequence_spec,
-    recognize_u_generated,
     recurrence_terms,
 )
 
@@ -340,25 +339,29 @@ def _walk(u, first, second):
         k = _piece_len(k, b)
 
 
+def _terms(spec, n):
+    """The first n terms of a spec that fixes no multipliers: a list's, or
+    rec:l,b's (b != -1), drawn lazily."""
+    return islice(recurrence_terms(*spec.params), n) if spec.kind == "recurrence" else spec.realize(n)
+
+
 def _answer(spec, n):
-    """The terms of spec at n, their multipliers u and the Gorenstein
-    decision.  terms is None where the answer needs none: for a spec that
-    fixes u (`SequenceSpec.multipliers`: a family or a u: spec, whose terms
-    are checked for positivity without being held), and for rec:l,b with
-    b != -1, whose recursion draws them up to its first failure.  u is the
-    spec's, or the realized terms' u if every step is a u-step, else None.
-    With u the decision is the point's lazy `_walk`, the recursion's point
-    (see `_index_recursion`), never held whole; without u it is the
-    recursion's answer."""
-    u, terms = spec.multipliers(n), None
+    """The multipliers u of spec at n and its Gorenstein decision.  u is the
+    spec's own where it fixes them (`SequenceSpec.multipliers`: a family or
+    a u: spec, whose terms are checked for positivity without being held),
+    else the leading u-steps of its terms (`_u_steps`), all n - 1 of them
+    exactly when the terms are u-generated.  rec:l,b's terms are drawn
+    lazily, so the scan reads no term past the first that no u-step
+    reaches.  With every u-step known the decision is the point's lazy
+    `_walk`, the recursion's point (see `_index_recursion`), never held
+    whole; otherwise it is the recursion's answer, which draws the terms up
+    to its first failure."""
+    u = spec.multipliers(n)
     if u is None:
-        if spec.kind == "recurrence":
-            return None, None, _index_recursion(islice(recurrence_terms(*spec.params), n))
-        terms = spec.realize(n)
-        u = _u_steps(terms)
-        if len(u) < len(terms) - 1:
-            return terms, None, lecture_hall_gorenstein(terms)
-    return terms, u, GorensteinResult(_walk(u, 0, 1), None, None)
+        u = _u_steps(_terms(spec, n))
+        if len(u) < n - 1:
+            return u, _index_recursion(_terms(spec, n))
+    return u, GorensteinResult(_walk(u, 0, 1), None, None)
 
 
 def _gor_fields(result):
@@ -383,7 +386,7 @@ def cmd_gor(args):
         if args.seq is None:
             raise ValueError("one of --seq or --matrix is required")
         spec, n = _spec(args)
-        _, _, result = _answer(spec, n)
+        _, result = _answer(spec, n)
         source = {"seq": args.seq, "n": n}
     _emit(args, {**source, **_gor_fields(result)})
     return 0 if result.gorenstein else 1
@@ -503,17 +506,18 @@ def cmd_n0(args):
 def cmd_classify(args):
     """u-generation, the Gorenstein decision and, for rec:l,b, the profile.
 
-    Wherever u is known, the spec's or the realized terms' own, the terms
-    printed are its walk from (1, s_1) (`SequenceSpec.first_term`), drawn
-    lazily as they are written, with the digits of the realized terms.
-    Other terms are printed as realized, and the status tells
-    hypothesis-violated from not-u-generated: on a list by
-    `recognize_u_generated`'s gcd sweep, on rec:l,b with b != -1 (terms
-    `_answer` never drew) by a rule with no sweep.  Let k be the number of
-    leading u-steps s_{i+1} = u_i*s_i - s_{i-1} (s_0 = 1, `_u_steps`).  The
-    status is recognized if k = n - 1, else hypothesis-violated if
-    gcd(l, b) > 1, with the sweep's detail at terms 2 and 3, else
-    not-u-generated.
+    Let k be the number of leading u-steps s_{i+1} = u_i*s_i - s_{i-1}
+    (s_0 = 1) that `_answer` found, or n - 1 where the spec fixes u.  If
+    k = n - 1 the status is recognized, and the terms printed are the walk
+    from (1, s_1) over u (`SequenceSpec.first_term`), drawn lazily as they
+    are written, with the digits of the realized terms.  Otherwise the
+    terms are printed as they are: a list's as realized, and rec:l,b's as a
+    stream, never held.  The status then tells hypothesis-violated from
+    not-u-generated: on a list by `_coprimality_sweep` from the pair
+    (k + 1, k + 2), as `recognize_u_generated` sweeps; on rec:l,b
+    (b != -1) by a rule with no sweep: hypothesis-violated if
+    gcd(l, b) > 1, with the sweep's detail at terms 2 and 3, s_2 = l and
+    s_3 = l^2 + b, else not-u-generated.
 
     Proof.  If gcd(l, b) = 1, consecutive terms are coprime, the Lucas
     sequence fact gcd(U_j, U_{j+1}) = 1 for gcd(P, Q) = 1: s_j = l^{j-1}
@@ -525,24 +529,22 @@ def cmd_classify(args):
     starts at (s_2, s_3), and gcd(s_2, s_3) = gcd(l, l^2 + b) = d.
     """
     spec, n = _spec(args)
-    terms, u, result = _answer(spec, n)
+    u, result = _answer(spec, n)
     u_generation = {"status": "not-u-generated"}
-    if terms is None and u is None:
-        terms = spec.realize(n)
-        steps = _u_steps(terms)
-        if len(steps) == n - 1:
-            u = steps
-        elif gcd(*spec.params) > 1:
-            detail = _shared_factor(2, terms[1], terms[2])
-            u_generation = {"status": "hypothesis-violated", "detail": detail}
-    elif u is None:
-        try:
-            recognize_u_generated(terms)  # None: _answer found a step that is not a u-step
-        except CoprimalityError as exc:
-            u_generation = {"status": "hypothesis-violated", "detail": str(exc)}
-    if u is not None:
+    if len(u) == n - 1:
         u_generation = {"status": "recognized", "u": _Decimals(u)}
         terms = _walk(u, 1, spec.first_term)
+    elif spec.kind == "recurrence":
+        l, b = spec.params
+        terms = _cut(_terms(spec, n))
+        if gcd(l, b) > 1:
+            u_generation = {"status": "hypothesis-violated", "detail": _shared_factor(2, l, l * l + b)}
+    else:
+        terms = spec.realize(n)
+        try:
+            _coprimality_sweep(terms, len(u) + 1)
+        except CoprimalityError as exc:
+            u_generation = {"status": "hypothesis-violated", "detail": str(exc)}
     payload = {
         "seq": args.seq,
         "kind": spec.kind,

@@ -116,19 +116,31 @@ def generate_from_u(u, s1, n):
 
 def _u_steps(s):
     """The u_i of the leading u-steps s_{i+1} = u_i*s_i - s_{i-1} of the
-    positive terms s, from s_0 = 1: len(s) - 1 of them iff s is u-generated."""
-    u = []
-    for pprev, prev, cur in zip(chain([1], s), s, islice(s, 1, None)):
+    positive terms s, a list or an iterator, from s_0 = 1: len(s) - 1 of
+    them iff s is u-generated.  An iterator is drawn up to the first term no
+    u-step reaches: len(u) + 2 terms at most."""
+    s = iter(s)
+    u, pprev, prev = [], 1, next(s, None)
+    for cur in s:
         q, r = divmod(cur + pprev, prev)
         if r:
             break
         u.append(q)
+        pprev, prev = prev, cur
     return u
 
 
 def _shared_factor(j, s_j, s_next):
     """The message of the CoprimalityError for terms j and j + 1."""
     return f"terms {j} and {j + 1} share a factor: gcd({s_j}, {s_next}) != 1"
+
+
+def _coprimality_sweep(s, j):
+    """Raise CoprimalityError at the first of the pairs of terms (j, j + 1),
+    (j + 1, j + 2), ... of the list s (s_1 = s[0]) that share a factor."""
+    for i in range(j, len(s)):
+        if gcd(s[i - 1], s[i]) != 1:
+            raise CoprimalityError(_shared_factor(i, s[i - 1], s[i]))
 
 
 def recognize_u_generated(s):
@@ -138,17 +150,16 @@ def recognize_u_generated(s):
     raises CoprimalityError, which is a different outcome than returning
     None (the recognition criterion is only an iff under that hypothesis).
 
-    Only the pairs from the first non-integral step on need a gcd: an
-    integral step s_i = u*s_{i-1} - s_{i-2}, whose u is positive as the
-    terms are, gives gcd(s_i, s_{i-1}) = gcd(s_{i-1}, s_{i-2}), which is
-    gcd(s_1, s_0 = 1) = 1 at the start, so every earlier pair is coprime.
+    Only the pairs from the first step that is not a u-step on need a gcd,
+    so this is `_u_steps` and then `_coprimality_sweep` from the pair
+    (len(u) + 1, len(u) + 2): a u-step s_i = u*s_{i-1} - s_{i-2}, whose u is
+    positive as the terms are, gives gcd(s_i, s_{i-1}) = gcd(s_{i-1}, s_{i-2}),
+    which is gcd(s_1, s_0 = 1) = 1 at the start, so every earlier pair is
+    coprime.
     """
     _check_positive(s)
     u = _u_steps(s)
-    t = [1, *s]  # t[i] = s_i; t[len(u) + 2], if any, is the first term no u-step reaches
-    for j in range(len(u) + 1, len(t) - 1):
-        if gcd(t[j], t[j + 1]) != 1:
-            raise CoprimalityError(_shared_factor(j, t[j], t[j + 1]))
+    _coprimality_sweep(s, len(u) + 1)
     return u if len(u) == len(s) - 1 else None
 
 

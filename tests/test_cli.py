@@ -1,6 +1,7 @@
 import argparse
 import csv
 import decimal
+import hashlib
 import io
 import json
 import os
@@ -20,11 +21,12 @@ from hypothesis import given, settings, strategies as st
 
 from lhcone import cli
 from lhcone.cli import _Decimals, _write_json, main
-from lhcone.gcd_structure import find_n0, gcd_profile, ratio_table
+from lhcone.gcd_structure import failure_threshold_check, find_n0, gcd_profile, ratio_table
 from lhcone.gorenstein import gorenstein_fail_index, lecture_hall_gorenstein
 from lhcone.sequences import (
     CoprimalityError,
     SequenceSpec,
+    _u_steps,
     _u_walk,
     generate_from_u,
     generate_recurrence,
@@ -1041,8 +1043,8 @@ def test_u_spec_prints_the_terms_and_point_of_its_family(u_spec, family, fmt):
 def test_classify_decides_family_specs_by_theorem(spec):
     # u comes from the spec, not from recognizing the terms, the point from
     # u, not from the recursion, and the family is Gorenstein for every n
-    with mock.patch("lhcone.cli.recognize_u_generated", side_effect=AssertionError("u recognized")), mock.patch(
-        "lhcone.cli.lecture_hall_gorenstein", side_effect=AssertionError("recursion run")
+    with mock.patch("lhcone.cli._coprimality_sweep", side_effect=AssertionError("u recognized")), mock.patch(
+        "lhcone.cli._index_recursion", side_effect=AssertionError("recursion run")
     ):
         code, doc, err = run_json(["classify", "--seq", spec, "--n", "40"])
     assert code == 0, err
@@ -1081,7 +1083,7 @@ def test_classify_walks_the_point_of_recognized_multipliers(spec):
         want = io.StringIO()
         with redirect_stdout(want):
             cli._emit(argparse.Namespace(format=fmt), payload)
-        with mock.patch("lhcone.cli.lecture_hall_gorenstein", side_effect=AssertionError("recursion run")):
+        with mock.patch("lhcone.cli._index_recursion", side_effect=AssertionError("recursion run")):
             assert run(["classify", "--seq", spec, "--format", fmt]) == (0, want.getvalue(), "")
 
 
@@ -1118,7 +1120,7 @@ def test_u_specs_walk_what_the_recursion_answers(spec, n):
             with redirect_stdout(want):
                 cli._emit(argparse.Namespace(format=fmt), payload)
             walk = mock.Mock(wraps=cli._walk)
-            with mock.patch("lhcone.cli.lecture_hall_gorenstein", side_effect=AssertionError("recursion run")), \
+            with mock.patch("lhcone.cli._index_recursion", side_effect=AssertionError("recursion run")), \
                     mock.patch.object(cli, "_walk", walk):
                 assert run([cmd, *argv, "--format", fmt]) == (0, want.getvalue(), "")
             # each walk once: the point's, and classify's of the terms
@@ -1141,8 +1143,8 @@ def test_gor_walks_the_point_of_a_u_generated_list():
     payload = {"seq": ELL3_LIST, "n": 2000, **cli._gor_fields(lecture_hall_gorenstein(terms))}
     walk = mock.Mock(wraps=cli._walk)
     for fmt in ("json", "csv", "text"):
-        with mock.patch("lhcone.cli.lecture_hall_gorenstein", side_effect=AssertionError("recursion run")), \
-                mock.patch("lhcone.cli.recognize_u_generated", side_effect=AssertionError("sweep run")), \
+        with mock.patch("lhcone.cli._index_recursion", side_effect=AssertionError("recursion run")), \
+                mock.patch("lhcone.cli._coprimality_sweep", side_effect=AssertionError("sweep run")), \
                 mock.patch.object(cli, "_walk", walk):
             assert run(["gor", "--seq", ELL3_LIST, "--format", fmt]) == (0, emitted(payload, fmt), "")
     assert [c.args[1:] for c in walk.call_args_list] == [(0, 1)] * 3
@@ -1153,7 +1155,7 @@ def test_gor_runs_no_coprimality_sweep(spec, n, fmt):
     # terms with a step that is no u-step go to the recursion at once: gor
     # needs no verdict on u-generation, so it pays no gcd per pair
     argv = ["gor", "--seq", spec, "--format", fmt] + ([] if n is None else ["--n", str(n)])
-    with mock.patch("lhcone.cli.recognize_u_generated", side_effect=AssertionError("sweep run")), \
+    with mock.patch("lhcone.cli._coprimality_sweep", side_effect=AssertionError("sweep run")), \
             mock.patch("lhcone.sequences.gcd", side_effect=AssertionError("gcd taken")):
         got = run(argv)
     terms = parse_sequence_spec(spec).realize(n)
@@ -1175,10 +1177,60 @@ def test_gor_draws_only_the_recurrence_terms_the_recursion_reads():
         tracemalloc.stop()
     assert sink.chars > 0 and peak < 2_000_000
     # rec:1,0, whose every step is a u-step, gets its point 1..n from the
-    # recursion too, without realized terms
+    # walk over the u of its u-steps, without realized terms
     with mock.patch.object(SequenceSpec, "realize", side_effect=AssertionError("terms realized")):
         code, doc, err = run_json(["gor", "--seq", "rec:1,0", "--n", "300"])
     assert (code, err) == (0, "") and doc["point"] == [str(j) for j in range(1, 301)]
+
+
+class Digest:
+    """A stdout that keeps only a hash of the text written."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+
+
+def test_classify_streams_recurrence_terms():
+    # rec:9,6 is not u-generated from step 2 on: classify prints its 5,000
+    # terms as they are drawn and never realizes them.  0.13 MB is allocated
+    # at the peak, where the realized terms took 5.74 MB
+    terms = generate_recurrence(9, 6, 5000)
+    with pytest.raises(CoprimalityError) as exc:
+        recognize_u_generated(terms)
+    payload = {
+        "seq": "rec:9,6",
+        "kind": "recurrence",
+        "n": 5000,
+        "terms": _Decimals(terms),
+        "u_generation": {"status": "hypothesis-violated", "detail": str(exc.value)},
+        **cli._gor_fields(lecture_hall_gorenstein(terms)),
+        "profile": cli._profile_fields(gcd_profile(9, 6)),
+        "fail_index": gorenstein_fail_index(9, 6),
+        "threshold_check": failure_threshold_check(9, 6)._asdict(),
+    }
+    # the oracle's terms pass CPython's default limit on int -> str
+    # conversion, which main lifts for its own call only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        want = hashlib.sha256(emitted(payload, "json").encode()).hexdigest()
+    finally:
+        set_limit(limit)
+    del terms, payload
+    sink = Digest()
+    with mock.patch.object(SequenceSpec, "realize", side_effect=AssertionError("terms realized")):
+        tracemalloc.start()
+        try:
+            with redirect_stdout(sink):
+                assert main(["classify", "--seq", "rec:9,6", "--n", "5000"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert sink.hash.hexdigest() == want and peak < 2_000_000
 
 
 @pytest.mark.parametrize("cmd", ["gor", "classify"])
@@ -1193,13 +1245,31 @@ def test_recurrence_specs_reject_n_below_one(cmd):
 def test_classify_takes_the_multipliers_of_a_u_spec_from_the_spec(spec, n):
     # neither recognition nor a search of the terms' u-steps: the spec holds u
     argv = ["classify", "--seq", spec] + ([] if n is None else ["--n", str(n)])
-    with mock.patch("lhcone.cli.recognize_u_generated", side_effect=AssertionError("u recognized")), \
+    with mock.patch("lhcone.cli._coprimality_sweep", side_effect=AssertionError("u recognized")), \
             mock.patch("lhcone.cli._u_steps", side_effect=AssertionError("u-steps searched")):
         code, doc, err = run_json(argv)
     terms = parse_sequence_spec(spec).realize(n)
     assert (code, err) == (0, "")
     assert doc["u_generation"] == {"status": "recognized", "u": [str(u) for u in recognize_u_generated(terms)]}
     assert doc["terms"] == [str(x) for x in terms]
+
+
+def test_classify_scans_the_u_steps_of_a_list_once():
+    # ell:3's terms with the last one plus one: _answer finds the u-steps
+    # up to the last step, and the coprimality sweep starts there, at the
+    # pair that shares a factor, without scanning them again
+    terms = parse_sequence_spec(ELL3_LIST).realize()
+    terms[-1] += 1
+    scan = mock.Mock(wraps=_u_steps)
+    with mock.patch("lhcone.cli._u_steps", scan), mock.patch("lhcone.sequences._u_steps", scan):
+        code, doc, err = run_json(["classify", "--seq", "list:" + ",".join(map(str, terms))])
+    assert scan.call_count == 1
+    with pytest.raises(CoprimalityError) as exc:
+        recognize_u_generated(terms)
+    assert (code, err) == (0, "")
+    assert doc["u_generation"] == {"status": "hypothesis-violated", "detail": str(exc.value)}
+    fields = json.loads(emitted(cli._gor_fields(lecture_hall_gorenstein(terms)), "json"))
+    assert {key: doc[key] for key in fields} == fields
 
 
 @pytest.mark.parametrize(
@@ -1222,7 +1292,7 @@ def test_classify_decides_recurrence_u_generation_without_a_sweep():
     # the status of rec:l,b comes from its u-step prefix and gcd(l, b)
     # (cmd_classify's docstring), as recognize_u_generated's sweep finds it
     wrong = []
-    with mock.patch("lhcone.cli.recognize_u_generated", side_effect=AssertionError("terms swept")):
+    with mock.patch("lhcone.cli._coprimality_sweep", side_effect=AssertionError("terms swept")):
         for l in range(1, 13):
             for b in range(-40, 41):
                 if l * l + 4 * b < 0:
@@ -1263,8 +1333,8 @@ def test_classify_prints_a_u_generated_list_as_its_walk(s1, k):
 
 @pytest.mark.parametrize("spec, n", [("rec:1,0", 50), ("rec:3,5", 2), ("rec:9,6", 1)])
 def test_classify_recognizes_recurrence_terms_that_are_u_generated(spec, n):
-    # rec:l,b with b != -1 is decided without its terms; classify realizes
-    # them, and the sweep finds u where every step is a u-step
+    # rec:l,b with b != -1 whose every step is a u-step: the terms and the
+    # point are walked over the u of the u-steps that _answer finds
     code, doc, err = run_json(["classify", "--seq", spec, "--n", str(n)])
     terms = parse_sequence_spec(spec).realize(n)
     assert (code, err) == (0, "")

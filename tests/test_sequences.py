@@ -223,6 +223,23 @@ def test_recognition_matches_the_gcd_sweep(s):
     assert outcome(recognize_u_generated, s) == outcome(sweep_recognize, s)
 
 
+def drawn_from(s, drawn):
+    """The terms of s, each appended to drawn as it is drawn."""
+    for x in s:
+        drawn.append(x)
+        yield x
+
+
+@given(st.one_of(st.lists(st.integers(1, 12), min_size=1, max_size=7), u_prefixes()))
+def test_u_steps_draw_an_iterator_to_the_first_step_that_is_not_one(s):
+    # on an iterator the scan finds the list's u-steps, and draws the terms
+    # they reach and the first one no u-step reaches: len(u) + 2 at most
+    drawn = []
+    u = _u_steps(drawn_from(s, drawn))
+    assert u == _u_steps(s)
+    assert drawn == s[: len(u) + 2]
+
+
 @given(
     st.lists(st.integers(1, 6), min_size=1, max_size=7),
     st.integers(1, 4),
