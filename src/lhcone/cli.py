@@ -24,7 +24,7 @@ import argparse
 import decimal
 import functools
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd, prod
 
@@ -59,8 +59,8 @@ from .sequences import (
     InvariantViolation,
     _coprimality_sweep,
     _shared_factor,
+    _two_term_walk,
     _u_steps,
-    _u_walk,
     parse_sequence_spec,
     recurrence_terms,
 )
@@ -311,10 +311,12 @@ _EXACT = decimal.Context(
 _DECIMAL_BITS = 600
 
 
-def _walk(u, first, second):
-    """The walk over multipliers u, in the pieces _join writes: the
-    Gorenstein point from the seeds (0, 1) (see `u_generated_point`), the
-    terms from (1, s_1).  Each piece is one `_u_walk` from two seeds, the
+def _walk(p, q, first, second):
+    """The two-term walk x_{i+1} = p_i*x_i + q*x_{i-1} (`_two_term_walk`)
+    in the pieces _join writes: over multipliers p = u with q = -1, the
+    Gorenstein point from the seeds (0, 1) (see `u_generated_point`) and
+    the terms from (1, s_1); rec:l,b's terms over p = l, l, ... with q = b
+    from (0, 1).  Each piece is one `_two_term_walk` from two seeds, the
     last entry of the piece before, held back, and the one before it; once
     a piece's first entry passes _DECIMAL_BITS its seeds become Decimal, and
     so every entry from there on.  This is the one place a point or a term
@@ -323,14 +325,13 @@ def _walk(u, first, second):
     The walk is lazy: each piece is computed only when the writer asks for
     it, under _EXACT entered and left within the piece, so the caller's
     decimal context holds between pieces.  No more than a piece is held."""
-    a, b, i, k = first, second, 0, _piece_len(32, second)
+    p, a, b, k = iter(p), first, second, _piece_len(32, second)
     while True:
         if isinstance(b, int) and b.bit_length() > _DECIMAL_BITS:
             a, b = decimal.Decimal(a), decimal.Decimal(b)
         with decimal.localcontext(_EXACT):
-            x = _u_walk(u[i : i + k], a, b)
-        i += k
-        if i >= len(u):
+            x = list(_two_term_walk(islice(p, k), q, a, b))
+        if len(x) <= k:  # p ran out within the piece
             yield x
             return
         b = x.pop()
@@ -361,7 +362,7 @@ def _answer(spec, n):
         u = _u_steps(_terms(spec, n))
         if len(u) < n - 1:
             return u, _index_recursion(_terms(spec, n))
-    return u, GorensteinResult(_walk(u, 0, 1), None, None)
+    return u, GorensteinResult(_walk(u, -1, 0, 1), None, None)
 
 
 def _gor_fields(result):
@@ -511,8 +512,9 @@ def cmd_classify(args):
     k = n - 1 the status is recognized, and the terms printed are the walk
     from (1, s_1) over u (`SequenceSpec.first_term`), drawn lazily as they
     are written, with the digits of the realized terms.  Otherwise the
-    terms are printed as they are: a list's as realized, and rec:l,b's as a
-    stream, never held.  The status then tells hypothesis-violated from
+    terms are printed as they are: a list's as realized, and rec:l,b's as
+    the `_walk` over l, l, ... with q = b from (0, 1), drawn lazily as a
+    point is, never held.  The status then tells hypothesis-violated from
     not-u-generated: on a list by `_coprimality_sweep` from the pair
     (k + 1, k + 2), as `recognize_u_generated` sweeps; on rec:l,b
     (b != -1) by a rule with no sweep: hypothesis-violated if
@@ -533,10 +535,10 @@ def cmd_classify(args):
     u_generation = {"status": "not-u-generated"}
     if len(u) == n - 1:
         u_generation = {"status": "recognized", "u": _Decimals(u)}
-        terms = _walk(u, 1, spec.first_term)
+        terms = _walk(u, -1, 1, spec.first_term)
     elif spec.kind == "recurrence":
         l, b = spec.params
-        terms = _cut(_terms(spec, n))
+        terms = _walk(repeat(l, n - 1), b, 0, 1)
         if gcd(l, b) > 1:
             u_generation = {"status": "hypothesis-violated", "detail": _shared_factor(2, l, l * l + b)}
     else:

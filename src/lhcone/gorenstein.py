@@ -19,11 +19,12 @@ integral and takes c_j = u*c_{j-1} - c_{j-2}, in O(digits).
 A point has one walk wherever the multipliers u of the terms are known: of
 a spec that fixes them (`SequenceSpec.multipliers`), ell, kl, onemodk and
 rec:l,-1 (Gorenstein for every n by the source paper's theorem) and u:
-specs, whose terms a scan of two terms at a time checks for positivity, or
-of terms whose every step is a u-step.  The point is `_u_walk` from the
-seeds (0, 1), in ints, which walks the terms from (1, s_1);
-`kl_product_exponents` is the same walk.  The index recursion decides every
-other sequence; `u_generated_point` checks the two agree.
+specs, whose terms the same walk checks for positivity, two terms at a
+time, or of terms whose every step is a u-step.  The point is the u-walk
+(`_two_term_walk` with q = -1) from the seeds (0, 1), in ints, which walks
+the terms from (1, s_1); `kl_product_exponents` is the same walk, and so,
+with q = b, are the terms of an (l, b) family.  The index recursion decides
+every other sequence; `u_generated_point` checks the two agree.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from math import gcd, lcm
 from .sequences import (
     InvariantViolation,
     _check_positive,
-    _u_walk,
+    _two_term_walk,
     generate_from_u,
     recurrence_terms,
 )
@@ -114,22 +115,24 @@ def gorenstein_fail_index(l, b, horizon=None):
     the integers it never comes back.  With no horizon the answer is exact:
     the cone is Gorenstein for every n iff b = -1 (the source paper) or
     b = 0 (c_j = l*c_{j-1} + 1), and any other pair fails at some n, which
-    the recursion runs to.
+    the recursion runs to.  So once the pair is checked, b = -1 and b = 0
+    answer None at any horizon, before a term is drawn.
     """
     if horizon is not None and horizon < 1:
         raise ValueError(f"need horizon >= 1, got {horizon}")
     terms = recurrence_terms(l, b)
+    if b in (0, -1):
+        return None
     if horizon is not None:
         # islice takes no stop past sys.maxsize, more terms than a run can draw
         terms = islice(terms, min(horizon, sys.maxsize))
-    elif b in (0, -1):
-        return None
     return _index_recursion(terms).fails_at
 
 
 def u_generated_point(u, n, s1=1):
     """Gorenstein point of a u-generated sequence: c_1 = 1, c_2 = u_1,
-    c_{i+1} = u_i*c_i - c_{i-1}, which is `_u_walk` from c_0 = 0, c_1 = 1.
+    c_{i+1} = u_i*c_i - c_{i-1}, which is the u-walk (`_two_term_walk` with
+    q = -1) from c_0 = 0, c_1 = 1.
 
     The sequence itself must exist and stay positive through n, first term
     s1 (`generate_from_u`, the checks of `SequenceSpec.multipliers` and the
@@ -150,12 +153,12 @@ def u_generated_point(u, n, s1=1):
       s_{i+1} - s_i = (u_i - 2)*s_i + (s_i - s_{i-1}) >= s_i - s_{i-1}, and
       from s_2 - s_1 = u_1 - 2 >= 1 on the terms increase from s_1 = 1.  The
       same argument from c_1 - c_0 = 1 makes the entries increase.
-    A u: spec is such terms too once its scan finds them positive: `lhcone
-    gor` walks its point from its own u and holds no term.
+    A u: spec is such terms too once the walk of its terms finds them
+    positive: `lhcone gor` walks its point from its own u and holds no term.
     `lhcone.cli._walk` runs the same walk for printing, a piece at a time.
     """
     s = generate_from_u(u, s1, n)
-    point = tuple(_u_walk(u[: n - 1], 0, 1))
+    point = tuple(_two_term_walk(u[: n - 1], -1, 0, 1))
     if lecture_hall_gorenstein(s).point != point:
         raise InvariantViolation("u-generated point is not the point of the index recursion")
     return point

@@ -52,13 +52,7 @@ def recurrence_terms(l, b):
     end.  The pair is checked at once, before any term is drawn."""
     if not validate_positivity(l, b):
         raise ValueError(f"recurrence l={l}, b={b} does not stay positive")
-
-    def terms(prev, cur):
-        while True:
-            yield cur
-            prev, cur = cur, l * cur + b * prev
-
-    return terms(0, 1)
+    return _two_term_walk(repeat(l), b, 0, 1)
 
 
 def generate_recurrence(l, b, n):
@@ -82,26 +76,36 @@ def kl_product_exponents(k, l, n):
     (Bousquet-Melou and Eriksson, JCTA 86, 1999): with a the (k, l)- and b
     the (l, k)-sequence, a_0 = b_0 = 0, (a_i + b_{i-1}) for n even and
     (b_i + a_{i-1}) for n odd.  That is the point of kl:k,l (n even) or
-    kl:l,k (n odd), walked from (0, 1) = (1, 1) + (-1, 0), as the walk is
-    linear in its seeds: kl:k,l's multipliers walk a_i from (1, 1), and from
-    (-1, 0) 0, 1, k, ..., b_{i-1}: u_1 does not enter, and u_2, u_3, ... = k, l, ... is b's rule.
+    kl:l,k (n odd), the u-walk (`_two_term_walk` with q = -1) from
+    (0, 1) = (1, 1) + (-1, 0), as the walk is linear in its seeds: kl:k,l's
+    multipliers walk a_i from (1, 1), and from (-1, 0) 0, 1, k, ..., b_{i-1}:
+    u_1 does not enter, and u_2, u_3, ... = k, l, ... is b's rule.
     """
-    return _u_walk(SequenceSpec("kl", (k, l) if n % 2 == 0 else (l, k)).multipliers(n), 0, 1)
+    u = SequenceSpec("kl", (k, l) if n % 2 == 0 else (l, k)).multipliers(n)
+    return list(_two_term_walk(u, -1, 0, 1))
 
 
-def _u_walk(u, first, second):
-    """x_1..x_n of x_{i+1} = u_i*x_i - x_{i-1} over u = (u_1, ..., u_{n-1})
-    from x_0 = first, x_1 = second: terms from (1, 1), the Gorenstein point
-    from (0, 1) (`lhcone.gorenstein.u_generated_point`).  The entries are of
-    the seeds' number type: ints from int seeds, and whatever type the
-    caller seeds it with (`lhcone.cli._walk` chooses, piece by piece).
+def _two_term_walk(p, q, first, second):
+    """x_1, x_2, ... of x_{i+1} = p_i*x_i + q*x_{i-1} over the iterable
+    p = (p_1, p_2, ...) from x_0 = first, x_1 = second, drawn lazily: one
+    entry more than p has.  With q = -1 and p the multipliers u it is the
+    u-walk, the terms from (1, s_1) and the Gorenstein point from (0, 1)
+    (`lhcone.gorenstein.u_generated_point`); rec:l,b's terms are p = l, l,
+    ... with q = b from (0, 1).  The entries are of the seeds' number type:
+    ints from int seeds, and whatever type the caller seeds it with
+    (`lhcone.cli._walk` chooses, piece by piece).  A u-walk takes a loop of
+    its own, as p_i*b - a costs less than p_i*b + q*a.
     """
     a, b = first, second
-    x = [b]
-    for ui in u:
-        a, b = b, ui * b - a
-        x.append(b)
-    return x
+    yield b
+    if q == -1:
+        for pi in p:
+            a, b = b, pi * b - a
+            yield b
+    else:
+        for pi in p:
+            a, b = b, pi * b + q * a
+            yield b
 
 
 def generate_from_u(u, s1, n):
@@ -205,9 +209,9 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind params")):
         to the natural length where one exists.
 
         A family's parameters are checked, then n.  A u: spec is checked as
-        `generate_from_u` documents, by one scan that holds only the last two
-        terms: s_1, n, the count of u, each u_i >= 1, then every term
-        positive, each error at its first bad index."""
+        `generate_from_u` documents: s_1, n, the count of u, each u_i >= 1,
+        then every term positive, each error at its first bad index, by the
+        walk of the terms, which holds only the last two."""
         n = self._length(n)
         if self.kind == "u":
             u, s1 = self.params
@@ -221,11 +225,10 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind params")):
             for i, ui in enumerate(u, start=1):
                 if ui < 1:
                     raise ValueError(f"multiplier u_{i} must be positive, got {ui}")
-            a, b = 1, s1  # s_0 = 1 makes s_2 = u_1*s_1 - 1 an instance of the rule
-            for i, ui in enumerate(u, start=2):
-                a, b = b, ui * b - a
-                if b < 1:
-                    raise ValueError(f"term {i} of the u-generated sequence is {b}, not positive")
+            # s_0 = 1 makes s_2 = u_1*s_1 - 1 an instance of the rule
+            for i, s in enumerate(_two_term_walk(u, -1, 1, s1), start=1):
+                if s < 1:
+                    raise ValueError(f"term {i} of the u-generated sequence is {s}, not positive")
             return u
         if self.kind not in _KINDS:
             return None
@@ -260,7 +263,7 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind params")):
             return list(self.params[:n])
         u = self.multipliers(n)
         if u is not None:
-            return _u_walk(u, 1, self.first_term)
+            return list(_two_term_walk(u, -1, 1, self.first_term))
         if self.kind != "recurrence":
             raise ValueError(f"unknown kind '{self.kind}'")
         return generate_recurrence(*self.params, n)

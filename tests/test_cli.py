@@ -12,7 +12,7 @@ import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import lcm
 from unittest import mock
 
@@ -26,8 +26,8 @@ from lhcone.gorenstein import gorenstein_fail_index, lecture_hall_gorenstein
 from lhcone.sequences import (
     CoprimalityError,
     SequenceSpec,
+    _two_term_walk,
     _u_steps,
-    _u_walk,
     generate_from_u,
     generate_recurrence,
     parse_sequence_spec,
@@ -852,7 +852,7 @@ def test_family_points_at_n_one_and_two():
 def test_family_route_charges_the_budget_before_any_entry(monkeypatch, cmd):
     argv = [cmd, "--seq", "ell:3", "--n", "2000"]
     monkeypatch.setenv("LHCONE_BUDGET", "1999")
-    with mock.patch("lhcone.cli._u_walk") as built:
+    with mock.patch("lhcone.cli._two_term_walk") as built:
         assert run(argv) == (2, "", "error: asked for 2000 terms, past the budget of 1999 nodes\n")
     built.assert_not_called()
     monkeypatch.setenv("LHCONE_BUDGET", "2000")
@@ -861,7 +861,7 @@ def test_family_route_charges_the_budget_before_any_entry(monkeypatch, cmd):
 
 def walked(u, first, second):
     """The entries of cli._walk, its pieces joined."""
-    return list(chain.from_iterable(cli._walk(u, first, second)))
+    return list(chain.from_iterable(cli._walk(u, -1, first, second)))
 
 
 def assert_decimal_from_the_first_long_piece(pieces, ints, bits):
@@ -882,8 +882,8 @@ def test_family_points_are_ints_until_an_entry_is_long():
     # first piece whose first entry passes it on, in the point and the terms
     u = parse_sequence_spec("ell:3").multipliers(2000)
     for seeds in ((0, 1), (1, 1)):
-        pieces = list(cli._walk(u, *seeds))
-        assert_decimal_from_the_first_long_piece(pieces, _u_walk(u, *seeds), cli._DECIMAL_BITS)
+        pieces = list(cli._walk(u, -1, *seeds))
+        assert_decimal_from_the_first_long_piece(pieces, _two_term_walk(u, -1, *seeds), cli._DECIMAL_BITS)
         assert isinstance(pieces[-1][0], decimal.Decimal)
 
 
@@ -902,8 +902,8 @@ def test_walk_pieces_join_into_the_whole_walk(u, s1, bits, sizes):
     with mock.patch.object(cli, "_DECIMAL_BITS", bits), \
             mock.patch.object(cli, "_piece_len", lambda k, x: next(sizes, k)):
         for first, second in ((0, 1), (1, s1)):
-            pieces = list(cli._walk(u, first, second))
-            assert_decimal_from_the_first_long_piece(pieces, _u_walk(u, first, second), bits)
+            pieces = list(cli._walk(u, -1, first, second))
+            assert_decimal_from_the_first_long_piece(pieces, _two_term_walk(u, -1, first, second), bits)
 
 
 def test_walk_switches_to_decimal_at_every_place_in_a_piece():
@@ -911,10 +911,10 @@ def test_walk_switches_to_decimal_at_every_place_in_a_piece():
     # entries, that first long entry falls at every place of a piece, and
     # the walk turns Decimal at the start of the next piece
     u = parse_sequence_spec("ell:3").multipliers(800)
-    ints = _u_walk(u, 0, 1)
+    ints = list(_two_term_walk(u, -1, 0, 1))
     for size in range(1, 12):
         with mock.patch.object(cli, "_piece_len", lambda k, x: size):
-            pieces = list(cli._walk(u, 0, 1))
+            pieces = list(cli._walk(u, -1, 0, 1))
         assert [len(p) for p in pieces[:-1]] == [size] * (len(pieces) - 1) and len(pieces[-1]) <= size + 1
         assert_decimal_from_the_first_long_piece(pieces, ints, cli._DECIMAL_BITS)
 
@@ -927,7 +927,7 @@ def test_walk_leaves_the_callers_decimal_context():
         with decimal.localcontext() as ctx:
             if prec is not None:
                 ctx.prec = prec
-            walk = cli._walk(parse_sequence_spec("ell:3").multipliers(2000), 0, 1)
+            walk = cli._walk(parse_sequence_spec("ell:3").multipliers(2000), -1, 0, 1)
             taken = list(chain.from_iterable(islice(walk, 12)))
             assert any(isinstance(c, decimal.Decimal) for c in taken)
             assert decimal.getcontext() is ctx
@@ -1124,7 +1124,7 @@ def test_u_specs_walk_what_the_recursion_answers(spec, n):
                     mock.patch.object(cli, "_walk", walk):
                 assert run([cmd, *argv, "--format", fmt]) == (0, want.getvalue(), "")
             # each walk once: the point's, and classify's of the terms
-            seeds = sorted(c.args[1:] for c in walk.call_args_list)
+            seeds = sorted(c.args[2:] for c in walk.call_args_list)
             assert seeds == ([(0, 1)] if cmd == "gor" else sorted([(0, 1), (1, terms[0])]))
 
 
@@ -1147,7 +1147,7 @@ def test_gor_walks_the_point_of_a_u_generated_list():
                 mock.patch("lhcone.cli._coprimality_sweep", side_effect=AssertionError("sweep run")), \
                 mock.patch.object(cli, "_walk", walk):
             assert run(["gor", "--seq", ELL3_LIST, "--format", fmt]) == (0, emitted(payload, fmt), "")
-    assert [c.args[1:] for c in walk.call_args_list] == [(0, 1)] * 3
+    assert [c.args[2:] for c in walk.call_args_list] == [(0, 1)] * 3
 
 
 @pytest.mark.parametrize("spec, n, fmt", [("rec:1,1", 2000, "json"), ("list:2,4", None, "json"), ("list:2,4,6", None, "text")])
@@ -1231,6 +1231,29 @@ def test_classify_streams_recurrence_terms():
         finally:
             tracemalloc.stop()
     assert sink.hash.hexdigest() == want and peak < 2_000_000
+
+
+@pytest.mark.parametrize("l, b, n", [(9, 6, 400), (3, 5, 600), (4, -4, 800), (2, 1, 900)])
+def test_classify_prints_recurrence_terms_through_the_walk(l, b, n):
+    # rec:l,b's terms are the walk over l, l, ... with q = b from (0, 1),
+    # printed as a point is: Decimal from the first piece whose first entry
+    # passes _DECIMAL_BITS on, with the digits of the realized terms
+    terms = generate_recurrence(l, b, n)
+    pieces, real = [], cli._walk
+
+    def walk(p, q, first, second):
+        for piece in real(p, q, first, second):
+            pieces.append(piece)
+            yield piece
+
+    assert_decimal_from_the_first_long_piece(list(cli._walk(repeat(l, n - 1), b, 0, 1)), terms, cli._DECIMAL_BITS)
+    for fmt in ("json", "csv", "text"):
+        pieces.clear()
+        with mock.patch.object(cli, "_walk", walk):
+            code, out, err = run(["classify", "--seq", f"rec:{l},{b}", "--n", str(n), "--format", fmt])
+        assert (code, err) == (0, "") and printed_terms(out, fmt) == [str(x) for x in terms]
+        assert_decimal_from_the_first_long_piece(pieces, terms, cli._DECIMAL_BITS)
+        assert isinstance(pieces[-1][0], decimal.Decimal)
 
 
 @pytest.mark.parametrize("cmd", ["gor", "classify"])
@@ -1320,9 +1343,9 @@ def test_classify_prints_a_u_generated_list_as_its_walk(s1, k):
     spec = "list:" + ",".join(map(str, terms))
     seeds, real = [], cli._walk
 
-    def walk(u, first, second):
+    def walk(p, q, first, second):
         seeds.append((first, second))
-        return real(u, first, second)
+        return real(p, q, first, second)
 
     for fmt in ("json", "csv", "text"):
         with mock.patch.object(cli, "_walk", walk):
@@ -1366,8 +1389,8 @@ def test_classify_prints_and_checks_the_walked_terms(index):
     # check them against
     real = cli._walk
 
-    def one_term_off(u, first, second):
-        x = list(chain.from_iterable(real(u, first, second)))
+    def one_term_off(p, q, first, second):
+        x = list(chain.from_iterable(real(p, q, first, second)))
         x[index] += first  # the terms (seeds 1, s1) only
         return iter([x])
 

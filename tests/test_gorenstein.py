@@ -4,6 +4,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from lhcone.gorenstein import (
     u_generated_point,
 )
 from lhcone.sequences import (
-    _u_walk,
+    _two_term_walk,
     generate_from_u,
     generate_kl,
     generate_recurrence,
@@ -244,13 +245,13 @@ def test_u_point_is_walked_in_its_seeds_number_type(u, s1):
     # from Decimal seeds the walk gives the same entries, all Decimal
     # (the CLI's printer chooses the seeds' type: see test_cli)
     s = generate_from_u(u, s1, len(u) + 1)
-    point = tuple(_u_walk(u, 0, 1))
+    point = tuple(_two_term_walk(u, -1, 0, 1))
     assert point == lecture_hall_gorenstein(s).point
-    assert _u_walk(u, 1, s1) == s
+    assert list(_two_term_walk(u, -1, 1, s1)) == s
     with decimal.localcontext(EXACT):
         built = (
-            (_u_walk(u, decimal.Decimal(0), decimal.Decimal(1)), point),
-            (_u_walk(u, decimal.Decimal(1), decimal.Decimal(s1)), s),
+            (list(_two_term_walk(u, -1, decimal.Decimal(0), decimal.Decimal(1))), point),
+            (list(_two_term_walk(u, -1, decimal.Decimal(1), decimal.Decimal(s1))), s),
         )
     for got, want in built:
         assert [str(c) for c in got] == [str(c) for c in want]
@@ -357,6 +358,19 @@ def test_geometric_family_never_fails():
         gorenstein_fail_index(0, 0)
     with pytest.raises(ValueError):
         gorenstein_fail_index(1, -1)  # not an ell-pair: 1 - 4 < 0
+
+
+def test_fail_index_of_b_zero_and_minus_one_draws_no_term(monkeypatch):
+    # the theorem answers b = 0 and b = -1 at any horizon: a horizon of
+    # 20,000 on (2, 0) walked 20,000 terms to answer None, and 10**20 never
+    # ended.  An invalid pair is still refused first
+    monkeypatch.setattr(gorenstein, "_index_recursion", mock.Mock(side_effect=AssertionError("terms drawn")))
+    for l, b in ((2, 0), (3, -1)):
+        for horizon in (None, 1, 50, 10**20):
+            assert gorenstein_fail_index(l, b, horizon) is None
+    for horizon in (None, 1, 10**20):
+        with pytest.raises(ValueError, match="does not stay positive"):
+            gorenstein_fail_index(1, -1, horizon)
 
 
 def test_fail_index_draws_only_the_terms_it_needs(monkeypatch):

@@ -1,12 +1,15 @@
+import decimal
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from lhcone import cli
 from lhcone.sequences import (
     CoprimalityError,
     SequenceSpec,
     SpecParseError,
+    _two_term_walk,
     _u_steps,
     generate_from_u,
     generate_kl,
@@ -79,6 +82,27 @@ def test_recurrence_stream_has_no_end():
     terms = recurrence_terms(3, 9)
     assert list(islice(terms, 5)) == generate_recurrence(3, 9, 5)
     assert next(islice(terms, 994, None)) == generate_recurrence(3, 9, 1000)[-1]
+
+
+@given(
+    st.lists(st.integers(-10**6, 10**6), max_size=40),
+    st.one_of(st.just(-1), st.integers(-50, 50)),
+    st.integers(-10**30, 10**30),
+    st.integers(-10**30, 10**30),
+)
+def test_two_term_walk_is_the_plain_recurrence(p, q, first, second):
+    # both loops of the walk, the u-step loop (q = -1) and the general one,
+    # give x_{i+1} = p_i*x_i + q*x_{i-1} exactly: in ints from int seeds,
+    # and in Decimal from Decimal seeds under the CLI's exact context
+    want = [first, second]
+    for pi in p:
+        want.append(pi * want[-1] + q * want[-2])
+    want = want[1:]
+    got = list(_two_term_walk(iter(p), q, first, second))
+    assert got == want and all(type(x) is int for x in got)
+    with decimal.localcontext(cli._EXACT):
+        got = list(_two_term_walk(p, q, decimal.Decimal(first), decimal.Decimal(second)))
+    assert got == want and all(type(x) is decimal.Decimal for x in got)
 
 
 @given(st.integers(1, 9), st.integers(-6, 9), st.integers(1, 12))
