@@ -2,23 +2,40 @@
 (r, t, sigma, gamma, beta), the normalized gcd ratio table, the reduced
 f-sequence, and the stable-growth index used by the failure threshold test.
 
-Consecutive gcds come from a lemma, never from a gcd of two long terms.
-For any s_j = l*s_{j-1} + b*s_{j-2} with s_0 = 0, s_1 = 1 (the f-sequence is
-one, with l/t and b/t^2), let g_j = gcd(s_{j+1}, s_j), so g_0 = gcd(1, 0) = 1.
-Then
+The table, the f-sequence and the growth index are read off one walk of the
+reduced sequence f, the (l/t, b/t^2) recurrence from f_0 = 0, f_1 = 1; the
+terms s_j of the (l, b) recurrence itself are never drawn.  Four facts,
+proved here, make that so.
 
-    g_j = g_{j-1} * gcd(b, s_j/g_{j-1}).
+Reduction: s_j = t^{j-1}*f_j.  By induction: s_1 = 1 = f_1, s_2 = l = t*f_2,
+and s_{j+1} = l*t^{j-1}*f_j + b*t^{j-2}*f_{j-1} = t^j*f_{j+1}, as t divides l
+and t^2 divides b (the profile).
 
-Proof: s_{j+1} = l*s_j + b*s_{j-1}, so g_j = gcd(b*s_{j-1}, s_j).  Write
-s_j = g*x and s_{j-1} = g*y with g = g_{j-1}, so that gcd(x, y) = 1.  Then
-g_j = g*gcd(b*y, x) = g*gcd(b, x), since y shares no factor with x.
+Lemma: for any s_j = p*s_{j-1} + c*s_{j-2} with s_0 = 0, s_1 = 1, let
+h_j = gcd(s_{j+1}, s_j), so h_0 = gcd(1, 0) = 1.  Then
 
-A step costs the gcd of the small b with one term, linear in its digits,
-and one exact division, against Lehmer's gcd on two long terms; the
-pairwise gcd stays in the tests as the oracle.  Each g_j is still checked
-on the terms drawn: it divides s_j by its making, as gcd(b, s_j/g_{j-1})
-divides s_j/g_{j-1}, and s_{j+1} by the exact division whose quotient
-s_{j+1}/g_j the next step takes.
+    h_j = h_{j-1} * gcd(c, s_j/h_{j-1}).
+
+Proof: s_{j+1} = p*s_j + c*s_{j-1}, so h_j = gcd(c*s_{j-1}, s_j).  Write
+s_j = h*x and s_{j-1} = h*y with h = h_{j-1}, so that gcd(x, y) = 1.  Then
+h_j = h*gcd(c*y, x) = h*gcd(c, x), since y shares no factor with x.
+
+Gcds of s: g_n = gcd(s_{n+1}, s_n) = t^{n-1}*h_n*gcd(t, f_n/h_n), with
+h_n = gcd(f_{n+1}, f_n).  By the reduction g_n = t^{n-1}*gcd(t*f_{n+1}, f_n)
+= t^{n-1}*h_n*gcd(t*f_{n+1}/h_n, f_n/h_n), and f_{n+1}/h_n is prime to
+f_n/h_n.  With h_n = sigma^{floor(n/2)} (the paper's theorem on f), u_n =
+g_n/(t^{n-1}*sigma^{floor(n/2)}) = gcd(t, f_n/h_n), a positive divisor of t.
+
+Growth: by the reduction, s_n/(t^{n-2}*sigma^{floor((n-1)/2)}) is
+t*f_n/h_{n-1}, so the bound "it exceeds t*(r+|b|)" reads f_n/h_{n-1} > r+|b|,
+and f_n/h_{n-1} is the exact quotient the lemma's step takes.
+
+So s_j = t^{j-1}*f_j and "u_n divides t" are proofs, not checks.  A step
+costs the gcd of the small b/t^2 with one term and one exact division,
+against Lehmer's gcd on two long terms; the pairwise gcd stays in the tests
+as the oracle.  Each f_j is checked as it is drawn: h_{j-1} divides it (the
+exact division the step takes), and the step's factor h_j/h_{j-1} is sigma
+for even j and 1 for odd j, so that h_j = sigma^{floor(j/2)}.
 """
 
 from __future__ import annotations
@@ -73,78 +90,57 @@ class RatioTable(namedtuple("RatioTable", "rows")):
         return [u for (_, _, _, u) in self.rows]
 
 
+def _reduced_walk(l, b, prof):
+    """(f_j, f_j/h_{j-1}, h_j/h_{j-1}) for j = 1, 2, ...: one stream of f, with
+    h_j = gcd(f_{j+1}, f_j) carried by the lemma and each f_j checked as it
+    is drawn (module docstring)."""
+    c, steps = b // (prof.t * prof.t), (prof.sigma, 1)
+    h = 1  # h_{j-1} at term j
+    for j, f in enumerate(recurrence_terms(l // prof.t, c), start=1):
+        q, rem = divmod(f, h)
+        if rem:
+            raise InvariantViolation(f"gcd(f_{j}, f_{j - 1}) != sigma^{(j - 1) // 2}")
+        k = gcd(c, q)
+        if k != steps[j % 2]:
+            raise InvariantViolation(f"gcd(f_{j + 1}, f_{j}) != sigma^{j // 2}")
+        yield f, q, k
+        h *= k
+
+
 def ratio_table(l, b, N):
     """Rows (n, g_n, normalizer, u_n) for n = 1..N: g_n = gcd(s_{n+1}, s_n),
-    the normalizer t^{n-1}*sigma^{floor(n/2)} and u_n = g_n/normalizer,
-    a positive divisor of t by theorem, checked on every row.
+    the normalizer t^{n-1}*sigma^{floor(n/2)} and u_n = g_n/normalizer.
 
-    g_n is carried from row to row by the lemma of the module docstring,
-    g_n = g_{n-1}*gcd(b, s_n/g_{n-1}), and checked to divide s_{n+1} by the
-    exact division that gives the next row its s_{n+1}/g_n; the normalizer
-    is carried too."""
+    Read off the walk of f through f_{N+1} (module docstring): u_n =
+    gcd(t, f_n/h_n), where f_n/h_n is the step's quotient f_n/h_{n-1}
+    divided by h_n/h_{n-1}, and g_n = normalizer*u_n, the normalizer carried
+    from row to row."""
     _check_pair(l, b)
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     prof = gcd_profile(l, b)
     t, steps = prof.t, (prof.t, prof.t * prof.sigma)  # norm's factor after an even, odd row
-    terms = recurrence_terms(l, b)
-    # g_{n-1}, s_n/g_{n-1} and t^{n-1}*sigma^{floor(n/2)} at row n
-    rows, g, q, norm = [], 1, next(terms), 1
-    for n, s_next in enumerate(islice(terms, N), start=1):
-        g *= gcd(b, q)
-        q, rem = divmod(s_next, g)
-        u, rem_u = divmod(g, norm)
-        if rem or rem_u or u < 1 or t % u:
-            raise InvariantViolation(f"u_{n} = gcd/normalizer is not a positive divisor of t")
-        rows.append((n, g, norm, u))
+    walk = _reduced_walk(l, b, prof)
+    rows, norm = [], 1
+    for n, (_, q, k) in enumerate(islice(walk, N), start=1):
+        u = gcd(t * k, q) // k  # gcd(t, q/k), as k divides q
+        rows.append((n, norm * u, norm, u))
         norm *= steps[n % 2]
+    next(walk)  # f_{N+1}, for the check of h_N
     return RatioTable(tuple(rows))
 
 
 def f_sequence(l, b, n):
-    """f_1..f_n with f_j = (l/t)f_{j-1} + (b/t^2)f_{j-2}, so s_j = t^{j-1}*f_j.
-
-    Checked through f_{n+1} as the terms are drawn, with the powers carried
-    from term to term: s_j = t^{j-1}*f_j and gcd(f_j, f_{j-1}) =
-    sigma^{floor((j-1)/2)}.  That gcd, g_j here, is carried by the lemma of
-    the module docstring on f, an (l/t, b/t^2) recurrence from 0, 1: g_j =
-    g_{j-1}*gcd(b/t^2, f_{j-1}/g_{j-1}).  It is checked to divide f_j by the
-    exact division that gives the next term its f_j/g_j."""
+    """f_1..f_n with f_j = (l/t)f_{j-1} + (b/t^2)f_{j-2}, so s_j = t^{j-1}*f_j
+    (module docstring); drawn through f_{n+1}, each term checked by the walk:
+    gcd(f_j, f_{j-1}) = sigma^{floor((j-1)/2)}."""
     _check_pair(l, b)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    prof = gcd_profile(l, b)
-    t, c = prof.t, b // (prof.t * prof.t)
-    steps = (prof.sigma, 1)  # shared's factor after an even, odd term
-    terms = zip(recurrence_terms(l, b), recurrence_terms(l // t, c))
-    # t^{j-1}, sigma^{floor((j-1)/2)}, g_{j-1} and f_{j-1}/g_{j-1} at term j,
-    # the last seeded so that g_1 = 1 = gcd(f_1, f_0)
-    f, power, shared, g, q = [], 1, 1, 1, 1
-    for j, (s_j, f_j) in enumerate(islice(terms, n + 1), start=1):
-        if s_j != power * f_j:
-            raise InvariantViolation(f"s_{j} != t^{j - 1}*f_{j}")
-        g *= gcd(c, q)
-        q, rem = divmod(f_j, g)
-        if rem or g != shared:
-            raise InvariantViolation(f"gcd(f_{j}, f_{j - 1}) != sigma^{(j - 1) // 2}")
-        f.append(f_j)
-        power *= t
-        shared *= steps[j % 2]
-    return f[:n]
-
-
-def _growth_hits(l, b, prof):
-    """For n = 1, 2, ... in turn: does s_n satisfy the growth bound?
-
-    s_n/(t^{n-2}*sigma^{floor((n-1)/2)}) > t*(r+|b|) is tested in integers as
-    s_n*t > t*(r+|b|)*t^{n-1}*sigma^{floor((n-1)/2)}, with the power carried
-    from one n to the next.
-    """
-    threshold = prof.t * (prof.r + abs(b))
-    power = 1  # t^{n-1} * sigma^{floor((n-1)/2)}
-    for n, s_n in enumerate(recurrence_terms(l, b), start=1):
-        yield s_n * prof.t > threshold * power
-        power *= prof.t if n % 2 else prof.t * prof.sigma
+    walk = _reduced_walk(l, b, gcd_profile(l, b))
+    f = [f_j for f_j, _, _ in islice(walk, n)]
+    next(walk)  # f_{n+1}, for the check of h_n
+    return f
 
 
 def find_n0(l, b, horizon=None):
@@ -152,16 +148,21 @@ def find_n0(l, b, horizon=None):
     bound s_n/(t^{n-2}*sigma^{floor((n-1)/2)}) > t*(r+|b|).
 
     With no horizon given, the window is max(64, 4 * first index where the
-    bound holds), looked for within 4096 terms.  On l = 2m, b = -m^2,
-    s_n = n*m^(n-1) grows only linearly once normalized: n0 = m(m+1) + 1 for
-    odd m and m(m+2) for even m, and the first index passes 4096 from odd
-    m = 65 and even m = 90 on.  HorizonTooSmallError is raised then, and when
-    no window starting at n0 <= horizon is clean, which is every horizon < 1.
+    bound holds), looked for within 4096 terms.  The bound is tested as
+    f_n/h_{n-1} > r+|b| on the walk of f (module docstring), which draws no
+    more than 2*horizon terms.  On l = 2m, b = -m^2, f_n is n for odd m and
+    n*2^(n-1) for even m, so f_n/h_{n-1} (n, or 2n for even n) grows only
+    linearly: n0 = m(m+1) + 1 for odd m and m(m+2) for even m, and the first
+    index passes 4096 from odd m = 65 and even m = 90 on.
+    HorizonTooSmallError is raised then, and when no window starting at
+    n0 <= horizon is clean, which is every horizon < 1.
     """
     _check_pair(l, b)
     if horizon is not None and horizon < 1:
         raise HorizonTooSmallError(f"need horizon >= 1, got {horizon}")
-    hits = enumerate(_growth_hits(l, b, gcd_profile(l, b)), start=1)
+    prof = gcd_profile(l, b)
+    bound = prof.r + abs(b)
+    hits = enumerate((q > bound for _, q, _ in _reduced_walk(l, b, prof)), start=1)
     drawn = run = 0  # terms drawn so far; hits in a row up to the last one
     if horizon is None:
         drawn = next((n for n, hit in islice(hits, 4096) if hit), None)

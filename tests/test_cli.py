@@ -692,9 +692,9 @@ def sixth_term_plus_one(terms):
     return faulty
 
 
-# generators whose last term (the sixth, of the unending recurrence terms,
-# the last the commands below draw) is one too large, and on request a gcd
-# that doubles
+# generators whose last term is one too large (of the unending recurrence
+# terms, the sixth: the last that gcd-table and profile --n 5 draw), and on
+# request a gcd that doubles
 gcd_structure.recurrence_terms = sixth_term_plus_one(gcd_structure.recurrence_terms)
 gorenstein.generate_from_u = last_term_plus_one(gorenstein.generate_from_u)
 try:
@@ -713,11 +713,14 @@ sys.exit(main(sys.argv[2:]))
     "fault, argv, check",
     [
         ("doubling-gcd", ["profile", "--l", "3", "--b", "9"], "sigma*t does not divide"),
-        ("-", ["profile", "--l", "3", "--b", "9", "--n", "5"], "s_6 != t^5*f_6"),
-        ("-", ["gcd-table", "--l", "6", "--b", "36", "--n", "5"], "u_5 = gcd/normalizer"),
-        # the lemma's gcd is checked against the faulty sixth term it never reads
-        ("-", ["gcd-table", "--l", "9", "--b", "6", "--n", "5"], "u_5 = gcd/normalizer"),
+        # the walk of f checks h_5 = sigma^2 against the faulty f_6, which
+        # the rows and terms printed never read; t = 6, sigma = 3 on (90, -756)
+        ("-", ["profile", "--l", "90", "--b", "-756", "--n", "5"], "gcd(f_6, f_5) != sigma^2"),
+        ("-", ["gcd-table", "--l", "90", "--b", "-756", "--n", "5"], "gcd(f_6, f_5) != sigma^2"),
+        ("-", ["gcd-table", "--l", "9", "--b", "6", "--n", "5"], "gcd(f_6, f_5) != sigma^2"),
         ("-", ["profile", "--l", "9", "--b", "6", "--n", "5"], "gcd(f_6, f_5) != sigma^2"),
+        # n0 tests its growth bound on the same walk, so its checks run too
+        ("-", ["n0", "--l", "9", "--b", "6"], "gcd(f_6, f_5) != sigma^2"),
     ],
 )
 def test_gcd_invariants_survive_optimize(fault, argv, check):
@@ -1775,9 +1778,11 @@ def test_n0_rejects_horizon_below_one(horizon):
 
 
 def test_n0_on_double_root_pairs():
-    # on l = 2m, b = -m^2 the terms are n*m^(n-1): the normalized term grows
-    # linearly, and the bound first holds past 4096 terms from m = 65 on
-    for m in [*range(2, 10), 63, 64]:
+    # on l = 2m, b = -m^2 the reduced terms f_n are n (odd m) or n*2^(n-1)
+    # (even m): the bound's f_n/h_{n-1} grows linearly, n0 is the README's
+    # closed form for every m = 2..64, and the bound first holds past 4096
+    # terms from m = 65 on
+    for m in range(2, 65):
         assert find_n0(2 * m, -m * m) == (m * (m + 1) + 1 if m % 2 else m * (m + 2))
     assert run(["n0", "--l", "130", "--b", "-4225"]) == (
         2,

@@ -1,3 +1,4 @@
+from contextlib import suppress
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -5,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lhcone import gcd_structure
 from lhcone.gcd_structure import (
     HorizonTooSmallError,
     failure_threshold_check,
@@ -14,7 +16,7 @@ from lhcone.gcd_structure import (
     ratio_table,
 )
 from lhcone.gorenstein import gorenstein_fail_index
-from lhcone.sequences import generate_recurrence, recurrence_terms, validate_positivity
+from lhcone.sequences import InvariantViolation, generate_recurrence, recurrence_terms, validate_positivity
 
 # reference 24-row tables, frozen after independent recomputation
 U_6_36 = [1, 1, 2, 3, 1, 2, 1, 3, 2, 1, 1, 6] * 2
@@ -222,6 +224,45 @@ def test_find_n0_matches_oracle_on_grid():
         if find_n0(2 * m, -m * m) != oracle_find_n0(2 * m, -m * m):
             wrong.append((2 * m, -m * m, None))
     assert wrong == []
+
+
+@pytest.mark.parametrize("l, b", [(9, 6), (90, -756), (6, 36), (2, -1), (12, -36), (3, 9)])
+def test_one_stream_of_f_within_the_charge(monkeypatch, l, b):
+    # each command draws one stream, of f, and no more terms than the CLI
+    # charges: N + 1 for gcd-table, n + 1 for profile --n, 2*horizon for n0
+    streams = []
+
+    def counted(*params):
+        stream = [params, 0]
+        streams.append(stream)
+        for term in recurrence_terms(*params):
+            stream[1] += 1
+            yield term
+
+    monkeypatch.setattr(gcd_structure, "recurrence_terms", counted)
+    p = gcd_profile(l, b)
+    reduced = (l // p.t, b // (p.t * p.t))
+    for n in (1, 2, 7, 40):
+        for fn, charge in ((ratio_table, n + 1), (f_sequence, n + 1), (find_n0, 2 * n)):
+            streams.clear()
+            with suppress(HorizonTooSmallError):
+                fn(l, b, n)
+            assert len(streams) == 1 and streams[0][0] == reduced, (fn.__name__, n)
+            drawn = streams[0][1]
+            assert drawn <= charge if fn is find_n0 else drawn == charge, (fn.__name__, n, drawn)
+
+
+@pytest.mark.parametrize("fn", [ratio_table, f_sequence, find_n0])
+def test_walk_reports_a_wrong_gcd_factor(monkeypatch, fn):
+    # (9, 6): t = 1, sigma = 3.  A fifth term three times too large is still
+    # a multiple of h_4 = 9, but it makes h_5/h_4 = gcd(6, f_5/9) 3, not 1
+    def tripled_fifth(*params):
+        for j, term in enumerate(recurrence_terms(*params), start=1):
+            yield 3 * term if j == 5 else term
+
+    monkeypatch.setattr(gcd_structure, "recurrence_terms", tripled_fifth)
+    with pytest.raises(InvariantViolation, match=r"^gcd\(f_6, f_5\) != sigma\^2$"):
+        fn(9, 6, 5)
 
 
 def test_find_n0_stops_at_the_search_cap():
