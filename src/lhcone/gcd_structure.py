@@ -150,30 +150,47 @@ def find_n0(l, b, horizon=None):
     With no horizon given, the window is max(64, 4 * first index where the
     bound holds), looked for within 4096 terms.  The bound is tested as
     f_n/h_{n-1} > r+|b| on the walk of f (module docstring), which draws no
-    more than 2*horizon terms.  On l = 2m, b = -m^2, f_n is n for odd m and
-    n*2^(n-1) for even m, so f_n/h_{n-1} (n, or 2n for even n) grows only
-    linearly: n0 = m(m+1) + 1 for odd m and m(m+2) for even m, and the first
-    index passes 4096 from odd m = 65 and even m = 90 on.
-    HorizonTooSmallError is raised then, and when no window starting at
-    n0 <= horizon is clean, which is every horizon < 1.
+    more than 2*horizon terms.  HorizonTooSmallError is raised when the
+    bound is not reached within those 4096 terms, and when no window
+    starting at n0 <= horizon is clean, which is every horizon < 1.
+
+    A double root, l = 2m and b = -m^2, is answered by proof, with no walk.
+    For odd m the profile is r = t = m, sigma = 1, so f is the (2, -1)
+    recurrence, f_n = n, h_{n-1} = gcd(n, n-1) = 1 and the bound is
+    n > r+|b| = m(m+1).  For even m it is r = 2m, t = m/2, sigma = 4, so f is
+    the (4, -4) recurrence, f_n = n*2^(n-1), h_{n-1} = 4^{floor((n-1)/2)}
+    and f_n/h_{n-1} is n for odd n and 2n for even n; with B = r+|b| =
+    m(m+2), even, the bound holds at every n >= B (at n = B as 2B > B) and
+    fails at the odd n = B-1.  Either way the bound holds from n0 on and
+    fails at n0-1, so n0 = m(m+1)+1 for odd m and m(m+2) for even m.  The
+    bound first holds at n0 (odd m) or at the least even n > B/2 (even m),
+    so the default window, 4 times that, is longer than n0 and n0 answers;
+    an explicit horizon must still hold n0 <= horizon.  The scan would pass
+    its 4096 terms from odd m = 65 and even m = 90 on.
     """
     _check_pair(l, b)
     if horizon is not None and horizon < 1:
         raise HorizonTooSmallError(f"need horizon >= 1, got {horizon}")
-    prof = gcd_profile(l, b)
-    bound = prof.r + abs(b)
-    hits = enumerate((q > bound for _, q, _ in _reduced_walk(l, b, prof)), start=1)
-    drawn = run = 0  # terms drawn so far; hits in a row up to the last one
-    if horizon is None:
-        drawn = next((n for n, hit in islice(hits, 4096) if hit), None)
-        if drawn is None:
-            raise HorizonTooSmallError("growth bound not reached within 4096 terms")
-        horizon, run = max(64, 4 * drawn), 1
-    # a clean window [n0, n0+horizon] with n0 <= horizon ends by 2*horizon
-    for n, hit in islice(hits, max(2 * horizon - drawn, 0)):
-        run = run + 1 if hit else 0
-        if run > horizon:
-            return n - horizon
+    if l * l == -4 * b:
+        m = l // 2
+        n0 = m * (m + 1) + 1 if m % 2 else m * (m + 2)
+        if horizon is None or n0 <= horizon:
+            return n0
+    else:
+        prof = gcd_profile(l, b)
+        bound = prof.r + abs(b)
+        hits = enumerate((q > bound for _, q, _ in _reduced_walk(l, b, prof)), start=1)
+        drawn = run = 0  # terms drawn so far; hits in a row up to the last one
+        if horizon is None:
+            drawn = next((n for n, hit in islice(hits, 4096) if hit), None)
+            if drawn is None:
+                raise HorizonTooSmallError("growth bound not reached within 4096 terms")
+            horizon, run = max(64, 4 * drawn), 1
+        # a clean window [n0, n0+horizon] with n0 <= horizon ends by 2*horizon
+        for n, hit in islice(hits, max(2 * horizon - drawn, 0)):
+            run = run + 1 if hit else 0
+            if run > horizon:
+                return n - horizon
     raise HorizonTooSmallError(
         f"no window of length {horizon + 1} starting at n0 <= {horizon} satisfies the bound"
     )

@@ -1777,18 +1777,34 @@ def test_n0_rejects_horizon_below_one(horizon):
     assert (code, out, err) == (2, "", f"error: need horizon >= 1, got {horizon}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, least",
+    [
+        (["numerator", "--seq", "ell:3", "--n", "6"], 5987),
+        (["hstar", "--seq", "ell:3", "--n", "4"], 179),
+        (["series", "--seq", "ell:3", "--n", "5", "--m", "30"], 55),
+    ],
+)
+def test_least_admitting_budget_of_one_lattice_call(monkeypatch, argv, least):
+    # every node is charged per state before the last layer is summed, so
+    # the least budget that answers does not depend on how that sum is built
+    monkeypatch.setenv("LHCONE_BUDGET", str(least))
+    assert run(argv)[0] == 0
+    monkeypatch.setenv("LHCONE_BUDGET", str(least - 1))
+    assert run(argv) == (2, "", f"error: enumeration passed {least - 1} nodes\n")
+
+
 def test_n0_on_double_root_pairs():
     # on l = 2m, b = -m^2 the reduced terms f_n are n (odd m) or n*2^(n-1)
-    # (even m): the bound's f_n/h_{n-1} grows linearly, n0 is the README's
-    # closed form for every m = 2..64, and the bound first holds past 4096
-    # terms from m = 65 on
+    # (even m): the bound's f_n/h_{n-1} grows linearly, and n0 is the
+    # README's closed form, proved in find_n0's docstring.  The scan would
+    # first meet the bound past 4096 terms from odd m = 65 on
     for m in range(2, 65):
         assert find_n0(2 * m, -m * m) == (m * (m + 1) + 1 if m % 2 else m * (m + 2))
-    assert run(["n0", "--l", "130", "--b", "-4225"]) == (
-        2,
-        "",
-        "error: growth bound not reached within 4096 terms\n",
-    )
+    code, out, err = run(["n0", "--l", "130", "--b", "-4225"])
+    assert (code, json.loads(out)["n0"], err) == (0, 4291, "")
+    code, out, err = run(["n0", "--l", "10080", "--b", "-25401600"])
+    assert (code, json.loads(out)["n0"], err) == (0, 25411680, "")
 
 
 PERFBENCH = os.path.join(os.path.dirname(SRC), "perfbench")

@@ -332,6 +332,31 @@ def test_packed_windows_match_list_windows(s):
         assert (list(numerator_H(s).coeffs), list(h_star(s).coeffs.coeffs)) == want
 
 
+def _lattice_in_every_mode(s, limit):
+    n = len(s)
+    weight, last = (1,) * n, (0,) * (n - 1) + (1,)
+    pi = [enumeration._lattice(s, weight, None)]
+    pi += [enumeration._lattice(s, last, None, 0, windows) for windows in (0, 1, 2)]
+    return pi + [enumeration._lattice(s, g, limit) for g in (weight, last)]
+
+
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4), st.integers(0, 40))
+# h_star's last-layer states repeat their degrees
+@example([5, 3], 20)
+@example([1, 40, 7], 20)
+# degrees that jump past the span, in the cone and in Pi
+@example([1, 200], 300)
+@example([3, 1000], 300)
+@settings(max_examples=40, deadline=None)
+def test_lattice_does_not_depend_on_the_chunk_span(s, limit):
+    # span 0 gives every degree a chunk of its own; 10**9 sums the whole
+    # last layer into one chunk
+    want = _lattice_in_every_mode(s, limit)
+    for span in (0, 1, 3, 10**9):
+        with mock.patch.object(enumeration, "_CHUNK_SLOTS", span):
+            assert _lattice_in_every_mode(s, limit) == want, span
+
+
 @pytest.mark.skipif(sys.byteorder != "little", reason="slots are read one at a time")
 def test_hstar_keeps_the_slots_of_pi():
     # prod(s) = 10^9 needs 31 bits, a 4-byte slot, for the numerator and for

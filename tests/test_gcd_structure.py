@@ -247,6 +247,10 @@ def test_one_stream_of_f_within_the_charge(monkeypatch, l, b):
             streams.clear()
             with suppress(HorizonTooSmallError):
                 fn(l, b, n)
+            if fn is find_n0 and l * l == -4 * b:
+                # a double root's n0 is a closed form: no term is drawn
+                assert streams == [], n
+                continue
             assert len(streams) == 1 and streams[0][0] == reduced, (fn.__name__, n)
             drawn = streams[0][1]
             assert drawn <= charge if fn is find_n0 else drawn == charge, (fn.__name__, n, drawn)
@@ -265,11 +269,36 @@ def test_walk_reports_a_wrong_gcd_factor(monkeypatch, fn):
         fn(9, 6, 5)
 
 
-def test_find_n0_stops_at_the_search_cap():
-    # (240, -14400): s_j = j*120^(j-1) does not reach the growth bound within
-    # the 4096 terms searched for its first hit
+def test_find_n0_stops_at_the_search_cap(monkeypatch):
+    # no pair with distinct roots is known to take 4096 terms to its first
+    # hit, so the walk is patched to one that never reaches the bound
+    drawn = []
+
+    def flat_walk(l, b, prof):
+        while True:
+            drawn.append(1)
+            yield 1, 1, 1
+
+    monkeypatch.setattr(gcd_structure, "_reduced_walk", flat_walk)
     with pytest.raises(HorizonTooSmallError, match="within 4096 terms"):
-        find_n0(240, -14400)
+        find_n0(3, 9)
+    assert len(drawn) == 4096
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 11, 64, 65, 89, 90])
+def test_find_n0_on_double_roots_is_the_walk_answer(m):
+    # the closed form against the walk of f: the bound fails at n0 - 1 and
+    # holds on the whole window [n0, 2*n0]
+    l, b = 2 * m, -m * m
+    n0 = find_n0(l, b)
+    assert n0 == (m * (m + 1) + 1 if m % 2 else m * (m + 2))
+    p = gcd_profile(l, b)
+    walk = gcd_structure._reduced_walk(l, b, p)
+    hits = [q > p.r + abs(b) for _, q, _ in islice(walk, 2 * n0)]
+    assert not hits[n0 - 2] and all(hits[n0 - 1 :])
+    assert find_n0(l, b, n0) == n0
+    with pytest.raises(HorizonTooSmallError, match=f"^no window of length {n0} starting"):
+        find_n0(l, b, n0 - 1)
 
 
 def test_find_n0_rejects_degenerate():
