@@ -30,11 +30,11 @@ from math import gcd, prod
 
 from .enumeration import (
     BudgetExceeded,
+    _charge_terms,
     cross_check_gorenstein,
     denominator_exponents,
     ehrhart_counts,
     h_star,
-    node_budget,
     numerator_H,
     product_form,
     weight_series,
@@ -271,13 +271,6 @@ def _flat(value):
     return str(value)
 
 
-def _charge_terms(n):
-    """Refuse to generate n terms past the node budget, before drawing any."""
-    budget = node_budget()
-    if n > budget:
-        raise BudgetExceeded(f"asked for {n} terms, past the budget of {budget} nodes")
-
-
 def _spec(args):
     """The parsed --seq and its n: --n, charged against the budget, or else
     the spec's own length."""
@@ -465,7 +458,6 @@ def cmd_product(args):
 
 
 def cmd_gcd_table(args):
-    _charge_terms(args.n + 1)
     rows = ratio_table(args.l, args.b, args.n).rows
     payload = {
         "l": str(args.l),
@@ -481,7 +473,6 @@ def cmd_profile(args):
     prof = gcd_profile(args.l, args.b)
     payload = {"l": str(args.l), "b": str(args.b), **_profile_fields(prof)}
     if args.n is not None:
-        _charge_terms(args.n + 1)
         payload["f_sequence"] = _Decimals(f_sequence(args.l, args.b, args.n))
     _emit(args, payload)
     return 0
@@ -489,8 +480,6 @@ def cmd_profile(args):
 
 def cmd_n0(args):
     prof = gcd_profile(args.l, args.b)
-    if args.horizon is not None:
-        _charge_terms(2 * args.horizon)
     n0 = find_n0(args.l, args.b, args.horizon)
     payload = {
         "l": str(args.l),
@@ -559,10 +548,11 @@ def cmd_classify(args):
         l, b = spec.params
         if b != 0:
             payload["profile"] = _profile_fields(gcd_profile(l, b))
-        fail_index = gorenstein_fail_index(l, b)
-        # the prefix fails first where the family does, if that is within it
-        if result.fails_at != (fail_index if fail_index and fail_index <= n else None):
-            raise InvariantViolation(f"prefix fails at {result.fails_at}, family at {fail_index}")
+        # a failing prefix's index is the family's: both run _index_recursion
+        # on the same first terms; a Gorenstein prefix's family fails past it
+        fail_index = result.fails_at or gorenstein_fail_index(l, b)
+        if result.gorenstein and fail_index and fail_index <= n:
+            raise InvariantViolation(f"prefix is Gorenstein, family fails at {fail_index}")
         payload["fail_index"] = fail_index
         if b not in (0, -1):
             payload["threshold_check"] = failure_threshold_check(l, b)._asdict()

@@ -125,6 +125,15 @@ def node_budget():
     return budget
 
 
+def _charge_terms(n):
+    """Refuse to generate n terms past the node budget, before drawing any:
+    each term a node, as `lhcone.gcd_structure` charges its walk of f and
+    the CLI the --n terms of a spec."""
+    budget = node_budget()
+    if n > budget:
+        raise BudgetExceeded(f"asked for {n} terms, past the budget of {budget} nodes")
+
+
 def _lattice(s, g, limit, charged=0, windows=1):
     """Lattice points of the cone of s graded by g, nonnegative and ending in 1.
 

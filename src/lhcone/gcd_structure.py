@@ -44,6 +44,7 @@ from collections import namedtuple
 from itertools import islice
 from math import gcd
 
+from .enumeration import _charge_terms
 from .gorenstein import gorenstein_fail_index
 from .sequences import InvariantViolation, recurrence_terms, validate_positivity
 
@@ -107,20 +108,30 @@ def _reduced_walk(l, b, prof):
         h *= k
 
 
+def _walk_through(l, b, n, name):
+    """The profile and the walk of f for a caller that draws f_1..f_{n+1},
+    n given as its argument name: those n + 1 terms are charged against the
+    node budget (`lhcone.enumeration.node_budget`) first, before the pair
+    and n are checked."""
+    _charge_terms(n + 1)
+    _check_pair(l, b)
+    if n < 1:
+        raise ValueError(f"need {name} >= 1, got {n}")
+    prof = gcd_profile(l, b)
+    return prof, _reduced_walk(l, b, prof)
+
+
 def ratio_table(l, b, N):
     """Rows (n, g_n, normalizer, u_n) for n = 1..N: g_n = gcd(s_{n+1}, s_n),
     the normalizer t^{n-1}*sigma^{floor(n/2)} and u_n = g_n/normalizer.
 
-    Read off the walk of f through f_{N+1} (module docstring): u_n =
-    gcd(t, f_n/h_n), where f_n/h_n is the step's quotient f_n/h_{n-1}
-    divided by h_n/h_{n-1}, and g_n = normalizer*u_n, the normalizer carried
-    from row to row."""
-    _check_pair(l, b)
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    prof = gcd_profile(l, b)
+    Read off the walk of f through f_{N+1} (module docstring), its N + 1
+    terms charged against the node budget first: u_n = gcd(t, f_n/h_n),
+    where f_n/h_n is the step's quotient f_n/h_{n-1} divided by
+    h_n/h_{n-1}, and g_n = normalizer*u_n, the normalizer carried from row
+    to row."""
+    prof, walk = _walk_through(l, b, N, "N")
     t, steps = prof.t, (prof.t, prof.t * prof.sigma)  # norm's factor after an even, odd row
-    walk = _reduced_walk(l, b, prof)
     rows, norm = [], 1
     for n, (_, q, k) in enumerate(islice(walk, N), start=1):
         u = gcd(t * k, q) // k  # gcd(t, q/k), as k divides q
@@ -132,12 +143,10 @@ def ratio_table(l, b, N):
 
 def f_sequence(l, b, n):
     """f_1..f_n with f_j = (l/t)f_{j-1} + (b/t^2)f_{j-2}, so s_j = t^{j-1}*f_j
-    (module docstring); drawn through f_{n+1}, each term checked by the walk:
+    (module docstring); drawn through f_{n+1}, its n + 1 terms charged
+    against the node budget first, each term checked by the walk:
     gcd(f_j, f_{j-1}) = sigma^{floor((j-1)/2)}."""
-    _check_pair(l, b)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    walk = _reduced_walk(l, b, gcd_profile(l, b))
+    _, walk = _walk_through(l, b, n, "n")
     f = [f_j for f_j, _, _ in islice(walk, n)]
     next(walk)  # f_{n+1}, for the check of h_n
     return f
@@ -152,7 +161,10 @@ def find_n0(l, b, horizon=None):
     f_n/h_{n-1} > r+|b| on the walk of f (module docstring), which draws no
     more than 2*horizon terms.  HorizonTooSmallError is raised when the
     bound is not reached within those 4096 terms, and when no window
-    starting at n0 <= horizon is clean, which is every horizon < 1.
+    starting at n0 <= horizon is clean, which is every horizon < 1.  An
+    explicit horizon charges the scan's 2*horizon terms against the node
+    budget first, before the pair is checked; a double root, which draws no
+    term, charges nothing.
 
     A double root, l = 2m and b = -m^2, is answered by proof, with no walk.
     For odd m the profile is r = t = m, sigma = 1, so f is the (2, -1)
@@ -168,10 +180,13 @@ def find_n0(l, b, horizon=None):
     an explicit horizon must still hold n0 <= horizon.  The scan would pass
     its 4096 terms from odd m = 65 and even m = 90 on.
     """
+    double = l > 0 and l * l == -4 * b  # l = 2m, b = -m^2 with m > 0, a positive pair
+    if horizon is not None and not double:
+        _charge_terms(2 * horizon)
     _check_pair(l, b)
     if horizon is not None and horizon < 1:
         raise HorizonTooSmallError(f"need horizon >= 1, got {horizon}")
-    if l * l == -4 * b:
+    if double:
         m = l // 2
         n0 = m * (m + 1) + 1 if m % 2 else m * (m + 2)
         if horizon is None or n0 <= horizon:

@@ -645,9 +645,10 @@ from lhcone import cli
 from lhcone.cli import main
 
 assert False, "asserts must be stripped in this run"
-# a family index that never fails, against a 7-term prefix that does
-cli.gorenstein_fail_index = lambda l, b: None
-sys.exit(main(["classify", "--seq", "rec:3,9", "--n", "7"]))
+# a family index of 6, against a 6-term prefix that is Gorenstein (rec:3,9
+# fails at 7); a failing prefix's index is the family's and is not checked
+cli.gorenstein_fail_index = lambda l, b: 6
+sys.exit(main(["classify", "--seq", "rec:3,9", "--n", "6"]))
 """
 
 
@@ -662,8 +663,7 @@ def test_classify_fail_index_check_survives_optimize():
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr.startswith("internal error:") and proc.stderr.count("\n") == 1
-    assert "fails at 7" in proc.stderr
+    assert proc.stderr == "internal error: prefix is Gorenstein, family fails at 6\n"
 
 
 FAULTY_SEQUENCES = """
@@ -1805,6 +1805,34 @@ def test_n0_on_double_root_pairs():
     assert (code, json.loads(out)["n0"], err) == (0, 4291, "")
     code, out, err = run(["n0", "--l", "10080", "--b", "-25401600"])
     assert (code, json.loads(out)["n0"], err) == (0, 25411680, "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_n0_on_a_double_root_charges_no_horizon(fmt):
+    # find_n0 charges the 2*horizon terms of its scan, which a double root
+    # never runs: a horizon past the budget still answers there, while a
+    # pair that scans is refused before its first term
+    code, out, err = run(["n0", "--l", "4", "--b", "-4", "--horizon", "30000000", "--format", fmt])
+    assert (code, err) == (0, "")
+    assert [str(_field(out, fmt, key)) for key in ("n0", "horizon")] == ["8", "30000000"]
+    code, out, err = run(["n0", "--l", "3", "--b", "9", "--horizon", "30000000", "--format", fmt])
+    assert (code, out, err) == (2, "", "error: asked for 60000000 terms, past the budget of 50000000 nodes\n")
+
+
+@pytest.mark.parametrize("spec, n, gorenstein", [("rec:1,1", 20, False), ("rec:1,1", 4, True)])
+def test_classify_runs_the_recursion_once_per_verdict(spec, n, gorenstein):
+    # a failing prefix gives the family's fail index, since both run the
+    # recursion on the same first terms; only a Gorenstein prefix runs the
+    # family's.  rec:1,1 fails at 5, and its threshold check runs the
+    # recursion once more: two runs either way, where there were three
+    recursion = cli._index_recursion  # lhcone.gorenstein's, imported
+    with mock.patch("lhcone.cli._index_recursion", wraps=recursion) as prefix, mock.patch(
+        "lhcone.gorenstein._index_recursion", wraps=recursion
+    ) as family:
+        code, doc, err = run_json(["classify", "--seq", spec, "--n", str(n)])
+    assert (code, err) == (0, "")
+    assert (doc["gorenstein"], doc["fail_index"], doc["threshold_check"]["actual"]) == (gorenstein, 5, 5)
+    assert (prefix.call_count, family.call_count) == ((0, 2) if gorenstein else (1, 1))
 
 
 PERFBENCH = os.path.join(os.path.dirname(SRC), "perfbench")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lhcone import gcd_structure
+from lhcone.enumeration import BudgetExceeded
 from lhcone.gcd_structure import (
     HorizonTooSmallError,
     failure_threshold_check,
@@ -228,8 +229,10 @@ def test_find_n0_matches_oracle_on_grid():
 
 @pytest.mark.parametrize("l, b", [(9, 6), (90, -756), (6, 36), (2, -1), (12, -36), (3, 9)])
 def test_one_stream_of_f_within_the_charge(monkeypatch, l, b):
-    # each command draws one stream, of f, and no more terms than the CLI
-    # charges: N + 1 for gcd-table, n + 1 for profile --n, 2*horizon for n0
+    # each function draws one stream, of f, and no more terms than it
+    # charges: N + 1 for ratio_table, n + 1 for f_sequence, 2*horizon for
+    # find_n0.  The charge is the least node budget that lets it run, and a
+    # double root, whose n0 draws no term, charges nothing
     streams = []
 
     def counted(*params):
@@ -245,12 +248,19 @@ def test_one_stream_of_f_within_the_charge(monkeypatch, l, b):
     for n in (1, 2, 7, 40):
         for fn, charge in ((ratio_table, n + 1), (f_sequence, n + 1), (find_n0, 2 * n)):
             streams.clear()
+            monkeypatch.setenv("LHCONE_BUDGET", str(charge))
             with suppress(HorizonTooSmallError):
                 fn(l, b, n)
+            monkeypatch.setenv("LHCONE_BUDGET", str(charge - 1))
             if fn is find_n0 and l * l == -4 * b:
                 # a double root's n0 is a closed form: no term is drawn
+                with suppress(HorizonTooSmallError):
+                    fn(l, b, n)
                 assert streams == [], n
                 continue
+            # refused before a term is drawn: the one stream is the run's above
+            with pytest.raises(BudgetExceeded, match=rf"^asked for {charge} terms, past the budget of {charge - 1} "):
+                fn(l, b, n)
             assert len(streams) == 1 and streams[0][0] == reduced, (fn.__name__, n)
             drawn = streams[0][1]
             assert drawn <= charge if fn is find_n0 else drawn == charge, (fn.__name__, n, drawn)
