@@ -41,7 +41,7 @@ from .enumeration import (
 )
 from .exact_arith import is_palindromic
 from .gcd_structure import (
-    failure_threshold_check,
+    _threshold_verdict,
     f_sequence,
     find_n0,
     gcd_profile,
@@ -547,15 +547,17 @@ def cmd_classify(args):
     if spec.kind == "recurrence":
         l, b = spec.params
         if b != 0:
-            payload["profile"] = _profile_fields(gcd_profile(l, b))
+            prof = gcd_profile(l, b)
+            payload["profile"] = _profile_fields(prof)
         # a failing prefix's index is the family's: both run _index_recursion
-        # on the same first terms; a Gorenstein prefix's family fails past it
+        # on the same first terms; a Gorenstein prefix's family fails past it.
+        # The threshold check is read off that index, with no recursion
         fail_index = result.fails_at or gorenstein_fail_index(l, b)
         if result.gorenstein and fail_index and fail_index <= n:
             raise InvariantViolation(f"prefix is Gorenstein, family fails at {fail_index}")
         payload["fail_index"] = fail_index
         if b not in (0, -1):
-            payload["threshold_check"] = failure_threshold_check(l, b)._asdict()
+            payload["threshold_check"] = _threshold_verdict(prof, b, fail_index)._asdict()
     elif spec.needs_length():
         # a family whose every step is a u-step: Gorenstein for every n (see
         # u_generated_point)

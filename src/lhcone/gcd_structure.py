@@ -222,20 +222,35 @@ class ThresholdVerdict(namedtuple("ThresholdVerdict", "applicable threshold actu
         return self.applicable and self.actual is not None and self.actual <= self.threshold
 
 
+def _threshold_verdict(prof, b, fail_index):
+    """The threshold theorem's verdict on a positive pair with profile prof
+    and b outside {0, -1}, read off its first failing index: it applies iff
+    prof.t = 1 (`failure_threshold_check`), and then the actual index is
+    fail_index when that is at most the threshold, else None."""
+    if prof.t != 1:
+        return ThresholdVerdict(False, None, None)
+    threshold = 5 if b > 0 else 6
+    return ThresholdVerdict(True, threshold, fail_index if fail_index and fail_index <= threshold else None)
+
+
 def failure_threshold_check(l, b):
     """Universal Gorenstein failure threshold when gcd(l,b) = gcd(l^2,b).
 
     Under that hypothesis the cone family stops being Gorenstein at
     dimension 5 (b > 0) or 6 (b < -1) at the latest; the verdict carries the
-    predicted threshold and the actual first failing index.  Without the
+    predicted threshold and the actual first failing index, which the index
+    recursion looks for only when the hypothesis holds.  Without the
     hypothesis the verdict is marked not applicable.
+
+    The hypothesis is t = 1 in the pair's profile.  With r = gcd(l, b), r
+    divides l^2 and b, so gcd(l^2, b) = r*gcd(l^2/r, b/r) = r*t, which
+    equals gcd(l, b) = r iff t = 1 (r > 0 as b != 0).
     """
     if b in (0, -1):
         raise ValueError(f"need b outside {{0, -1}}, got b={b}")
     if not validate_positivity(l, b):
         raise ValueError(f"recurrence l={l}, b={b} does not stay positive")
-    if gcd(l, b) != gcd(l * l, b):
-        return ThresholdVerdict(False, None, None)
-    threshold = 5 if b > 0 else 6
-    actual = gorenstein_fail_index(l, b, threshold)
-    return ThresholdVerdict(True, threshold, actual)
+    verdict = _threshold_verdict(gcd_profile(l, b), b, None)
+    if verdict.applicable:
+        verdict = verdict._replace(actual=gorenstein_fail_index(l, b, verdict.threshold))
+    return verdict

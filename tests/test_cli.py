@@ -32,6 +32,7 @@ from lhcone.sequences import (
     generate_recurrence,
     parse_sequence_spec,
     recognize_u_generated,
+    validate_positivity,
 )
 from test_gorenstein import ell_sequence_point
 from test_sequences import family_oracle
@@ -1823,8 +1824,8 @@ def test_n0_on_a_double_root_charges_no_horizon(fmt):
 def test_classify_runs_the_recursion_once_per_verdict(spec, n, gorenstein):
     # a failing prefix gives the family's fail index, since both run the
     # recursion on the same first terms; only a Gorenstein prefix runs the
-    # family's.  rec:1,1 fails at 5, and its threshold check runs the
-    # recursion once more: two runs either way, where there were three
+    # family's.  rec:1,1 fails at 5, and its threshold check is read off that
+    # index: one run either way
     recursion = cli._index_recursion  # lhcone.gorenstein's, imported
     with mock.patch("lhcone.cli._index_recursion", wraps=recursion) as prefix, mock.patch(
         "lhcone.gorenstein._index_recursion", wraps=recursion
@@ -1832,7 +1833,20 @@ def test_classify_runs_the_recursion_once_per_verdict(spec, n, gorenstein):
         code, doc, err = run_json(["classify", "--seq", spec, "--n", str(n)])
     assert (code, err) == (0, "")
     assert (doc["gorenstein"], doc["fail_index"], doc["threshold_check"]["actual"]) == (gorenstein, 5, 5)
-    assert (prefix.call_count, family.call_count) == ((0, 2) if gorenstein else (1, 1))
+    assert (prefix.call_count, family.call_count) == ((0, 1) if gorenstein else (1, 0))
+
+
+def test_classify_threshold_check_is_the_library_verdict():
+    # classify reads the verdict off its fail index and the profile's t;
+    # failure_threshold_check runs the recursion to the threshold itself
+    for l in range(1, 13):
+        for b in range(-12, 13):
+            if b in (0, -1) or not validate_positivity(l, b):
+                continue
+            expected = failure_threshold_check(l, b)._asdict()
+            for n in (3, 20):
+                code, doc, err = run_json(["classify", "--seq", f"rec:{l},{b}", "--n", str(n)])
+                assert (code, err, doc["threshold_check"]) == (0, "", expected), (l, b, n)
 
 
 PERFBENCH = os.path.join(os.path.dirname(SRC), "perfbench")

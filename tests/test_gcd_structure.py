@@ -342,6 +342,14 @@ def test_threshold_check_not_applicable():
     assert v.threshold is None and v.actual is None and not v.confirmed
 
 
+def test_threshold_hypothesis_is_t_equal_to_one():
+    # gcd(l^2, b) = r*t with r = gcd(l, b) (failure_threshold_check's
+    # docstring): the hypothesis gcd(l, b) = gcd(l^2, b) is the profile's t = 1
+    pairs = [(l, b) for l in range(-30, 31) for b in range(-900, 901) if l and b]
+    assert len(pairs) == 108_000
+    assert [(l, b) for l, b in pairs if (gcd(l, b) == gcd(l * l, b)) != (gcd_profile(l, b).t == 1)] == []
+
+
 def test_threshold_check_rejects_excluded_b():
     with pytest.raises(ValueError):
         failure_threshold_check(3, 0)

@@ -360,6 +360,11 @@ def test_geometric_family_never_fails():
         gorenstein_fail_index(1, -1)  # not an ell-pair: 1 - 4 < 0
 
 
+def test_fail_index_rejects_a_horizon_below_one():
+    with pytest.raises(ValueError, match=r"^need horizon >= 1, got 0$"):
+        gorenstein_fail_index(3, 9, 0)
+
+
 def test_fail_index_of_b_zero_and_minus_one_draws_no_term(monkeypatch):
     # the theorem answers b = 0 and b = -1 at any horizon: a horizon of
     # 20,000 on (2, 0) walked 20,000 terms to answer None, and 10**20 never

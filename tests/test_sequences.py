@@ -183,6 +183,14 @@ def test_u_generation_rejects_with_index():
         generate_from_u((2,), 0, 2)
 
 
+def test_u_generation_rejects_a_length_its_multipliers_do_not_fit():
+    # n counts terms: n - 1 multipliers make them, and n >= 1
+    with pytest.raises(ValueError, match=r"^need n >= 1, got 0$"):
+        generate_from_u((3,), 1, 0)
+    with pytest.raises(ValueError, match=r"^need 4 multipliers for n=5, got 1$"):
+        generate_from_u((3,), 1, 5)
+
+
 def test_recognize_round_trip():
     s = generate_from_u((3, 3, 2, 3), 1, 5)
     assert recognize_u_generated(s) == [3, 3, 2, 3]
