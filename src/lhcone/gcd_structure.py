@@ -201,8 +201,9 @@ def find_n0(l, b, horizon=None):
             if drawn is None:
                 raise HorizonTooSmallError("growth bound not reached within 4096 terms")
             horizon, run = max(64, 4 * drawn), 1
-        # a clean window [n0, n0+horizon] with n0 <= horizon ends by 2*horizon
-        for n, hit in islice(hits, max(2 * horizon - drawn, 0)):
+        # a clean window [n0, n0+horizon] with n0 <= horizon ends by 2*horizon;
+        # 2*horizon - drawn >= 0: a derived horizon is >= 4*drawn, a given one has drawn = 0
+        for n, hit in islice(hits, 2 * horizon - drawn):
             run = run + 1 if hit else 0
             if run > horizon:
                 return n - horizon

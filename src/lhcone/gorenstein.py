@@ -175,8 +175,9 @@ def simple_cone_gorenstein(rows):
     over a common denominator L.  The cone is Gorenstein iff the solution
     of A*c = (q_1, ..., q_n) is an integer vector, and then c is the
     Gorenstein point.  Row j scaled by its L is an integer row with the
-    same solution for right-hand side gcd(L*row entries), so that integer
-    system is what is solved; only the nonzero entries are kept.
+    same solution for right-hand side gcd(L*row entries): each integer row,
+    its nonzero entries only, carries that gcd in column n, and those rows
+    are what elimination runs on.
     """
     A = []
     for row in rows:
@@ -193,35 +194,32 @@ def simple_cone_gorenstein(rows):
     n = len(A)
     if n == 0 or any(width != n for width, _ in A):
         raise ValueError("need a nonempty square matrix")
-    B, rhs = [], []
+    M = []
     for i, (_, entries) in enumerate(A):
         L = lcm(*(x.denominator for _, x in entries))
         row = {j: x.numerator * (L // x.denominator) for j, x in entries}
-        g = gcd(*row.values())
+        row[n] = g = gcd(*row.values())  # the right-hand side rides in column n
         if g == 0:
             raise SingularMatrixError(f"row {i + 1} is zero")
-        B.append(row)
-        rhs.append(g)
-    c = _solve_exact(B, rhs)
+        M.append(row)
+    c = _solve_exact(M)
     for i, x in enumerate(c):
         if x.denominator != 1:
             return GorensteinResult(None, i + 1, x)
     return GorensteinResult(tuple(int(x) for x in c), None, None)
 
 
-def _solve_exact(rows, rhs):
-    """Solve A*x = rhs over the rationals; row i of A is given by its nonzero
-    entries, a dict column -> int or Fraction.  Returns x as Fractions.
+def _solve_exact(M):
+    """Solve A*x = b over the rationals from the n augmented rows of (A | b),
+    each given by its nonzero entries, a dict column -> int or Fraction,
+    with b_i in column n (left out when 0).  Returns x as Fractions; the
+    rows are eliminated in place.
 
     Gaussian elimination with first-nonzero pivoting, then back-substitution,
     each touching nonzero entries only; on a lower-triangular matrix this is
     forward substitution.
     """
-    n = len(rows)
-    M = [dict(row) for row in rows]
-    for i, row in enumerate(M):  # the right-hand side rides in column n
-        if rhs[i]:
-            row[n] = rhs[i]
+    n = len(M)
     for col in range(n):
         pivot = next((r for r in range(col, n) if col in M[r]), None)
         if pivot is None:

@@ -1649,6 +1649,11 @@ def test_streamed_writer_writes_json_dumps_with_indent(value):
     assert out.getvalue() == json.dumps(as_strings(value), indent=2) + "\n"
 
 
+def test_writer_refuses_what_json_dumps_refuses():
+    with pytest.raises(TypeError, match="^Object of type float is not JSON serializable$"):
+        _write_json(1.5)
+
+
 EVERY_SUBCOMMAND = [
     ["gor", "--seq", "rec:3,9", "--n", "7"],
     ["gor", "--seq", "ell:3", "--n", "300"],

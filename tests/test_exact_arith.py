@@ -120,6 +120,29 @@ def test_series_equality_uses_common_prefix():
     assert TruncatedSeries([1, 1], 1) != TruncatedSeries([1, 2], 1)
 
 
+def test_series_checks_its_arguments_and_degrees():
+    with pytest.raises(ValueError, match="^a series needs at least the degree-0 coefficient$"):
+        TruncatedSeries([])
+    with pytest.raises(ValueError, match="^truncation degree must be >= 0, got -1$"):
+        TruncatedSeries([1], -1)
+    s = TruncatedSeries([1, 2], 3)
+    assert s[3] == 0
+    with pytest.raises(IndexError, match="^degree 4 beyond truncation 3$"):
+        s[4]
+    with pytest.raises(IndexError, match="^degree -1 beyond truncation 3$"):
+        s[-1]
+
+
+def test_values_are_immutable_and_compare_only_to_their_own_type():
+    with pytest.raises(AttributeError, match="^DensePoly is immutable$"):
+        DensePoly([1]).coeffs = (2,)
+    with pytest.raises(AttributeError, match="^TruncatedSeries is immutable$"):
+        TruncatedSeries([1]).coeffs = (2,)
+    assert not DensePoly([0, 0])
+    assert DensePoly([0, 1])
+    assert (TruncatedSeries([1]) == 1) is False
+
+
 def test_product_form_geometric():
     # 1/(1-q) to degree 4
     assert product_form_series([1], 4).coeffs == (1, 1, 1, 1, 1)

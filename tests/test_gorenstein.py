@@ -507,13 +507,17 @@ def oracle_solve(A, rhs):
 fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 
 
+def sparse_matrix(draw, n, density):
+    # an n x n matrix whose entries are drawn nonzero with about that density
+    entry = st.one_of(fractions, st.just(Fraction(0))) if density < 1 else fractions
+    return [[draw(entry) if draw(st.floats(0, 1)) < density else Fraction(0) for _ in range(n)] for _ in range(n)]
+
+
 @st.composite
 def sparse_systems(draw):
     # square systems with a share of zero entries, singular ones included
     n = draw(st.integers(1, 7))
-    density = draw(st.sampled_from([0.2, 0.5, 1.0]))
-    entry = st.one_of(fractions, st.just(Fraction(0))) if density < 1 else fractions
-    A = [[draw(entry) if draw(st.floats(0, 1)) < density else Fraction(0) for _ in range(n)] for _ in range(n)]
+    A = sparse_matrix(draw, n, draw(st.sampled_from([0.2, 0.5, 1.0])))
     return A, draw(st.lists(fractions, min_size=n, max_size=n))
 
 
@@ -524,24 +528,23 @@ def solve_or_singular(A, rhs):
         return "singular"
 
 
-def sparse_rows(A):
-    # the nonzero entries, integral ones as int, as simple_cone_gorenstein passes them
-    return [{j: int(x) if x.denominator == 1 else x for j, x in enumerate(row) if x} for row in A]
+def augmented_rows(A, rhs):
+    # the nonzero entries of (A | rhs), integral ones as int, as
+    # simple_cone_gorenstein builds them; a zero right-hand side is left out
+    return [{j: int(x) if x.denominator == 1 else x for j, x in enumerate([*row, b]) if x} for row, b in zip(A, rhs)]
 
 
 @given(sparse_systems())
 @settings(max_examples=300, deadline=None)
 def test_solve_exact_matches_dense_elimination(system):
     A, rhs = system
-    rows = sparse_rows(A)
     try:
-        got = gorenstein._solve_exact(rows, rhs)
+        got = gorenstein._solve_exact(augmented_rows(A, rhs))
     except SingularMatrixError:
         got = "singular"
     else:
         assert all(type(x) is Fraction for x in got)
     assert got == solve_or_singular(A, rhs)
-    assert rows == sparse_rows(A)  # the input rows are left as they were
 
 
 def oracle_simple_cone(rows):
@@ -567,11 +570,15 @@ def oracle_simple_cone(rows):
 
 @st.composite
 def cone_matrices(draw):
-    # dense, lower-triangular and singular square matrices, entries given
-    # as int, Fraction or str, which simple_cone_gorenstein all accepts
+    # dense, sparse (where elimination meets fill-in), lower-triangular and
+    # singular square matrices, entries given as int, Fraction or str, which
+    # simple_cone_gorenstein all accepts
     n = draw(st.integers(1, 7))
-    shape = draw(st.sampled_from(["dense", "triangular", "singular"]))
-    A = [[draw(fractions) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["dense", "sparse", "triangular", "singular"]))
+    if shape == "sparse":
+        A = sparse_matrix(draw, n, draw(st.sampled_from([0.2, 0.5])))
+    else:
+        A = [[draw(fractions) for _ in range(n)] for _ in range(n)]
     if shape == "triangular":
         for i in range(n):
             A[i][i] = draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)))

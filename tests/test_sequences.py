@@ -292,6 +292,12 @@ def test_one_mod_k():
         SequenceSpec("one_mod_k", (0,)).realize(3)
 
 
+def test_spec_of_unknown_kind_does_not_realize():
+    # a spec built without the parser, whose kind no generator knows
+    with pytest.raises(ValueError, match="^unknown kind 'zzz'$"):
+        SequenceSpec("zzz", (1,)).realize(2)
+
+
 def test_parse_explicit():
     sp = parse_sequence_spec("list:1,3,5")
     assert sp.kind == "explicit" and sp.params == (1, 3, 5)
