@@ -16,48 +16,59 @@ and (v_i, s_n)) into (1 - t^{s_n})^{n+1}.
 
 One engine, `_lattice`, does every lattice count.  It is a DP over
 coordinates whose state is the value of x_j (Stanley's transfer-matrix
-method, EC1 4.7).  In Pi, given x_{j-1} = a, x_j runs over exactly s_j
-consecutive values from ceil(a*s_j/s_{j-1}), and that start never decreases
-with a, so the values of x_j are 0..top and each layer is one sliding-window
-sum over the previous one: O(1) big-integer operations per state.  A state
-carries the polynomial sum of q^{g.x} over the prefixes x_1..x_j ending in
-it, packed into one int by Kronecker substitution, one slot per
-coefficient, at least one bit wider than a bound on every coefficient
-(prod(s) for Pi), so no slot carries into the next.  A slot of up to 8
+method, EC1 4.7).  A state carries the polynomial sum of q^{g.x} over the
+prefixes x_1..x_j ending in it, packed into one int by Kronecker
+substitution, one slot per coefficient, at least one bit wider than a bound
+on every coefficient, so no slot carries into the next.  A slot of up to 8
 bytes is widened to 1, 2, 4 or 8, the size of a C integer, so on a
 little-endian host the answer is read back by one memoryview cast; a wider
-slot, or any slot on a big-endian host, is read one at a time.
-Each state stores its polynomial from its own least degree, kept as a
-separate offset; the least degree never decreases along a layer, so the
-window sum only ever shifts left to add and right to drop its zeroed low
-slots.  The last coordinate gets no states: each value a of x_{n-1} adds
-its state times q^{ceil(a*s_n/s_{n-1})} to a packed sum p.  Those degrees
-never decrease along the layer either, so p is summed in chunks: a state
-whose degree is at most a fixed span of slots past its chunk's first degree
-is shifted into the chunk by one addition, any other starts a new chunk,
-and each finished chunk joins a binary counter of runs of 1, 2, 4, ...
-chunks, where it takes part in O(log(chunks)) additions.  A chunk is at
-most its widest state plus the span long, so an addition costs
-O(state + span) words, and the counter sees one entry per chunk, not per
-state.  Then p times 1 + q + ... + q^{s_n - 1} is
-((p << W*s_n) - p) // (2^W - 1), exact as
-z^w - 1 = (z - 1)(1 + z + ... + z^{w-1}) at z = 2^W, and linear in time as
-the divisor is one slot.  Each coefficient of the product sums s_n of a
-nonnegative polynomial's, which sum to at most prod(s), so it fits its
-slot, also after `h_star`'s second window.
+slot, or any slot on a big-endian host, is read one at a time.  One setup
+finds the range of each coordinate, charges the budget and fixes the slot
+width; then Pi and the cone each run their own loop over the states of a
+layer.
 
-The same layers count the whole cone up to a grade limit,
+In Pi, given x_{j-1} = a, x_j runs over exactly s_j consecutive values from
+ceil(a*s_j/s_{j-1}), and that start never decreases with a, so the values of
+x_j are 0..top and each layer is one sliding-window sum over the previous
+one: O(1) big-integer operations per state.  Pi's prod(s) points bound every
+coefficient.  Each state stores its polynomial from its own least degree,
+kept as a separate offset; the least degree never decreases along a layer,
+so the window sum only ever shifts left to add and right to drop its zeroed
+low slots.
+
+The cone's loop counts the whole cone up to a grade limit,
 counts[k] = #{x in the cone : g.x = k}: `weight_series` grades by total
 weight and `ehrhart_counts` by the last coordinate.  In the cone the
 predecessors of x_j = x are the prefix x_{j-1} <= floor(x*s_{j-1}/s_j), so
-the window never drops a state; each state is cut at the limit, and the ray
-of x_n is the factor 1/(1 - q), one prefix sum at the end.  Since x_j = x
+nothing ever leaves the window: the loop keeps a running prefix sum of the
+previous layer's states, each shifted to its least degree as it joins, and
+the state of x_j = x is that sum times q^{g_j*x}, stored from its least
+degree g_j*x and cut at the limit, one bit_length telling both whether to
+cut and how many slots to charge.  As in Pi, every stored state starts at
+its least degree, so its stored slots are its charged ones.  Since x_j = x
 forces x_k >= x*s_k/s_j for k >= j, x_j is at most
 floor(limit*s_j / sum_{k>=j} g_k*s_k).  So a count costs O(1) big-integer
-operations per value of a coordinate, not one step per lattice point: under
-the weight grading a layer has at most limit states, under the Ehrhart
-grading at most limit*s_j/s_n + 1.  The prefixes x_1..x_{n-1} lie in the
-box of those ranges, whose size bounds every coefficient.
+operations per value of a coordinate, not one step per lattice point:
+under the weight grading a layer has at most limit states, under the
+Ehrhart grading at most limit*s_j/s_n + 1.  The prefixes x_1..x_{n-1} lie
+in the box of those ranges, whose size bounds every coefficient.
+
+In both loops the last coordinate gets no states: each value a of x_{n-1}
+adds its state times q^{ceil(a*s_n/s_{n-1})}, the least grade of x_n, to a
+packed sum p.  Those degrees never decrease along the layer, so p is summed
+in chunks as the states are made, none of them kept: a state whose degree
+is at most a fixed span of slots past its chunk's first degree is shifted
+into the chunk by one addition, any other starts a new chunk, and each
+finished chunk joins a binary counter of runs of 1, 2, 4, ... chunks, where
+it takes part in O(log(chunks)) additions.  A chunk is at most its widest
+state plus the span long, so an addition costs O(state + span) words, and
+the counter sees one entry per chunk, not per state.  In Pi, p times
+1 + q + ... + q^{s_n - 1} is ((p << W*s_n) - p) // (2^W - 1), exact as
+z^w - 1 = (z - 1)(1 + z + ... + z^{w-1}) at z = 2^W, and linear in time as
+the divisor is one slot.  Each coefficient of the product sums s_n of a
+nonnegative polynomial's, which sum to at most prod(s), so it fits its
+slot, also after `h_star`'s second window.  In the cone, the ray of x_n is
+the factor 1/(1 - q), one prefix sum at the end.
 
 Every count is charged against one budget of nodes, where a node is one
 packed slot of a state or one coefficient of the output.  A state's slots
@@ -134,8 +145,22 @@ def _charge_terms(n):
         raise BudgetExceeded(f"asked for {n} terms, past the budget of {budget} nodes")
 
 
+def _flush(runs, chunk, co, W, state, o):
+    """Push a finished chunk of the last layer's sum, packed from degree co,
+    onto runs of 1, 2, 4, ... chunks, each packed from its first chunk's
+    degree, and return the next chunk: state, from degree o.  Equal runs
+    merge, so a chunk joins O(log(chunks)) additions."""
+    k = 1
+    while runs and runs[-1][0] == k:
+        _, o0, p = runs.pop()
+        chunk = p + (chunk << W * (co - o0))
+        co, k = o0, 2 * k
+    runs.append((k, co, chunk))
+    return state, o
+
+
 def _lattice(s, g, limit, charged=0, windows=1):
-    """Lattice points of the cone of s graded by g, nonnegative and ending in 1.
+    """Lattice points of the cone of s graded by g, of 0s and 1s ending in 1.
 
     With limit None, the coefficients of sum_{x in Pi} q^{g.x} times
     (1 + q + ... + q^{s_n - 1})^(windows - 1); otherwise
@@ -173,65 +198,86 @@ def _lattice(s, g, limit, charged=0, windows=1):
         # widen to 1, 2, 4 or 8 bytes, the size of a C integer type
         B = 1 << (B - 1).bit_length()
     W = 8 * B
-    sn, gn, span = s[-1], g[-1], _CHUNK_SLOTS
-    # the states of x_{j-1}, packed polynomials and their least degrees,
-    # from the single value x_0 = 0; the states of x_{n-1} are not kept but
-    # summed, shifted by the least grade of their values of x_n, into chunk
-    # from degree co, and finished chunks into runs.  With n = 1 the sum is
-    # the seed, 1 at degree 0
-    polys, offs, sp = [1], [0], 1
-    runs, chunk, co = [], int(n == 1), 0
-    for j in range(n - 1):
-        sj, gj, m = s[j], g[j], len(polys)
-        last = j == n - 2
-        # in Pi, x_{j-1} = a has a window of s_j values of x_j from
-        # ceil(a*s_j/s_{j-1}); in the cone it has every value from there on,
-        # a window wider than the whole range of x_j
-        width = sj if limit is None else tops[j] + 1
-        new_polys, new_offs = [], []
-        # predecessors rem..add-1 have x in their window; nxt is the start
-        # of the window of add, drop that of rem
-        acc, base, add, rem, nxt, drop = 0, offs[0], 0, 0, 0, 0
-        for x in range(tops[j] + 1):
-            while nxt <= x and add < m:
-                acc += polys[add] << W * (offs[add] - base)
-                add += 1
-                nxt = (add * sj + sp - 1) // sp
-            if drop + width <= x:
-                while drop + width <= x:
-                    acc -= polys[rem] << W * (offs[rem] - base)
-                    rem += 1
-                    drop = (rem * sj + sp - 1) // sp
-                acc >>= W * (offs[rem] - base)
-                base = offs[rem]
-            o, state = base + gj * x, acc
-            if limit is not None and state.bit_length() > W * (limit - o + 1):
-                # the cone never drops a predecessor, so base stays 0: cut
-                # the grades past the limit
-                state &= (1 << W * (limit - o + 1)) - 1
-            used += (state.bit_length() - 1) // W
-            if used > budget:
-                raise BudgetExceeded(f"enumeration passed {budget} nodes")
-            if last:
-                o += gn * ((x * sn + sj - 1) // sj)
-                if o - co > span:
-                    # past the span, the chunk joins runs of 1, 2, 4, ...
-                    # chunks, each from its first chunk's degree; equal runs
-                    # merge, so a chunk joins O(log(chunks)) additions; a new
-                    # chunk starts at o
-                    k = 1
-                    while runs and runs[-1][0] == k:
-                        _, o0, p = runs.pop()
-                        chunk = p + (chunk << W * (co - o0))
-                        co, k = o0, 2 * k
-                    runs.append((k, co, chunk))
-                    chunk, co = state, o
+    sn, span = s[-1], _CHUNK_SLOTS
+    # the states of x_{j-1}, packed polynomials, from the single value
+    # x_0 = 0; the states of x_{n-1} are not kept but summed, shifted by the
+    # least grade of their values of x_n, into chunk from degree co, and
+    # finished chunks into runs.  With n = 1 the sum is the seed
+    polys, sp, runs, chunk, co = [1], 1, [], int(n == 1), 0
+    if limit is None:
+        # each state from its own least degree, in offs
+        offs = [0]
+        for j in range(n - 1):
+            sj, gj, m, last = s[j], g[j], len(polys), j == n - 2
+            new_polys, new_offs = [], []
+            # x_{j-1} = a has a window of s_j values of x_j from
+            # ceil(a*s_j/s_{j-1}); predecessors rem..add-1 have x in their
+            # window; nxt is the start of the window of add, drop that of rem
+            acc, base, add, rem, nxt, drop = 0, offs[0], 0, 0, 0, 0
+            for x in range(tops[j] + 1):
+                while nxt <= x and add < m:
+                    acc += polys[add] << W * (offs[add] - base)
+                    add += 1
+                    nxt = (add * sj + sp - 1) // sp
+                if drop + sj <= x:
+                    while drop + sj <= x:
+                        acc -= polys[rem] << W * (offs[rem] - base)
+                        rem += 1
+                        drop = (rem * sj + sp - 1) // sp
+                    acc >>= W * (offs[rem] - base)
+                    base = offs[rem]
+                used += (acc.bit_length() - 1) // W
+                if used > budget:
+                    raise BudgetExceeded(f"enumeration passed {budget} nodes")
+                o = base + gj * x
+                if last:
+                    o += (x * sn + sj - 1) // sj
+                    if o - co > span:
+                        chunk, co = _flush(runs, chunk, co, W, acc, o)
+                    else:
+                        chunk += acc << W * (o - co)
                 else:
-                    chunk += state << W * (o - co)
-            else:
-                new_polys.append(state)
-                new_offs.append(o)
-        polys, offs, sp = new_polys, new_offs, sj
+                    new_polys.append(acc)
+                    new_offs.append(o)
+            polys, offs, sp = new_polys, new_offs, sj
+    else:
+        # x_{j-1} = a is a predecessor of every x_j from ceil(a*s_j/s_{j-1})
+        # on, so the window never drops one: acc is a running prefix sum of
+        # the predecessors' states, each shifted to its least degree
+        # g_{j-1}*a.  The state of x_j = x is q^{g_j*x} times acc, so it is
+        # stored as acc from that least degree, cut past the limit.  The cut
+        # holds for every later x, whose least degree is no less, so acc
+        # itself is cut.  Lowering a prefix's first nonzero coordinate by 1
+        # keeps it in the cone and lowers its grade by 0 or 1, so the grades
+        # of the prefixes ending in a state take every value from its least
+        # one up: a cut state's top slot, at the limit, is nonzero
+        gp = 0
+        for j in range(n - 1):
+            sj, gj, m, last = s[j], g[j], len(polys), j == n - 2
+            new_polys = []
+            acc, add, nxt = 0, 0, 0
+            for x in range(tops[j] + 1):
+                while nxt <= x and add < m:
+                    acc += polys[add] << W * gp * add
+                    add += 1
+                    nxt = (add * sj + sp - 1) // sp
+                o = gj * x
+                keep, bits = W * (limit - o + 1), acc.bit_length()
+                if bits > keep:
+                    acc &= (1 << keep) - 1
+                    bits = keep
+                used += (bits - 1) // W
+                if used > budget:
+                    raise BudgetExceeded(f"enumeration passed {budget} nodes")
+                if last:
+                    o += (x * sn + sj - 1) // sj
+                    if o - co > span:
+                        chunk, co = _flush(runs, chunk, co, W, acc, o)
+                    else:
+                        chunk += acc << W * (o - co)
+                else:
+                    new_polys.append(acc)
+            polys, sp, gp = new_polys, sj, gj
     # the last chunk and the runs, from the top down
     p, o = chunk, co
     while runs:
