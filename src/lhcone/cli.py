@@ -309,11 +309,13 @@ def _walk(p, q, first, second):
     in the pieces _join writes: over multipliers p = u with q = -1, the
     Gorenstein point from the seeds (0, 1) (see `u_generated_point`) and
     the terms from (1, s_1); rec:l,b's terms over p = l, l, ... with q = b
-    from (0, 1).  Each piece is one `_two_term_walk` from two seeds, the
-    last entry of the piece before, held back, and the one before it; once
-    a piece's first entry passes _DECIMAL_BITS its seeds become Decimal, and
-    so every entry from there on.  This is the one place a point or a term
-    becomes Decimal, whose str() is linear where str(int) is quadratic.
+    from (0, 1), and rec:l,0's point over p = l+1, l+1, ... with q = -l
+    from (0, 1) (see `_answer`).  Each piece is one `_two_term_walk` from
+    two seeds, the last entry of the piece before, held back, and the one
+    before it; once a piece's first entry passes _DECIMAL_BITS its seeds
+    become Decimal, and so every entry from there on.  This is the one
+    place a point or a term becomes Decimal, whose str() is linear where
+    str(int) is quadratic.
 
     The walk is lazy: each piece is computed only when the writer asks for
     it, under _EXACT entered and left within the piece, so the caller's
@@ -348,12 +350,18 @@ def _answer(spec, n):
     lazily, so the scan reads no term past the first that no u-step
     reaches.  With every u-step known the decision is the point's lazy
     `_walk`, the recursion's point (see `_index_recursion`), never held
-    whole; otherwise it is the recursion's answer, which draws the terms up
-    to its first failure."""
+    whole.  So is it on rec:l,0, whose point is the walk over l+1, l+1, ...
+    with q = -l from (0, 1): the recursion gives c_j = l*c_{j-1} + 1, as
+    `gorenstein_fail_index` states, so c_{j+1} = (l+1)*c_j - l*c_{j-1}
+    from (c_0, c_1) = (0, 1).  Otherwise the decision is the recursion's
+    answer, which draws the terms up to its first failure."""
     u = spec.multipliers(n)
     if u is None:
         u = _u_steps(_terms(spec, n))
         if len(u) < n - 1:
+            if spec.kind == "recurrence" and spec.params[1] == 0:
+                l = spec.params[0]
+                return u, GorensteinResult(_walk(repeat(l + 1, n - 1), -l, 0, 1), None, None)
             return u, _index_recursion(_terms(spec, n))
     return u, GorensteinResult(_walk(u, -1, 0, 1), None, None)
 
@@ -366,6 +374,23 @@ def _gor_fields(result):
 
 def _profile_fields(prof):
     return {name: str(value) for name, value in prof._asdict().items()}
+
+
+def _emit_spec(args, terms, fields, coeffs=None, verdict=True):
+    """Write the answer of a command on --seq: seq and n, the number of
+    terms, then fields; with coeffs, csv writes them as a table of
+    degree,coefficient rows.  Returns the exit code: 1 for a negative
+    verdict, else 0."""
+    table = None if coeffs is None else _Rows(("degree", "coefficient"), enumerate(coeffs))
+    _emit(args, {"seq": args.seq, "n": len(terms), **fields}, table)
+    return 0 if verdict else 1
+
+
+def _emit_pair(args, fields, table=None):
+    """Write the answer of a command on --l and --b: l and b as decimal
+    strings, then fields, with table as its csv.  Returns the exit code, 0."""
+    _emit(args, {"l": str(args.l), "b": str(args.b), **fields}, table)
+    return 0
 
 
 def cmd_gor(args):
@@ -386,41 +411,21 @@ def cmd_gor(args):
     return 0 if result.gorenstein else 1
 
 
-def _coefficient_table(coeffs):
-    return _Rows(("degree", "coefficient"), enumerate(coeffs))
-
-
 def cmd_series(args):
     terms = _realized(args)
     f = weight_series(terms, args.m)
-    _emit(
-        args,
-        {
-            "seq": args.seq,
-            "n": len(terms),
-            "m": args.m,
-            "coefficients": _Decimals(f.coeffs),
-        },
-        _coefficient_table(f.coeffs),
-    )
-    return 0
+    return _emit_spec(args, terms, {"m": args.m, "coefficients": _Decimals(f.coeffs)}, f.coeffs)
 
 
 def cmd_numerator(args):
     terms = _realized(args)
     H = numerator_H(terms)
-    _emit(
-        args,
-        {
-            "seq": args.seq,
-            "n": len(terms),
-            "denominator_exponents": _Decimals(denominator_exponents(terms)),
-            "coefficients": _Decimals(H.coeffs),
-            "palindromic": is_palindromic(H),
-        },
-        _coefficient_table(H.coeffs),
-    )
-    return 0
+    fields = {
+        "denominator_exponents": _Decimals(denominator_exponents(terms)),
+        "coefficients": _Decimals(H.coeffs),
+        "palindromic": is_palindromic(H),
+    }
+    return _emit_spec(args, terms, fields, H.coeffs)
 
 
 def cmd_hstar(args):
@@ -428,9 +433,7 @@ def cmd_hstar(args):
     # charged first: a --t past the budget is refused before the h*-vector
     counts = None if args.t is None else ehrhart_counts(terms, args.t)
     hs = h_star(terms)
-    payload = {
-        "seq": args.seq,
-        "n": len(terms),
+    fields = {
         "coefficients": _Decimals(hs.coeffs.coeffs),
         "denominator_exponent": str(hs.denominator_exponent),
         "power": hs.power,
@@ -439,58 +442,37 @@ def cmd_hstar(args):
         "unimodal": hs.unimodal,
     }
     if counts is not None:
-        payload["ehrhart_counts"] = _Decimals(counts)
-    _emit(args, payload, _coefficient_table(hs.coeffs.coeffs))
-    return 0
+        fields["ehrhart_counts"] = _Decimals(counts)
+    return _emit_spec(args, terms, fields, hs.coeffs.coeffs)
 
 
 def cmd_product(args):
     terms = _realized(args)
     exponents = product_form(terms)
-    payload = {
-        "seq": args.seq,
-        "n": len(terms),
-        "product_form": exponents is not None,
-        "exponents": None if exponents is None else _Decimals(exponents),
-    }
-    _emit(args, payload)
-    return 0 if exponents is not None else 1
+    found = exponents is not None
+    fields = {"product_form": found, "exponents": _Decimals(exponents) if found else None}
+    return _emit_spec(args, terms, fields, verdict=found)
 
 
 def cmd_gcd_table(args):
     rows = ratio_table(args.l, args.b, args.n).rows
-    payload = {
-        "l": str(args.l),
-        "b": str(args.b),
-        "n": args.n,
-        "rows": _Rows(("n", "gcd", "normalizer", "u"), rows),
-    }
-    _emit(args, payload, _Rows(("n", "gcd", "normalizer", "u_n"), rows))
-    return 0
+    fields = {"n": args.n, "rows": _Rows(("n", "gcd", "normalizer", "u"), rows)}
+    return _emit_pair(args, fields, _Rows(("n", "gcd", "normalizer", "u_n"), rows))
 
 
 def cmd_profile(args):
-    prof = gcd_profile(args.l, args.b)
-    payload = {"l": str(args.l), "b": str(args.b), **_profile_fields(prof)}
+    fields = _profile_fields(gcd_profile(args.l, args.b))
     if args.n is not None:
-        payload["f_sequence"] = _Decimals(f_sequence(args.l, args.b, args.n))
-    _emit(args, payload)
-    return 0
+        fields["f_sequence"] = _Decimals(f_sequence(args.l, args.b, args.n))
+    return _emit_pair(args, fields)
 
 
 def cmd_n0(args):
     prof = gcd_profile(args.l, args.b)
-    n0 = find_n0(args.l, args.b, args.horizon)
-    payload = {
-        "l": str(args.l),
-        "b": str(args.b),
-        "n0": n0,
-        "threshold": str(prof.t * (prof.r + abs(args.b))),
-    }
+    fields = {"n0": find_n0(args.l, args.b, args.horizon), "threshold": str(prof.t * (prof.r + abs(args.b)))}
     if args.horizon is not None:
-        payload["horizon"] = args.horizon
-    _emit(args, payload)
-    return 0
+        fields["horizon"] = args.horizon
+    return _emit_pair(args, fields)
 
 
 def cmd_classify(args):
@@ -569,21 +551,17 @@ def cmd_classify(args):
 def cmd_crosscheck(args):
     terms = _realized(args)
     report = cross_check_gorenstein(terms)
-    _emit(
-        args,
-        {
-            "seq": args.seq,
-            "n": len(terms),
-            **report._asdict(),
-            "agree": report.agree,
-        },
-    )
-    return 0 if report.agree else 1
+    return _emit_spec(args, terms, {**report._asdict(), "agree": report.agree}, verdict=report.agree)
 
 
 def _add_seq(p, required=True):
     p.add_argument("--seq", required=required, help="sequence spec, e.g. rec:3,9 or list:1,3,5")
     p.add_argument("--n", type=int, help="number of terms to realize")
+
+
+def _add_pair(p):
+    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--b", type=int, required=True)
 
 
 @functools.cache
@@ -621,18 +599,15 @@ def build_parser():
     _add_seq(p)
 
     p = sub.add_parser("gcd-table", help="normalized consecutive-gcd table")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    _add_pair(p)
     p.add_argument("--n", type=int, required=True, help="number of rows")
 
     p = sub.add_parser("profile", help="gcd profile r, t, sigma, gamma, beta")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    _add_pair(p)
     p.add_argument("--n", type=int, help="also report the reduced f-sequence to n")
 
     p = sub.add_parser("n0", help="stable growth index for the failure bound")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    _add_pair(p)
     p.add_argument("--horizon", type=int, help="verification window (default adaptive)")
 
     p = sub.add_parser("classify", help="full report: u-generation, Gorenstein, profile")

@@ -7,7 +7,7 @@ for 2 <= j <= n.  The decision runs that recursion and reports either the
 point or the first index where integrality breaks, with the rational value
 that was forced there.  It draws the terms one at a time and stops at the
 first failure, so it also runs on the unending terms of an (l, b) family,
-as `lhcone gor` runs it on rec:l,b with b != -1, n terms at most.
+as `lhcone gor` runs it on rec:l,b with b not in (0, -1), n terms at most.
 
 Each step takes the greedy interior value c_j = floor(c_{j-1}*s_j/s_{j-1}) + 1
 and certifies it without a gcd: g = c_j*s_{j-1} - c_{j-1}*s_j is a Bezout
@@ -23,8 +23,9 @@ specs, whose terms the same walk checks for positivity, two terms at a
 time, or of terms whose every step is a u-step.  The point is the u-walk
 (`_two_term_walk` with q = -1) from the seeds (0, 1), in ints, which walks
 the terms from (1, s_1); `kl_product_exponents` is the same walk, and so,
-with q = b, are the terms of an (l, b) family.  The index recursion decides
-every other sequence; `u_generated_point` checks the two agree.
+with q = b, are the terms of an (l, b) family.  An (l, 0) family's point
+is the walk with q = -l (`gorenstein_fail_index`).  The index recursion
+decides every other sequence; `u_generated_point` checks the two agree.
 """
 
 from __future__ import annotations
@@ -117,6 +118,12 @@ def gorenstein_fail_index(l, b, horizon=None):
     b = 0 (c_j = l*c_{j-1} + 1), and any other pair fails at some n, which
     the recursion runs to.  So once the pair is checked, b = -1 and b = 0
     answer None at any horizon, before a term is drawn.
+
+    With b = 0 the terms are l^{j-1}, so the recursion's step is
+    c_j = (c_{j-1}*l^{j-1} + l^{j-2}) / l^{j-2} = l*c_{j-1} + 1, and so
+    c_{j+1} = (l+1)*c_j - l*c_{j-1} from (c_0, c_1) = (0, 1): the two-term
+    walk (`_two_term_walk`) over l+1, l+1, ... with q = -l, which
+    `lhcone gor` and `lhcone classify` print for rec:l,0 with no recursion.
     """
     if horizon is not None and horizon < 1:
         raise ValueError(f"need horizon >= 1, got {horizon}")

@@ -91,10 +91,12 @@ def _two_term_walk(p, q, first, second):
     entry more than p has.  With q = -1 and p the multipliers u it is the
     u-walk, the terms from (1, s_1) and the Gorenstein point from (0, 1)
     (`lhcone.gorenstein.u_generated_point`); rec:l,b's terms are p = l, l,
-    ... with q = b from (0, 1).  The entries are of the seeds' number type:
-    ints from int seeds, and whatever type the caller seeds it with
-    (`lhcone.cli._walk` chooses, piece by piece).  A u-walk takes a loop of
-    its own, as p_i*b - a costs less than p_i*b + q*a.
+    ... with q = b from (0, 1), and rec:l,0's Gorenstein point is p = l+1,
+    l+1, ... with q = -l from (0, 1) (see `gorenstein_fail_index`).  The
+    entries are of the seeds' number type: ints from int seeds, and
+    whatever type the caller seeds it with (`lhcone.cli._walk` chooses,
+    piece by piece).  A u-walk takes a loop of its own, as p_i*b - a costs
+    less than p_i*b + q*a.
     """
     a, b = first, second
     yield b

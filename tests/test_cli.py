@@ -809,11 +809,13 @@ def test_printed_point_is_the_int_point_on_families(spec):
 
 
 def test_printed_point_is_the_int_point_on_division_steps_and_mixed_lists():
-    # rec:l,0 takes division steps only; the lists switch between u-steps
-    # and division steps both ways, then fail on a free term
+    # rec:l,0 takes division steps only: gor walks its point, and prints the
+    # recursion's on the same terms given as a list; the lists switch between
+    # u-steps and division steps both ways, then fail on a free term
     for spec, n in (("rec:2,0", 2000), ("rec:10,0", 1000)):
         s = parse_sequence_spec(spec).realize(n)
         assert cli_answer(["gor", "--seq", spec, "--n", str(n)]) == library_answer(s)
+        assert cli_answer(["gor", "--seq", "list:" + ",".join(map(str, s))]) == library_answer(s)
         listed = "list:" + ",".join(map(str, s[: n // 2]))
         assert cli_answer(["classify", "--seq", listed]) == library_answer(s[: n // 2])
     for s in mixed_lists():
@@ -844,6 +846,20 @@ def test_family_specs_print_the_recursion_answer_without_terms(spec):
         with mock.patch.object(SequenceSpec, "realize", side_effect=AssertionError("terms drawn")):
             for fmt, out in want.items():
                 assert run(["gor", "--seq", spec, "--n", str(n), "--format", fmt]) == (0, out, "")
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 9, 12])
+def test_rec_l_0_walks_the_point_the_recursion_gives(l):
+    # the recursion gives c_j = l*c_{j-1} + 1 on rec:l,0, the walk over
+    # l+1, l+1, ... with q = -l; gor and classify walk it and run no recursion
+    spec = f"rec:{l},0"
+    for n in (1, 2, 3, 40, 700):
+        want = {fmt: recursion_output(spec, n, fmt) for fmt in ("json", "csv", "text")}
+        answer = library_answer(generate_recurrence(l, 0, n))
+        with mock.patch("lhcone.cli._index_recursion", side_effect=AssertionError("recursion run")):
+            for fmt, out in want.items():
+                assert run(["gor", "--seq", spec, "--n", str(n), "--format", fmt]) == (0, out, "")
+            assert cli_answer(["classify", "--seq", spec, "--n", str(n)]) == answer
 
 
 def test_family_points_at_n_one_and_two():
@@ -1678,6 +1694,40 @@ def test_json_output_is_json_dumps_of_itself(argv):
     code, out, err = run(argv)
     assert code in (0, 1), err
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+# the keys each argv of EVERY_SUBCOMMAND prints, in order; JSON puts
+# "schema" before them
+KEY_ORDER = {
+    "gor --seq rec:3,9 --n 7": "seq n gorenstein fails_at witness",
+    "gor --seq ell:3 --n 300": "seq n gorenstein point",
+    "series --seq kl:2,3 --n 4 --m 12": "seq n m coefficients",
+    "numerator --seq list:1,3,5": "seq n denominator_exponents coefficients palindromic",
+    "hstar --seq list:1,2,3 --t 4":
+        "seq n coefficients denominator_exponent power q1 symmetric unimodal ehrhart_counts",
+    "product --seq kl:2,3 --n 4": "seq n product_form exponents",
+    "product --seq list:11,10": "seq n product_form exponents",
+    "gcd-table --l 6 --b -9 --n 12": "l b n rows",
+    "profile --l 6 --b -9 --n 8": "l b r t sigma gamma beta f_sequence",
+    "n0 --l 3 --b 9": "l b n0 threshold",
+    "n0 --l 3 --b 9 --horizon 20": "l b n0 threshold horizon",
+    "classify --seq rec:3,9 --n 7":
+        "seq kind n terms u_generation gorenstein fails_at witness profile fail_index threshold_check",
+    "classify --seq list:2,4": "seq kind n terms u_generation gorenstein point",
+    "classify --seq ell:3 --n 5": "seq kind n terms u_generation gorenstein point fail_index",
+    "crosscheck --seq list:1,3,5": "seq n recursion_gorenstein numerator_palindromic hstar_palindromic agree",
+}
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=" ".join)
+def test_keys_keep_their_order(argv):
+    keys = KEY_ORDER[" ".join(argv)].split()
+    code, out, err = run(argv)
+    assert code in (0, 1), err
+    assert list(json.loads(out)) == ["schema", *keys]
+    code, out, err = run([*argv, "--format", "text"])
+    assert code in (0, 1), err
+    assert [line.split(": ", 1)[0] for line in out.splitlines()] == keys
 
 
 def test_matrix_json_output_is_json_dumps_of_itself(tmp_path):
