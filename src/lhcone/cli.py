@@ -62,7 +62,6 @@ from .sequences import (
     _two_term_walk,
     _u_steps,
     parse_sequence_spec,
-    recurrence_terms,
 )
 
 SCHEMA = 2
@@ -154,9 +153,10 @@ class _Rows:
 
 def _write_json(value):
     """Write json.dumps(value, indent=2) and a newline to stdout, byte for
-    byte, for the types payloads hold: dicts with str keys, lists, str, int,
-    bool and None, with a _Decimals list's entries as strings and a _Rows
-    table's rows as objects.
+    byte, for the types an answer holds: dicts with str keys, str, int, bool
+    and None, a _Decimals list, its entries as strings, and a _Rows table,
+    its rows as objects.  Any other type, a plain list or a float, raises
+    the TypeError json.dumps raises for a type it cannot write.
 
     json.dumps cannot use its C encoder when indenting, and escape-scans
     every string; a _Decimals list and a _Rows table go through _join
@@ -233,13 +233,6 @@ def _json_parts(value, parts, indent):
         parts += ("[", inner)
         _join(parts, "," + inner, value.pieces("json", inner))
         parts += (indent, "]")
-    elif isinstance(value, list) and value:
-        sep = "[" + inner
-        for item in value:
-            parts.append(sep)
-            _json_parts(item, parts, inner)
-            sep = "," + inner
-        parts += (indent, "]")
     elif isinstance(value, dict) and value:
         sep = "{" + inner
         for key, item in value.items():
@@ -247,7 +240,7 @@ def _json_parts(value, parts, indent):
             _json_parts(item, parts, inner)
             sep = "," + inner
         parts += (indent, "}")
-    elif isinstance(value, (list, dict, _Decimals, _Rows)):
+    elif isinstance(value, (dict, _Decimals, _Rows)):
         parts.append("{}" if isinstance(value, dict) else "[]")
     elif value is None or isinstance(value, bool):
         parts.append("null" if value is None else "true" if value else "false")
@@ -258,7 +251,7 @@ def _json_parts(value, parts, indent):
 
 
 def _flat(value):
-    if isinstance(value, (list, _Decimals)):
+    if isinstance(value, _Decimals):
         return " ".join(_flat(v) for v in value)
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}={_flat(v)}" for k, v in value.items()) + "}"
@@ -335,34 +328,29 @@ def _walk(p, q, first, second):
         k = _piece_len(k, b)
 
 
-def _terms(spec, n):
-    """The first n terms of a spec that fixes no multipliers: a list's, or
-    rec:l,b's (b != -1), drawn lazily."""
-    return islice(recurrence_terms(*spec.params), n) if spec.kind == "recurrence" else spec.realize(n)
-
-
 def _answer(spec, n):
     """The multipliers u of spec at n and its Gorenstein decision.  u is the
     spec's own where it fixes them (`SequenceSpec.multipliers`: a family or
     a u: spec, whose terms are checked for positivity without being held),
     else the leading u-steps of its terms (`_u_steps`), all n - 1 of them
-    exactly when the terms are u-generated.  rec:l,b's terms are drawn
-    lazily, so the scan reads no term past the first that no u-step
-    reaches.  With every u-step known the decision is the point's lazy
-    `_walk`, the recursion's point (see `_index_recursion`), never held
-    whole.  So is it on rec:l,0, whose point is the walk over l+1, l+1, ...
-    with q = -l from (0, 1): the recursion gives c_j = l*c_{j-1} + 1, as
-    `gorenstein_fail_index` states, so c_{j+1} = (l+1)*c_j - l*c_{j-1}
-    from (c_0, c_1) = (0, 1).  Otherwise the decision is the recursion's
-    answer, which draws the terms up to its first failure."""
+    exactly when the terms are u-generated.  The terms come from the spec's
+    lazy source, `SequenceSpec._terms`, so the scan reads no term of
+    rec:l,b past the first that no u-step reaches.  With every u-step known
+    the decision is the point's lazy `_walk`, the recursion's point (see
+    `_index_recursion`), never held whole.  So is it on rec:l,0, whose
+    point is the walk over l+1, l+1, ... with q = -l from (0, 1): the
+    recursion gives c_j = l*c_{j-1} + 1, as `gorenstein_fail_index` states,
+    so c_{j+1} = (l+1)*c_j - l*c_{j-1} from (c_0, c_1) = (0, 1).
+    Otherwise the decision is the recursion's answer, which draws the
+    terms up to its first failure."""
     u = spec.multipliers(n)
     if u is None:
-        u = _u_steps(_terms(spec, n))
+        u = _u_steps(spec._terms(n))
         if len(u) < n - 1:
             if spec.kind == "recurrence" and spec.params[1] == 0:
                 l = spec.params[0]
                 return u, GorensteinResult(_walk(repeat(l + 1, n - 1), -l, 0, 1), None, None)
-            return u, _index_recursion(_terms(spec, n))
+            return u, _index_recursion(spec._terms(n))
     return u, GorensteinResult(_walk(u, -1, 0, 1), None, None)
 
 

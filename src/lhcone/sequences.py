@@ -254,21 +254,29 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind params")):
         return self.params[1] if self.kind == "u" else 1
 
     def realize(self, n=None):
-        """The terms s_1..s_n; n defaults to the natural length where one
-        exists.  A spec with multipliers is walked from (1, s_1) over them."""
+        """The terms s_1..s_n as a list: `_terms` drawn whole."""
+        return list(self._terms(n))
+
+    def _terms(self, n=None):
+        """The terms s_1..s_n, an iterator drawn lazily; n defaults to the
+        natural length where one exists.  A list's are its prefix; a spec
+        with multipliers is walked from (1, s_1) over them; rec:l,b's
+        (b != -1) are `recurrence_terms`, computed only as they are drawn,
+        so no term past the last one drawn is made.  The spec and n are
+        checked here, before the iterator is returned."""
         n = self._length(n)
         if self.kind == "explicit":
             if n < 1:
                 raise ValueError(f"need n >= 1, got {n}")
             if n > len(self.params):
                 raise ValueError(f"list has {len(self.params)} terms, asked for {n}")
-            return list(self.params[:n])
+            return islice(self.params, n)
         u = self.multipliers(n)
         if u is not None:
-            return list(_two_term_walk(u, -1, 1, self.first_term))
+            return _two_term_walk(u, -1, 1, self.first_term)
         if self.kind != "recurrence":
             raise ValueError(f"unknown kind '{self.kind}'")
-        return generate_recurrence(*self.params, n)
+        return islice(recurrence_terms(*self.params), n)
 
     def _length(self, n):
         n = self.default_length() if n is None else n

@@ -1624,9 +1624,10 @@ row_tables = st.lists(json_text, min_size=1, max_size=4, unique=True).flatmap(
         st.tuples(*[st.one_of(st.integers(), st.integers(10**999, 10**1000 - 1))] * len(names)), max_size=4
     ).map(lambda rows: cli._Rows(tuple(names), rows))
 )
+# the types an answer holds: no plain lists, which the writer refuses
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), json_text, decimal_lists, row_tables),
-    lambda kids: st.one_of(st.lists(kids, max_size=4), st.dictionaries(json_text, kids, max_size=4)),
+    lambda kids: st.dictionaries(json_text, kids, max_size=4),
     max_leaves=20,
 )
 
@@ -1638,8 +1639,6 @@ def as_strings(value):
         return [str(v) for v in value]
     if isinstance(value, cli._Rows):
         return [dict(zip(value.names, (row[0], *map(str, row[1:])))) for row in value.rows]
-    if isinstance(value, list):
-        return [as_strings(v) for v in value]
     if isinstance(value, dict):
         return {k: as_strings(v) for k, v in value.items()}
     return value
@@ -1668,6 +1667,16 @@ def test_streamed_writer_writes_json_dumps_with_indent(value):
 def test_writer_refuses_what_json_dumps_refuses():
     with pytest.raises(TypeError, match="^Object of type float is not JSON serializable$"):
         _write_json(1.5)
+
+
+@pytest.mark.parametrize("value", [[1], {"a": []}], ids=["list", "list in a dict"])
+def test_writer_refuses_plain_lists(value):
+    # no answer holds one: a list of integers is a _Decimals, a table a _Rows
+    out = io.StringIO()
+    message = "^Object of type list is not JSON serializable$"
+    with redirect_stdout(out), pytest.raises(TypeError, match=message):
+        _write_json(value)
+    assert out.getvalue() == ""
 
 
 EVERY_SUBCOMMAND = [

@@ -191,6 +191,26 @@ def test_parallelepiped_matches_oracle_on_wide_shapes(s):
     assert h_star(s).coeffs == oracle_hstar(s)
 
 
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=7).filter(lambda s: prod(s) * s[-1] <= 3 * 10**5))
+# prefixes of ell:3, kl:2,3, rec:3,2, onemodk:2 and rec:2,1
+@example([1, 3, 8, 21])
+@example([1, 3, 5, 12, 19])
+@example([1, 3, 11, 39])
+@example([1, 3, 5, 7, 9, 11])
+@example([1, 2, 5, 12, 29])
+@settings(max_examples=60, deadline=None)
+def test_hstar_is_the_parallelepiped_of_the_cone_over_its_polytope(s):
+    # a second oracle, at sizes the walker does not reach: the cone over
+    # {x in the cone of s : x_n <= 1} is {(x, y) : x in the cone, x_n <= y},
+    # the cone of s + (s_n,).  So h_star's second packed window equals the
+    # one-window sum over that cone's Pi graded by its last coordinate
+    n = len(s)
+    want = enumeration._lattice((*s, s[-1]), (0,) * n + (1,), None)
+    while want[-1] == 0:
+        want.pop()
+    assert list(h_star(s).coeffs.coeffs) == want
+
+
 def walker_counts(s, g, limit):
     """The walker's counts through the largest of limit, limit // 2, ...
     that it reaches within 300,000 nodes."""

@@ -294,8 +294,10 @@ def test_one_mod_k():
 
 def test_spec_of_unknown_kind_does_not_realize():
     # a spec built without the parser, whose kind no generator knows
-    with pytest.raises(ValueError, match="^unknown kind 'zzz'$"):
-        SequenceSpec("zzz", (1,)).realize(2)
+    spec = SequenceSpec("zzz", (1,))
+    for build in (spec.realize, spec._terms):
+        with pytest.raises(ValueError, match="^unknown kind 'zzz'$"):
+            build(2)
 
 
 def test_parse_explicit():
@@ -311,8 +313,10 @@ def test_parse_explicit():
 @pytest.mark.parametrize("n", [0, -1, -2])
 def test_explicit_realization_rejects_n_below_one(n):
     # a negative n must not slice terms off the end
-    with pytest.raises(ValueError, match="need n >= 1"):
-        parse_sequence_spec("list:1,2,3").realize(n)
+    spec = parse_sequence_spec("list:1,2,3")
+    for build in (spec.realize, spec._terms):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            build(n)
 
 
 def test_parse_families():
@@ -327,6 +331,35 @@ def test_parse_u_with_first_term():
     assert sp.kind == "u"
     assert sp.realize() == [1, 2, 5, 8, 19]
     assert sp.default_length() == 5
+
+
+TERM_SOURCES = [
+    ("rec:3,9", 4, [1, 3, 18, 81]),
+    ("rec:4,0", 3, [1, 4, 16]),
+    ("rec:2,-1", 4, [1, 2, 3, 4]),
+    ("kl:2,3", 4, [1, 3, 5, 12]),
+    ("ell:4", 3, [1, 4, 15]),
+    ("onemodk:4", 3, [1, 5, 9]),
+    ("u:3,3,2,3;1", None, [1, 2, 5, 8, 19]),
+    ("u:2;5", 1, [5]),
+    ("list:1,3,5", None, [1, 3, 5]),
+    ("list:1,3,5", 2, [1, 3]),
+]
+
+
+@pytest.mark.parametrize("text, n, terms", TERM_SOURCES)
+def test_term_source_yields_the_realized_terms(text, n, terms):
+    spec = parse_sequence_spec(text)
+    source = spec._terms(n)
+    assert iter(source) is source  # an iterator, not a list
+    assert list(source) == spec.realize(n) == terms
+
+
+def test_recurrence_term_source_is_lazy():
+    # rec:l,b with b != -1 makes no term before it is drawn
+    source = parse_sequence_spec("rec:3,9")._terms(10**18)
+    assert next(source) == 1
+    assert list(islice(source, 3)) == [3, 18, 81]
 
 
 SPEC_ERRORS = [
@@ -392,7 +425,8 @@ def test_specs_built_directly_check_their_parameters(kind, params, message):
     # the parser refuses these with positions; a spec built without it must
     # not walk multipliers that generate nonpositive terms
     spec = SequenceSpec(kind, params)
-    for build in (spec.realize, spec.multipliers):
+    # _terms checks them when called, before a term is drawn
+    for build in (spec.realize, spec._terms, spec.multipliers):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build(4)
 
