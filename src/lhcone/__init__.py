@@ -1,110 +1,24 @@
 """Exact-arithmetic toolkit for lecture hall cones: Gorenstein decisions,
 weight generating functions, h*-vectors, and the gcd structure of
 second-order recurrence sequences.
+
+Each library module declares its part of the public surface in its own
+`__all__`; the package re-exports those names, and its `__all__` joins
+theirs.
 """
 
-from .enumeration import (
-    DEFAULT_NODE_BUDGET,
-    BudgetExceeded,
-    CrossCheckReport,
-    HStarVector,
-    cross_check_gorenstein,
-    denominator_exponents,
-    detect_product_form,
-    ehrhart_counts,
-    h_star,
-    node_budget,
-    numerator_H,
-    product_form,
-    weight_series,
-)
-from .exact_arith import (
-    DensePoly,
-    TruncatedSeries,
-    is_palindromic,
-    is_unimodal,
-    product_form_series,
-)
-from .gcd_structure import (
-    GcdProfile,
-    HorizonTooSmallError,
-    RatioTable,
-    ThresholdVerdict,
-    failure_threshold_check,
-    f_sequence,
-    find_n0,
-    gcd_profile,
-    ratio_table,
-)
-from .gorenstein import (
-    GorensteinResult,
-    SingularMatrixError,
-    gorenstein_fail_index,
-    lecture_hall_gorenstein,
-    parse_matrix,
-    simple_cone_gorenstein,
-    u_generated_point,
-)
-from .sequences import (
-    CoprimalityError,
-    InvariantViolation,
-    SequenceSpec,
-    SpecParseError,
-    generate_from_u,
-    generate_kl,
-    generate_recurrence,
-    kl_product_exponents,
-    parse_sequence_spec,
-    recognize_u_generated,
-    validate_positivity,
-)
+from . import enumeration, exact_arith, gcd_structure, gorenstein, sequences
+from .enumeration import *
+from .exact_arith import *
+from .gcd_structure import *
+from .gorenstein import *
+from .sequences import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_NODE_BUDGET",
-    "BudgetExceeded",
-    "CoprimalityError",
-    "CrossCheckReport",
-    "DensePoly",
-    "GcdProfile",
-    "GorensteinResult",
-    "HStarVector",
-    "HorizonTooSmallError",
-    "InvariantViolation",
-    "RatioTable",
-    "SequenceSpec",
-    "SingularMatrixError",
-    "SpecParseError",
-    "ThresholdVerdict",
-    "TruncatedSeries",
-    "cross_check_gorenstein",
-    "denominator_exponents",
-    "detect_product_form",
-    "ehrhart_counts",
-    "f_sequence",
-    "failure_threshold_check",
-    "find_n0",
-    "gcd_profile",
-    "generate_from_u",
-    "generate_kl",
-    "generate_recurrence",
-    "gorenstein_fail_index",
-    "h_star",
-    "is_palindromic",
-    "is_unimodal",
-    "kl_product_exponents",
-    "lecture_hall_gorenstein",
-    "node_budget",
-    "numerator_H",
-    "parse_matrix",
-    "parse_sequence_spec",
-    "product_form",
-    "product_form_series",
-    "ratio_table",
-    "recognize_u_generated",
-    "simple_cone_gorenstein",
-    "u_generated_point",
-    "validate_positivity",
-    "weight_series",
-]
+__all__ = []
+__all__ += sequences.__all__
+__all__ += gorenstein.__all__
+__all__ += enumeration.__all__
+__all__ += gcd_structure.__all__
+__all__ += exact_arith.__all__

@@ -105,6 +105,22 @@ from .exact_arith import (
 from .gorenstein import lecture_hall_gorenstein
 from .sequences import InvariantViolation, _check_positive
 
+__all__ = [
+    "DEFAULT_NODE_BUDGET",
+    "BudgetExceeded",
+    "CrossCheckReport",
+    "HStarVector",
+    "cross_check_gorenstein",
+    "denominator_exponents",
+    "detect_product_form",
+    "ehrhart_counts",
+    "h_star",
+    "node_budget",
+    "numerator_H",
+    "product_form",
+    "weight_series",
+]
+
 DEFAULT_NODE_BUDGET = 50_000_000
 # the C integer types of a slot of 1, 2, 4 or 8 bytes
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}

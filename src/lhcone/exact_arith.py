@@ -13,6 +13,14 @@ from __future__ import annotations
 from itertools import compress, count, islice
 from operator import eq, ge, gt
 
+__all__ = [
+    "DensePoly",
+    "TruncatedSeries",
+    "is_palindromic",
+    "is_unimodal",
+    "product_form_series",
+]
+
 NEG_INF = float("-inf")
 
 
@@ -43,6 +51,11 @@ class DensePoly:
         if 0 <= m < len(self.coeffs):
             return self.coeffs[m]
         return 0
+
+    def __iter__(self):
+        # without it iteration would fall back to __getitem__, which never
+        # raises IndexError, and so would never end
+        return iter(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, DensePoly):

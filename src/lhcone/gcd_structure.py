@@ -48,6 +48,18 @@ from .enumeration import _charge_terms
 from .gorenstein import gorenstein_fail_index
 from .sequences import InvariantViolation, recurrence_terms, validate_positivity
 
+__all__ = [
+    "GcdProfile",
+    "HorizonTooSmallError",
+    "RatioTable",
+    "ThresholdVerdict",
+    "failure_threshold_check",
+    "f_sequence",
+    "find_n0",
+    "gcd_profile",
+    "ratio_table",
+]
+
 
 class HorizonTooSmallError(ValueError):
     pass

@@ -44,6 +44,16 @@ from .sequences import (
     recurrence_terms,
 )
 
+__all__ = [
+    "GorensteinResult",
+    "SingularMatrixError",
+    "gorenstein_fail_index",
+    "lecture_hall_gorenstein",
+    "parse_matrix",
+    "simple_cone_gorenstein",
+    "u_generated_point",
+]
+
 
 class SingularMatrixError(ValueError):
     pass

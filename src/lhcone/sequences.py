@@ -19,6 +19,20 @@ from collections import namedtuple
 from itertools import chain, cycle, islice, repeat
 from math import gcd
 
+__all__ = [
+    "CoprimalityError",
+    "InvariantViolation",
+    "SequenceSpec",
+    "SpecParseError",
+    "generate_from_u",
+    "generate_kl",
+    "generate_recurrence",
+    "kl_product_exponents",
+    "parse_sequence_spec",
+    "recognize_u_generated",
+    "validate_positivity",
+]
+
 
 class InvariantViolation(RuntimeError):
     """A theorem about the answer failed: a bug in the computation, not bad input.

@@ -1,8 +1,11 @@
 import tracemalloc
+from itertools import islice
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
+from lhcone.enumeration import numerator_H
 from lhcone.exact_arith import (
     DensePoly,
     TruncatedSeries,
@@ -25,6 +28,14 @@ def test_degree_and_indexing():
     assert p.degree == 2
     assert p[0] == 3 and p[1] == 0 and p[2] == 5
     assert p[99] == 0  # beyond the stored length, not an error
+    # iteration yields the coefficients and ends; a bounded prefix first, so
+    # that an iteration that never ends fails here instead of hanging
+    assert list(islice(iter(DensePoly([1, 2, 0])), 3)) == [1, 2]
+    assert 3 not in DensePoly([1, 2])
+    s = (1, 3, 5)
+    H = numerator_H(s)
+    assert sum(H) == prod(s)
+    assert DensePoly(H) == H
 
 
 def test_evaluate_horner():
