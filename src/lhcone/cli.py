@@ -41,6 +41,7 @@ from .enumeration import (
 )
 from .exact_arith import is_palindromic
 from .gcd_structure import (
+    _check_pair,
     _threshold_verdict,
     f_sequence,
     find_n0,
@@ -449,15 +450,17 @@ def cmd_gcd_table(args):
 
 
 def cmd_profile(args):
-    fields = _profile_fields(gcd_profile(args.l, args.b))
-    if args.n is not None:
-        fields["f_sequence"] = _Decimals(f_sequence(args.l, args.b, args.n))
-    return _emit_pair(args, fields)
+    # as in gcd-table and n0, the charge of --n and the pair rule come first
+    # (f_sequence checks both itself), and only then is the profile read
+    terms = {} if args.n is None else {"f_sequence": _Decimals(f_sequence(args.l, args.b, args.n))}
+    _check_pair(args.l, args.b)
+    return _emit_pair(args, {**_profile_fields(gcd_profile(args.l, args.b)), **terms})
 
 
 def cmd_n0(args):
+    n0 = find_n0(args.l, args.b, args.horizon)  # the charge and the pair first, as in profile
     prof = gcd_profile(args.l, args.b)
-    fields = {"n0": find_n0(args.l, args.b, args.horizon), "threshold": str(prof.t * (prof.r + abs(args.b)))}
+    fields = {"n0": n0, "threshold": str(prof.t * (prof.r + abs(args.b)))}
     if args.horizon is not None:
         fields["horizon"] = args.horizon
     return _emit_pair(args, fields)

@@ -14,6 +14,23 @@ g = (0, ..., 0, 1), and multiplies by 1 + t + ... + t^{s_n - 1}, which turns
 the (1 - t)(1 - t^{s_n})^n denominator of the homogenized cone (rays (0, 1)
 and (v_i, s_n)) into (1 - t^{s_n})^{n+1}.
 
+Two identities tie the h*-vector Q to other counts.  The Ehrhart series of
+{x in the cone : x_n <= 1} is Q(t)/(1 - t^{s_n})^{n+1}, so the counts
+i(t) = #{x in the cone : x_n <= t} of `ehrhart_counts`, which the cone's
+loop makes, are Q divided by n + 1 factors 1 - t^{s_n}, which Pi's loop
+makes.  tests/test_enumeration.py checks it in
+test_ehrhart_counts_are_the_hstar_vector_divided_out, and tests/test_cli.py
+on what one hstar call prints in
+test_hstar_dilate_counts_are_its_coefficients_divided_out.  The s-Eulerian
+polynomial E, the h*-polynomial of the lattice polytope
+{x in the cone : x_n <= s_n}, is Q's s_n-section,
+E(y) = sum_{k=0..n} Q[k*s_n] y^k: that polytope is s_n times h_star's, and
+the denominator is a series in t^{s_n}.  E is also Pi of s + (1,) graded by
+its last coordinate, since the cone over that polytope is x_n <= s_n*y.
+test_s_eulerian_polynomial_is_a_section_of_the_hstar_vector checks both,
+and test_s_eulerian_polynomial_of_one_mod_k_sequences pins onemodk:2 and
+onemodk:3 at n = 4 to the 1/k-Eulerian [1, 36, 60, 8] and [1, 81, 171, 27].
+
 One engine, `_lattice`, does every lattice count.  It is a DP over
 coordinates whose state is the value of x_j (Stanley's transfer-matrix
 method, EC1 4.7).  A state carries the polynomial sum of q^{g.x} over the

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from lhcone import cli
 from lhcone.cli import _Decimals, _write_json, main
+from lhcone.exact_arith import _divide_by_factors
 from lhcone.gcd_structure import failure_threshold_check, find_n0, gcd_profile, ratio_table
 from lhcone.gorenstein import gorenstein_fail_index, lecture_hall_gorenstein
 from lhcone.sequences import (
@@ -114,6 +115,18 @@ def test_hstar_output():
 def test_hstar_with_dilate_counts():
     code, doc, _ = run_json(["hstar", "--seq", "list:1,3,5", "--t", "4"])
     assert doc["ehrhart_counts"] == ["1", "2", "4", "6", "9"]
+
+
+@pytest.mark.parametrize("spec, t", [("list:1,3,5", 40), ("ell:3 --n 4", 90), ("kl:2,3 --n 4", 60)])
+def test_hstar_dilate_counts_are_its_coefficients_divided_out(spec, t):
+    # i(t) = [x^t] Q(x)/(1 - x^{s_n})^{n+1}: the counts one hstar call prints
+    # against the coefficients it prints, from two loops of the engine
+    code, doc, _ = run_json(["hstar", "--seq", *spec.split(), "--t", str(t)])
+    assert code == 0
+    Q = [int(c) for c in doc["coefficients"]]
+    sn = int(doc["denominator_exponent"])
+    want = _divide_by_factors(list(islice(chain(Q, repeat(0)), t + 1)), [sn] * (doc["n"] + 1))
+    assert [int(c) for c in doc["ehrhart_counts"]] == want
 
 
 def test_product_found():
@@ -1834,6 +1847,24 @@ def test_gcd_commands_never_crash(command, l, b, n):
     else:
         json.loads(out)
     assert "Traceback" not in err
+
+
+def test_pair_commands_refuse_the_same_pairs_alike():
+    # profile, gcd-table and n0 check in one order, the charge, then the
+    # pair, then the count, so a pair that one of them refuses all four
+    # refuse with the pair rule's line, plain profile and l = 0 included
+    commands = (["profile"], ["profile", "--n", "1"], ["gcd-table", "--n", "1"], ["n0"])
+    refused = 0
+    for l in range(-3, 5):
+        for b in range(-9, 10):
+            results = [run([*command, "--l", str(l), "--b", str(b)]) for command in commands]
+            if any(code == 2 for code, _, _ in results):
+                refused += 1
+                error = f"error: need a positive recurrence with b != 0, got l={l}, b={b}\n"
+                assert results == [(2, "", error)] * 4, (l, b)
+            else:
+                assert [code for code, _, _ in results] == [0] * 4, (l, b)
+    assert refused == 109  # 152 pairs, 43 of them positive: b > 0 < l, or b < 0 with 4b >= -l^2
 
 
 @pytest.mark.parametrize("horizon", [-3, -1, 0])

@@ -26,11 +26,12 @@ from lhcone.enumeration import (
 from lhcone.exact_arith import (
     DensePoly,
     TruncatedSeries,
+    _divide_by_factors,
     is_palindromic,
     product_form_series,
 )
 from lhcone.gorenstein import lecture_hall_gorenstein
-from lhcone.sequences import generate_kl, kl_product_exponents
+from lhcone.sequences import generate_kl, kl_product_exponents, parse_sequence_spec
 
 small_seqs = st.lists(st.integers(1, 5), min_size=1, max_size=4)
 # every count past its budget says so in the same words
@@ -209,6 +210,44 @@ def test_hstar_is_the_parallelepiped_of_the_cone_over_its_polytope(s):
     while want[-1] == 0:
         want.pop()
     assert list(h_star(s).coeffs.coeffs) == want
+
+
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=5), st.integers(0, 40))
+@example([1, 3, 5], 4)
+@example([9, 1, 9, 1, 9], 40)
+@settings(max_examples=80, deadline=None)
+def test_ehrhart_counts_are_the_hstar_vector_divided_out(s, T):
+    # the Ehrhart series of {x in the cone : x_n <= 1} is Q(x)/(1 - x^{s_n})^{n+1},
+    # so i(t) = [x^t] of Q divided by n + 1 factors 1 - x^{s_n}: the cone's
+    # count by its last coordinate against the parallelepiped's, two modes
+    # of _lattice that share no loop
+    Q = h_star(s).coeffs.coeffs
+    series = list(islice(chain(Q, repeat(0)), T + 1))
+    assert ehrhart_counts(s, T) == _divide_by_factors(series, [s[-1]] * (len(s) + 1))
+
+
+def s_eulerian(s):
+    """E, the h*-polynomial of the lattice polytope {x in the cone : x_n <= s_n},
+    two ways.  The cone over it, x_n <= s_n*y, is the cone of s + (1,), so E
+    is that cone's Pi graded by its last coordinate.  And the polytope is s_n
+    times h_star's, so its Ehrhart series is the s_n-section of
+    Q(x)/(1 - x^{s_n})^{n+1}: E(y) = sum_k Q[k*s_n] y^k."""
+    Q = h_star(s).coeffs
+    section = DensePoly(Q[k * s[-1]] for k in range(len(s) + 1))
+    return DensePoly(enumeration._lattice((*s, 1), (0,) * len(s) + (1,), None)), section
+
+
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_s_eulerian_polynomial_is_a_section_of_the_hstar_vector(s):
+    E, section = s_eulerian(s)
+    assert E == section
+
+
+@pytest.mark.parametrize("spec, want", [("onemodk:2", [1, 36, 60, 8]), ("onemodk:3", [1, 81, 171, 27])])
+def test_s_eulerian_polynomial_of_one_mod_k_sequences(spec, want):
+    # the 1/k-Eulerian polynomials at n = 4
+    assert s_eulerian(parse_sequence_spec(spec).realize(4)) == (DensePoly(want),) * 2
 
 
 def walker_counts(s, g, limit):
